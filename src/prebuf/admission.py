@@ -34,10 +34,13 @@ class AdmissionConfig:
     def __post_init__(self) -> None:
         if self.total_requests < 1:
             raise ValueError("total_requests must be >= 1")
-        if self.mean_interarrival_s <= 0:
-            raise ValueError("mean_interarrival_s must be positive")
-        if self.available_prbs < 0:
-            raise ValueError("available_prbs must be >= 0")
+        if not math.isfinite(self.mean_interarrival_s) \
+                or self.mean_interarrival_s <= 0:
+            raise ValueError("mean_interarrival_s must be positive and finite")
+        if not math.isfinite(self.available_prbs) or self.available_prbs < 0:
+            raise ValueError("available_prbs must be finite and >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -130,6 +133,8 @@ def service_curve(kv_values, video: VideoSpec, make_trace: TraceFactory,
     kv_values = list(kv_values)
     if not kv_values:
         raise ValueError("kv_values must be non-empty")
+    if num_seeds < 1:
+        raise ValueError("num_seeds must be >= 1")
     rows = []
     for kv in kv_values:
         for kind in planner_kinds:

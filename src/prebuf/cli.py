@@ -71,10 +71,29 @@ def _load_scenario(args) -> ScenarioConfig:
     return config
 
 
+def _check_flags(args) -> None:
+    """Reject subcommand flags that no driver run could use."""
+    if args.command == "buffer-sweep" and args.z_max_multiple < 0:
+        raise ConfigError("--z-max-multiple must be >= 0")
+    if args.command == "multi-user":
+        if min(args.kv) < 1:
+            raise ConfigError("--kv values must be >= 1")
+        if args.num_seeds < 1:
+            raise ConfigError("--num-seeds must be >= 1")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_flags(args)
         config = _load_scenario(args)
+        if args.command == "multi-user":
+            admission = AdmissionConfig(
+                total_requests=max(args.kv),
+                mean_interarrival_s=args.mean_interarrival,
+                available_prbs=args.available_prbs,
+                seed=config.seed,
+            )
     except (ConfigError, OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -94,12 +113,6 @@ def main(argv=None) -> int:
         print("total_prb_slots:",
               " ".join(f"{t:.6g}" for t in result["total_prb_slots"]))
     elif args.command == "multi-user":
-        admission = AdmissionConfig(
-            total_requests=max(args.kv),
-            mean_interarrival_s=args.mean_interarrival,
-            available_prbs=args.available_prbs,
-            seed=config.seed,
-        )
         means = run_multiuser(config, admission, args.kv, args.out,
                               num_seeds=args.num_seeds)
         for row in means:

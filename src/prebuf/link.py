@@ -44,10 +44,14 @@ class LinkBudget:
             raise ValueError("prb_bandwidth_hz must be positive")
         if self.snr_gap_db < 0:
             raise ValueError("snr_gap_db must be >= 0")
-        for name in ("total_power_dbm", "noise_psd_dbm_hz",
-                     "interference_psd_dbm_hz", "noise_figure_db"):
+        for name in ("total_power_dbm", "prb_bandwidth_hz",
+                     "noise_psd_dbm_hz", "noise_figure_db",
+                     "interference_psd_dbm_hz", "snr_gap_db",
+                     "min_bs_distance_m"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        if self.min_bs_distance_m <= 0:
+            raise ValueError("min_bs_distance_m must be positive")
 
     @property
     def per_prb_power_w(self) -> float:
@@ -156,8 +160,9 @@ class ChannelTrace:
         for name in ("serving_bs", "gain_db", "bits_per_prb"):
             if len(getattr(self, name)) != n:
                 raise ValueError(f"{name} length mismatch")
-        if np.any(self.bits_per_prb <= 0):
-            raise ValueError("bits_per_prb must be strictly positive")
+        bits = self.bits_per_prb
+        if not (np.all(np.isfinite(bits)) and np.all(bits > 0)):
+            raise ValueError("bits_per_prb must be finite and positive")
 
     @property
     def num_slots(self) -> int:

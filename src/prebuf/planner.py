@@ -1,14 +1,12 @@
 """Per-user spectrum planning over the look-ahead window.
 
-Compiles the buffer recursion plus channel capacities into a small LP:
-variables x = [r_1..r_T, z_2..z_T], objective is the PRB-slots needed to
-deliver the r's, equality rows force exactly one slot of video per slot,
-and box bounds encode both the buffer cap and the residual spectrum left
-in each slot.  The slot-local greedy with no look-ahead serves as the
-comparison baseline.
-
-Bits are scaled to megabits inside the LP to keep the matrix well
-conditioned; plans are reported back in bits.
+The buffer recursion plus channel capacities form a small LP: variables
+x = [r_1..r_T, z_2..z_T], objective is the PRB-slots needed to deliver
+the r's, equality rows force exactly one slot of video per slot, and box
+bounds encode both the buffer cap and the residual spectrum left in each
+slot.  `build_buffer_matrix` states that LP; `plan_anticipatory` solves it
+directly as a min-cost flow on a line.  The slot-local greedy with no
+look-ahead serves as the comparison baseline.
 """
 
 from __future__ import annotations
@@ -17,11 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import simplex
 from .link import ChannelTrace
 from .playout import VideoSpec
-
-_MBIT = 1e6
 
 
 @dataclass(frozen=True)
@@ -60,8 +55,8 @@ def _check_inputs(spec: VideoSpec, trace: ChannelTrace, residual_prbs):
             f"{spec.num_slots}")
     if residual.shape != (spec.num_slots,):
         raise ValueError("residual_prbs length mismatch")
-    if np.any(residual < 0):
-        raise ValueError("residual_prbs must be non-negative")
+    if not (np.all(np.isfinite(residual)) and np.all(residual >= 0)):
+        raise ValueError("residual_prbs must be finite and non-negative")
     return residual
 
 
@@ -70,40 +65,43 @@ def _infeasible_plan(T: int) -> AllocationPlan:
     return AllocationPlan(z, np.zeros(max(T - 1, 0)), z.copy(), 0.0, False)
 
 
-def _finish_plan(received_bits, carryover_bits, trace) -> AllocationPlan:
-    prbs = received_bits / trace.bits_per_prb
-    return AllocationPlan(received_bits, carryover_bits, prbs,
-                          float(prbs.sum()), True)
-
-
 def plan_anticipatory(spec: VideoSpec, trace: ChannelTrace,
                       residual_prbs) -> AllocationPlan:
-    """Minimum-spectrum plan given predicted per-slot capacities."""
-    residual = _check_inputs(spec, trace, residual_prbs)
-    T = spec.num_slots
-    c_mb = trace.bits_per_prb / _MBIT
-    v_mb = spec.bits_per_slot / _MBIT
-    z_mb = spec.max_carryover_bits / _MBIT
+    """Minimum-spectrum plan given predicted per-slot capacities.
 
-    objective = np.concatenate([1.0 / c_mb, np.zeros(T - 1)])
-    upper = np.concatenate([c_mb * residual, np.full(T - 1, z_mb)])
-    problem = simplex.LpProblem(
-        objective=objective,
-        eq_matrix=build_buffer_matrix(T),
-        eq_rhs=np.full(T, v_mb),
-        var_upper_bounds=upper,
-    )
-    # r_t = V, z = 0 is basic-feasible whenever no slot is capacity-short;
-    # the r-columns form an identity basis, skipping simplex phase 1.
-    hint = list(range(T)) if np.all(upper[:T] >= v_mb) else None
-    sol = simplex.solve(problem, basis_hint=hint)
-    if sol.status == "infeasible":
-        return _infeasible_plan(T)
-    if sol.status != "optimal":
-        raise RuntimeError(f"planner LP reported {sol.status}")
-    r = np.clip(sol.x[:T], 0.0, None) * _MBIT
-    z = np.clip(sol.x[T:], 0.0, None) * _MBIT
-    return _finish_plan(r, z, trace)
+    Serves slots in time order, each from the cheapest slot s <= t
+    (highest c_s, latest on ties) with supply left and headroom on every
+    carry-over arc in [s, t).  No flow yet crosses slot t, so this is the
+    shortest augmenting path, and successive shortest paths are optimal
+    (Ahuja, Magnanti and Orlin, Network Flows, ch. 9).
+    """
+    residual = _check_inputs(spec, trace, residual_prbs)
+    T, V = spec.num_slots, spec.bits_per_slot
+    c = trace.bits_per_prb
+    supply = c * residual
+    received = np.zeros(T)
+    carry = np.zeros(T - 1)            # bits on the arc from slot s to s+1
+    tol = 1e-12 * V       # rounding only, far inside playback's 1e-9 V
+    for t in range(T):
+        need = V
+        while need > tol:
+            # reach[s]: least headroom on the arcs from s up to t
+            reach = np.minimum.accumulate(
+                (spec.max_carryover_bits - carry[:t])[::-1])[::-1]
+            avail = np.minimum(supply[:t + 1], np.append(reach, np.inf))
+            # latest slot first, so argmax breaks ties toward the latest
+            score = np.where(avail > tol, c[:t + 1], 0.0)[::-1]
+            k = int(np.argmax(score))
+            if score[k] == 0.0:
+                return _infeasible_plan(T)
+            s = t - k
+            amount = min(need, float(avail[s]))
+            supply[s] -= amount
+            carry[s:t] += amount
+            received[s] += amount
+            need -= amount
+    prbs = received / c
+    return AllocationPlan(received, carry, prbs, float(prbs.sum()), True)
 
 
 def plan_baseline(spec: VideoSpec, trace: ChannelTrace,

@@ -9,6 +9,7 @@ no partial frames).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,17 +26,20 @@ class VideoSpec:
     avg_rate_bps: float | None = None
 
     def __post_init__(self) -> None:
-        if self.bits_per_slot <= 0:
-            raise ValueError("bits_per_slot must be positive")
-        if self.slot_duration_s <= 0:
-            raise ValueError("slot_duration_s must be positive")
+        for name in ("bits_per_slot", "slot_duration_s"):
+            value = getattr(self, name)
+            if not math.isfinite(value) or value <= 0:
+                raise ValueError(f"{name} must be positive and finite")
         if self.num_slots < 1:
             raise ValueError("num_slots must be >= 1")
-        if self.max_carryover_bits < 0:
+        # an infinite cap is legal and means an unbounded buffer
+        if math.isnan(self.max_carryover_bits) \
+                or self.max_carryover_bits < 0:
             raise ValueError("max_carryover_bits must be >= 0")
         if self.avg_rate_bps is not None:
             implied = self.bits_per_slot / self.slot_duration_s
-            if abs(self.avg_rate_bps - implied) / self.avg_rate_bps > 1e-6:
+            if not abs(self.avg_rate_bps - implied) / self.avg_rate_bps \
+                    <= 1e-6:
                 raise ValueError(
                     f"avg_rate_bps {self.avg_rate_bps} inconsistent with "
                     f"bits_per_slot/slot_duration_s = {implied}")
@@ -72,7 +76,7 @@ def step_buffer(z_t: float, r_t: float, v: float):
     satisfying the no-outage equalities up to floating-point rounding do
     not stall on sub-microbit shortfalls.
     """
-    if z_t < 0 or r_t < 0 or v < 0:
+    if not (z_t >= 0 and r_t >= 0 and v >= 0):     # NaN fails too
         raise ValueError("buffer quantities must be non-negative")
     total = r_t + z_t
     if total >= v * (1.0 - 1e-9):
@@ -91,8 +95,8 @@ def simulate_playback(plan_received, spec: VideoSpec) -> BufferTimeline:
     if received.shape != (spec.num_slots,):
         raise ValueError(
             f"plan has {received.size} slots, expected {spec.num_slots}")
-    if np.any(received < 0):
-        raise ValueError("received bits must be non-negative")
+    if not (np.all(np.isfinite(received)) and np.all(received >= 0)):
+        raise ValueError("received bits must be finite and non-negative")
 
     T = spec.num_slots
     carry = np.zeros(T)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 import csv
+import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -34,9 +35,10 @@ class ShadowingConfig:
     decorrelation_m: float = 50.0
 
     def __post_init__(self) -> None:
-        if self.sigma_db < 0:
-            raise ConfigError("shadowing.sigma_db must be >= 0")
-        if self.decorrelation_m < 0:
+        if not math.isfinite(self.sigma_db) or self.sigma_db < 0:
+            raise ConfigError("shadowing.sigma_db must be finite and >= 0")
+        # an infinite decorrelation distance is a fully correlated field
+        if math.isnan(self.decorrelation_m) or self.decorrelation_m < 0:
             raise ConfigError("shadowing.decorrelation_m must be >= 0")
 
 
@@ -53,20 +55,21 @@ class ScenarioConfig:
     bs_positions_m: tuple = (0.0, 550.0)
     user_start_m: float = 35.0
     user_speed_mps: float = 30.0
-    lookahead_s: float = 16.0
-    cell_radius_m: float = 250.0
     video: VideoSpec = field(default_factory=default_video_spec)
     link: LinkBudget = field(default_factory=LinkBudget)
     shadowing: ShadowingConfig = field(default_factory=ShadowingConfig)
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.user_start_m, self.user_speed_mps,
+                                       *self.bs_positions_m))):
+            raise ConfigError("positions and speed must be finite")
         if self.user_speed_mps <= 0:
             raise ConfigError("user_speed_mps must be positive")
-        if self.lookahead_s <= 0:
-            raise ConfigError("lookahead_s must be positive")
         if not self.bs_positions_m:
             raise ConfigError("bs_positions_m must list at least one BS")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
     def trajectory_m(self) -> np.ndarray:
         """User position at the start of each slot."""

@@ -1,9 +1,10 @@
 """Dense two-phase primal simplex with upper-bounded variables.
 
-Solves  min c.x  s.t.  A_eq x = b_eq,  A_ub x <= b_ub,  0 <= x <= u.
-Upper bounds are handled by bounded-variable pivoting (nonbasic variables
-rest at either bound), which keeps planner instances down to their natural
-row count.  Entering rule is Dantzig with lowest-index tie-break; after a
+The reference LP solver: the tests check the line-flow planner against it
+on the LP of `planner.build_buffer_matrix`.  Solves  min c.x  s.t.
+A_eq x = b_eq,  A_ub x <= b_ub,  0 <= x <= u.  Upper bounds are handled by
+bounded-variable pivoting (nonbasic variables rest at either bound), which
+keeps box-bounded instances down to their natural row count.  Entering rule is Dantzig with lowest-index tie-break; after a
 stall the rule permanently switches to Bland's, which guarantees
 termination.  Deterministic: identical problems give identical pivots.
 """
@@ -81,28 +82,6 @@ class LpSolution:
     x: np.ndarray | None = None
     objective_value: float | None = None
     iterations: int = 0
-
-
-def _try_warm_start(tab: "_Tableau", basis_hint, m: int, art0: int) -> bool:
-    """Install a proposed basis if it is invertible and basic-feasible."""
-    if basis_hint is None:
-        return False
-    basis = list(basis_hint)
-    if len(basis) != m or len(set(basis)) != m \
-            or any(not 0 <= j < art0 for j in basis):
-        return False
-    B = tab.A[:, basis]
-    try:
-        Binv = np.linalg.inv(B)
-    except np.linalg.LinAlgError:
-        return False
-    xb = Binv @ tab.xb
-    if np.any(xb < -FEAS_TOL) or np.any(xb > tab.u[basis] + FEAS_TOL):
-        return False
-    tab.A[...] = Binv @ tab.A
-    tab.xb = np.clip(xb, 0.0, None)
-    tab.basis = basis
-    return True
 
 
 class _Tableau:
@@ -219,15 +198,8 @@ def _run_simplex(tab: _Tableau, c: np.ndarray, allowed: np.ndarray,
     raise RuntimeError("simplex iteration limit exceeded")
 
 
-def solve(problem: LpProblem,
-          basis_hint: list[int] | None = None) -> LpSolution:
-    """Two-phase bounded-variable simplex; see module docstring.
-
-    `basis_hint` proposes a starting basis (column indices, one per row,
-    all other variables at their lower bound).  If it is square,
-    invertible and basic-feasible, phase 1 is skipped; otherwise it is
-    silently ignored.
-    """
+def solve(problem: LpProblem) -> LpSolution:
+    """Two-phase bounded-variable simplex; see module docstring."""
     n = problem.num_vars
     blocks, rhs = [], []
     n_slack = 0
@@ -268,36 +240,32 @@ def solve(problem: LpProblem,
     A[:, art0:art0 + m] = np.eye(m)
 
     tab = _Tableau(A, b, u)
-    it1 = 0
-    warm = _try_warm_start(tab, basis_hint, m, art0)
-    if not warm:
-        tab.basis = list(range(art0, art0 + m))
-        c1 = np.zeros(n + n_slack + m)
-        c1[art0:] = 1.0
-        allowed1 = np.ones(n + n_slack + m, dtype=bool)
-        allowed1[art0:] = False   # artificials may leave but never re-enter
-        status_str, it1 = _run_simplex(tab, c1, allowed1, phase=1)
-        assert status_str == "optimal"  # phase-1 objective is bounded below
-        phase1_obj = float(tab.xb[[i >= art0 for i in tab.basis]].sum())
-        if phase1_obj > FEAS_TOL:
-            return LpSolution("infeasible", iterations=it1)
+    tab.basis = list(range(art0, art0 + m))
+    c1 = np.zeros(n + n_slack + m)
+    c1[art0:] = 1.0
+    allowed1 = np.ones(n + n_slack + m, dtype=bool)
+    allowed1[art0:] = False   # artificials may leave but never re-enter
+    status_str, it1 = _run_simplex(tab, c1, allowed1, phase=1)
+    assert status_str == "optimal"  # phase-1 objective is bounded below
+    phase1_obj = float(tab.xb[[i >= art0 for i in tab.basis]].sum())
+    if phase1_obj > FEAS_TOL:
+        return LpSolution("infeasible", iterations=it1)
 
     # drive leftover artificials out of the basis (or drop redundant rows)
     keep = np.ones(len(tab.basis), dtype=bool)
     for r_i, bv in enumerate(tab.basis):
         if bv < art0:
             continue
-        # only columns resting at zero may enter degenerately here;
-        # a column at its upper bound would falsify the basic values
         pivots = np.flatnonzero(np.abs(tab.A[r_i, :art0]) > PIVOT_TOL)
-        pivots = [j for j in pivots
-                  if j not in tab.basis and tab.status[j] == _AT_LOWER]
+        pivots = [j for j in pivots if j not in tab.basis]
         if not pivots:
             keep[r_i] = False
             continue
-        j = int(pivots[0])
+        # The pivot is degenerate, so the point does not move: a column at
+        # its upper bound enters at that value.  Columns at zero go first.
+        j = int(min(pivots, key=lambda k: tab.status[k] == _AT_UPPER))
         tab.basis[r_i] = j
-        tab.xb[r_i] = 0.0
+        tab.xb[r_i] = tab.u[j] if tab.status[j] == _AT_UPPER else 0.0
         piv = tab.A[r_i, j]
         tab.A[r_i, :] /= piv
         factors = tab.A[:, j].copy()

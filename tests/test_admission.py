@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from prebuf import (AdmissionConfig, ScenarioConfig, ShadowingConfig,
                     run_admission, service_curve, summarize_curve)
+from prebuf.admission import PLANNER_KINDS
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +106,38 @@ class TestRunAdmission:
         with pytest.raises(ValueError):
             AdmissionConfig(total_requests=1, mean_interarrival_s=0.0)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"mean_interarrival_s": math.nan},
+        {"mean_interarrival_s": math.inf},
+        {"available_prbs": math.nan},
+        {"available_prbs": math.inf},
+        {"available_prbs": -1.0},
+        {"seed": -1},
+    ])
+    def test_nonfinite_or_negative_fields_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            AdmissionConfig(total_requests=1, **kwargs)
+
+    @pytest.mark.parametrize("planner_kind", PLANNER_KINDS)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_records_are_prefix_consistent(self, shadowed_scenario,
+                                           planner_kind, seed):
+        # The first k requests of a run see the same arrivals, traces and
+        # ledger as a run of k requests, so their records agree.
+        video = shadowed_scenario.video
+
+        def records(total):
+            cfg = AdmissionConfig(total_requests=total, available_prbs=15,
+                                  seed=seed)
+            log = run_admission(cfg, video, shadowed_scenario.make_trace,
+                                planner_kind)
+            return [(r.arrival_slot, r.admitted, r.outage_count)
+                    for r in log.records]
+
+        full = records(40)
+        for k in (5, 10, 20, 30):
+            assert records(k) == full[:k]
+
 
 class TestServiceCurve:
     def test_uncontended_single_user(self, scenario):
@@ -150,3 +185,8 @@ class TestServiceCurve:
         with pytest.raises(ValueError):
             service_curve([], scenario.video, scenario.make_trace,
                           AdmissionConfig(total_requests=1))
+
+    def test_no_seeds_rejected(self, scenario):
+        with pytest.raises(ValueError):
+            service_curve([1], scenario.video, scenario.make_trace,
+                          AdmissionConfig(total_requests=1), num_seeds=0)

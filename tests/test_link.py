@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from prebuf import (LinkBudget, ShadowingField, VideoSpec, build_trace,
-                    path_loss_db, per_prb_bits)
+from prebuf import (ChannelTrace, LinkBudget, ShadowingField, VideoSpec,
+                    build_trace, path_loss_db, per_prb_bits)
 
 
 def small_video(T=8):
@@ -168,6 +168,17 @@ class TestBuildTrace:
                         seed=0)
 
 
+class TestChannelTraceValidation:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_capacity_rejected(self, bad):
+        with pytest.raises(ValueError):
+            ChannelTrace(slot_duration_s=1 / 6,
+                         distances_m=np.full(3, 100.0),
+                         serving_bs=np.zeros(3, dtype=int),
+                         gain_db=np.zeros(3),
+                         bits_per_prb=np.array([3e5, bad, 3e5]))
+
+
 class TestLinkBudgetValidation:
     def test_rejects_zero_prbs(self):
         with pytest.raises(ValueError):
@@ -180,3 +191,15 @@ class TestLinkBudgetValidation:
     def test_rejects_nonfinite_power(self):
         with pytest.raises(ValueError):
             LinkBudget(total_power_dbm=float("inf"))
+
+    @pytest.mark.parametrize("kwargs", [
+        {"prb_bandwidth_hz": math.nan},
+        {"prb_bandwidth_hz": math.inf},
+        {"snr_gap_db": math.nan},
+        {"noise_figure_db": math.nan},
+        {"min_bs_distance_m": math.nan},
+        {"min_bs_distance_m": 0.0},
+    ])
+    def test_rejects_nonfinite_or_nonpositive(self, kwargs):
+        with pytest.raises(ValueError):
+            LinkBudget(**kwargs)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from prebuf import (ChannelTrace, LinkBudget, VideoSpec, build_buffer_matrix,
-                    build_trace, plan_anticipatory, plan_baseline,
-                    simulate_playback)
+from prebuf import (ChannelTrace, LinkBudget, LpProblem, VideoSpec,
+                    build_buffer_matrix, build_trace, plan_anticipatory,
+                    plan_baseline, simulate_playback, solve)
 
 from oracles import two_slot_plan_objective
 
@@ -144,12 +144,81 @@ class TestPlanAnticipatory:
                   for k in range(6)]
         assert np.all(np.diff(totals) <= 1e-9)
 
+    @pytest.mark.parametrize("plan", [plan_anticipatory, plan_baseline])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_nonfinite_or_negative_residual_rejected(self, plan, bad):
+        trace = trace_from_capacity([8e5] * 4)
+        with pytest.raises(ValueError):
+            plan(make_spec(4, V), trace, [50.0, bad, 50.0, 50.0])
+
     def test_length_mismatch_rejected(self):
         trace = trace_from_capacity([8e5] * 4)
         with pytest.raises(ValueError):
             plan_anticipatory(make_spec(5, 0.0), trace, np.full(5, 50.0))
         with pytest.raises(ValueError):
             plan_anticipatory(make_spec(4, 0.0), trace, np.full(5, 50.0))
+
+
+def random_flow_instance(rng):
+    """Small planning instance with tied capacities and empty slots.
+
+    Capacities come from four levels so equal costs are common; about a
+    fifth of the slots have no spectrum left; the buffer cap is one of
+    0, V, 3V, 10V or unbounded.
+    """
+    T = int(rng.integers(1, 13))
+    c = rng.choice([1e5, 2e5, 4e5, 8e5], size=T)
+    residual = rng.uniform(0.0, 6.0, size=T).round(2)
+    residual[rng.random(T) < 0.2] = 0.0
+    z_cap = float(rng.choice([0.0, V, 3 * V, 10 * V, np.inf]))
+    return trace_from_capacity(c), residual, make_spec(T, z_cap)
+
+
+def lp_in_video_slots(trace, residual, spec):
+    """The planner LP of `build_buffer_matrix` with bits in units of V."""
+    T, c = spec.num_slots, trace.bits_per_prb
+    z_cap = spec.max_carryover_bits / V
+    return (np.concatenate([V / c, np.zeros(T - 1)]), build_buffer_matrix(T),
+            np.ones(T), np.concatenate([c * residual / V,
+                                        np.full(T - 1, z_cap)]))
+
+
+class TestFlowAgainstLp:
+    def test_matches_simplex_and_highs(self):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        rng = np.random.default_rng(31)
+        seen = {"infeasible": 0, "zero_cap": 0, "unbounded_cap": 0,
+                "empty_slot": 0, "tie": 0}
+        for k in range(300):
+            trace, residual, spec = random_flow_instance(rng)
+            cost, A, b, upper = lp_in_video_slots(trace, residual, spec)
+            plan = plan_anticipatory(spec, trace, residual)
+            ref = solve(LpProblem(objective=cost, eq_matrix=A, eq_rhs=b,
+                                  var_upper_bounds=upper))
+            highs = linprog(cost, A_eq=A, b_eq=b, method="highs",
+                            bounds=[(0.0, None if np.isinf(u) else u)
+                                    for u in upper])
+            assert ref.status in ("optimal", "infeasible"), k
+            assert highs.status in (0, 2), k
+            assert plan.feasible == (ref.status == "optimal") \
+                == (highs.status == 0), k
+            seen["infeasible"] += not plan.feasible
+            seen["zero_cap"] += spec.max_carryover_bits == 0.0
+            seen["unbounded_cap"] += np.isinf(spec.max_carryover_bits)
+            seen["empty_slot"] += bool(np.any(residual == 0.0))
+            seen["tie"] += len(set(trace.bits_per_prb)) < spec.num_slots
+            if not plan.feasible:
+                continue
+            total = plan.total_prb_slots
+            assert total == pytest.approx(ref.objective_value, rel=1e-9), k
+            assert total == pytest.approx(highs.fun, rel=1e-9), k
+            timeline = simulate_playback(plan.received_bits, spec)
+            assert timeline.num_outages == 0, k
+            assert timeline.final_carryover_bits == pytest.approx(
+                0.0, abs=1e-9 * V), k
+            assert not timeline.carryover_limit_exceeded, k
+        assert all(count >= 30 for count in seen.values()), seen
+        assert seen["infeasible"] <= 270, seen
 
 
 class TestPlanBaseline:

@@ -28,6 +28,12 @@ class TestStepBuffer:
         with pytest.raises(ValueError):
             step_buffer(0.0, -1.0, V)
 
+    @pytest.mark.parametrize("args", [(np.nan, 0.0, V), (0.0, np.nan, V),
+                                      (0.0, 0.0, np.nan)])
+    def test_nan_input_rejected(self, args):
+        with pytest.raises(ValueError):
+            step_buffer(*args)
+
     @given(st.floats(min_value=0, max_value=1e7),
            st.floats(min_value=0, max_value=1e7),
            st.floats(min_value=1, max_value=1e7))
@@ -63,6 +69,12 @@ class TestSimulatePlayback:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             simulate_playback([V, V], spec_for([V] * 3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_nonfinite_or_negative_received_rejected(self, bad):
+        received = [V, bad, V]
+        with pytest.raises(ValueError):
+            simulate_playback(received, spec_for(received))
 
     def test_carryover_cap_violation_flagged_not_clipped(self):
         received = [3 * V, 0.0, 0.0]
@@ -100,6 +112,11 @@ class TestVideoSpecValidation:
             VideoSpec(bits_per_slot=V, slot_duration_s=1 / 6, num_slots=96,
                       max_carryover_bits=0.0, avg_rate_bps=2.0e6)
 
+    def test_unbounded_buffer_accepted(self):
+        spec = VideoSpec(bits_per_slot=V, slot_duration_s=1 / 6,
+                         num_slots=96, max_carryover_bits=np.inf)
+        assert spec.max_carryover_bits == np.inf
+
     def test_consistent_rate_accepted(self):
         spec = VideoSpec(bits_per_slot=V, slot_duration_s=1 / 6,
                          num_slots=96, max_carryover_bits=0.0,
@@ -111,6 +128,12 @@ class TestVideoSpecValidation:
         {"slot_duration_s": 0.0},
         {"num_slots": 0},
         {"max_carryover_bits": -1.0},
+        {"bits_per_slot": np.nan},
+        {"bits_per_slot": np.inf},
+        {"slot_duration_s": np.nan},
+        {"slot_duration_s": np.inf},
+        {"max_carryover_bits": np.nan},
+        {"avg_rate_bps": np.nan},
     ])
     def test_invalid_fields_rejected(self, kwargs):
         base = dict(bits_per_slot=V, slot_duration_s=1 / 6, num_slots=96,

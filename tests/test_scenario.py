@@ -69,6 +69,37 @@ sigma_db = 0
         with pytest.raises(ConfigError, match="nonsense"):
             load_config(path)
 
+    @pytest.mark.parametrize("key", ["lookahead_s", "cell_radius_m"])
+    def test_removed_keys_rejected(self, tmp_path, key):
+        path = tmp_path / "old.ini"
+        path.write_text(f"[scenario]\n{key} = 8\n")
+        with pytest.raises(ConfigError, match=key):
+            load_config(path)
+        assert main(["single-user", "--config", str(path),
+                     "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("kwargs", [
+        {"user_start_m": np.nan},
+        {"user_speed_mps": np.nan},
+        {"user_speed_mps": np.inf},
+        {"bs_positions_m": (0.0, np.nan)},
+        {"seed": -1},
+    ])
+    def test_scenario_fields_rejected(self, kwargs):
+        with pytest.raises(ConfigError):
+            ScenarioConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"sigma_db": np.nan},
+        {"sigma_db": np.inf},
+        {"sigma_db": -1.0},
+        {"decorrelation_m": np.nan},
+        {"decorrelation_m": -1.0},
+    ])
+    def test_shadowing_fields_rejected(self, kwargs):
+        with pytest.raises(ConfigError):
+            ShadowingConfig(**kwargs)
+
     def test_unparsable_value_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[scenario]\nseed = soon\n")
@@ -191,6 +222,26 @@ class TestCli:
         rc = main(["single-user", "--config", str(bad),
                    "--out", str(tmp_path)])
         assert rc == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["multi-user", "--kv", "0"],
+        ["multi-user", "--kv", "5", "0"],
+        ["multi-user", "--num-seeds", "0"],
+        ["multi-user", "--available-prbs", "-1"],
+        ["multi-user", "--available-prbs", "inf"],
+        ["multi-user", "--mean-interarrival", "nan"],
+        ["buffer-sweep", "--z-max-multiple", "-1"],
+        ["single-user", "--sigma-db", "nan"],
+        ["single-user", "--seed", "-1"],
+    ])
+    def test_bad_flag_exit_code(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        rc = main(argv + ["--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("config error: ")
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_missing_config_file_exit_code(self, tmp_path):
         rc = main(["single-user", "--config", str(tmp_path / "none.ini"),

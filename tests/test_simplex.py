@@ -64,6 +64,20 @@ class TestSmallExamples:
         assert sol.status == "optimal"
         assert sol.objective_value == pytest.approx(1.0, abs=1e-9)
 
+    def test_row_held_by_variables_at_upper_bound(self):
+        # Phase 1 leaves the last row's artificial basic at zero while the
+        # row's other columns sit at their upper bounds (0 and 1); the row
+        # must stay, so the carry-in z_3 = 1 is kept.
+        sol = solve(LpProblem(objective=[0.625, 0.3125, 1.25, 0.0, 0.0],
+                              eq_matrix=[[1.0, 0.0, 0.0, -1.0, 0.0],
+                                         [0.0, 1.0, 0.0, 1.0, -1.0],
+                                         [0.0, 0.0, 1.0, 0.0, 1.0]],
+                              eq_rhs=[1.0, 1.0, 1.0],
+                              var_upper_bounds=[2.56, 3.776, 0.0, 1.0, 1.0]))
+        assert sol.status == "optimal"
+        assert sol.x == pytest.approx([1.0, 2.0, 0.0, 0.0, 1.0], abs=1e-9)
+        assert sol.objective_value == pytest.approx(1.25, abs=1e-9)
+
     def test_degenerate_lp_terminates(self):
         # many ties in the ratio test; Bland fallback must still finish
         n = 6
@@ -136,22 +150,3 @@ class TestAgainstVertexEnumeration:
             if a.status == "optimal":
                 assert np.array_equal(a.x, b.x)
 
-
-class TestWarmStart:
-    def test_valid_hint_matches_cold_start(self):
-        problem = LpProblem(objective=[2.0, 1.0, 0.0],
-                            eq_matrix=[[1.0, 0.0, -1.0], [0.0, 1.0, 1.0]],
-                            eq_rhs=[1.0, 1.0],
-                            var_upper_bounds=[5.0, 5.0, 5.0])
-        cold = solve(problem)
-        warm = solve(problem, basis_hint=[0, 1])
-        assert warm.status == cold.status == "optimal"
-        assert warm.objective_value == pytest.approx(cold.objective_value,
-                                                     abs=1e-9)
-
-    def test_bad_hint_ignored(self):
-        problem = LpProblem(objective=[1.0, 1.0],
-                            eq_matrix=[[1.0, 1.0]], eq_rhs=[1.0])
-        sol = solve(problem, basis_hint=[0, 1])   # wrong size
-        assert sol.status == "optimal"
-        assert sol.objective_value == pytest.approx(1.0, abs=1e-9)
