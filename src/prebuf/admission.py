@@ -23,6 +23,14 @@ TraceFactory = Callable[[np.random.SeedSequence], ChannelTrace]
 
 PLANNER_KINDS = ("anticipatory", "baseline")
 
+# Longest spectrum ledger a run may allocate: 2**20 slots of float64 is
+# 8 MiB, about 48 hours of arrivals in 1/6 s slots.
+MAX_LEDGER_SLOTS = 2 ** 20
+
+
+class LedgerHorizonError(ValueError):
+    """The arrival process reaches past MAX_LEDGER_SLOTS."""
+
 
 @dataclass(frozen=True)
 class AdmissionConfig:
@@ -88,11 +96,15 @@ def run_admission(config: AdmissionConfig, video: VideoSpec,
     interarrivals = arrival_rng.exponential(config.mean_interarrival_s,
                                             size=config.total_requests)
     arrival_times = np.cumsum(interarrivals)
-    arrival_slots = np.floor(arrival_times / video.slot_duration_s).astype(int)
-
     T = video.num_slots
-    horizon = int(arrival_slots[-1]) + T
-    ledger = np.full(horizon, float(config.available_prbs))
+    span = arrival_times[-1] / video.slot_duration_s + T
+    if not span <= MAX_LEDGER_SLOTS:            # inf fails too
+        raise LedgerHorizonError(
+            f"arrivals span {span:.3g} slots, past the "
+            f"{MAX_LEDGER_SLOTS}-slot ledger limit; lower "
+            f"mean_interarrival_s or total_requests")
+    arrival_slots = np.floor(arrival_times / video.slot_duration_s).astype(int)
+    ledger = np.full(int(arrival_slots[-1]) + T, float(config.available_prbs))
 
     log = AdmissionLog()
     for k in range(config.total_requests):

@@ -15,7 +15,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .admission import AdmissionConfig
+from .admission import AdmissionConfig, LedgerHorizonError
 from .scenario import (ConfigError, ScenarioConfig, load_config,
                        run_buffer_sweep, run_multiuser, run_single_user)
 
@@ -113,8 +113,12 @@ def main(argv=None) -> int:
         print("total_prb_slots:",
               " ".join(f"{t:.6g}" for t in result["total_prb_slots"]))
     elif args.command == "multi-user":
-        means = run_multiuser(config, admission, args.kv, args.out,
-                              num_seeds=args.num_seeds)
+        try:
+            means = run_multiuser(config, admission, args.kv, args.out,
+                                  num_seeds=args.num_seeds)
+        except LedgerHorizonError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
         for row in means:
             print(f"kv={row['kv']} planner={row['planner']} "
                   f"mean_served={row['mean_served']:.3f}")

@@ -1,13 +1,14 @@
 """Radio link model: path loss, correlated shadowing and per-PRB capacity.
 
 Converts user geometry plus a link budget into the per-slot average channel
-gain and the number of bits one PRB can carry in one slot.  All dB/linear
-conversions happen in double precision; capacities are kept in plain bits.
+gain and the number of bits one PRB can carry in one slot.  Shadowing is
+drawn once per trajectory and BS, jointly over all positions.  All
+dB/linear conversions happen in double precision; capacities are kept in
+plain bits.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -76,60 +77,45 @@ def path_loss_db(distance_km: float) -> float:
 class ShadowingField:
     """Log-normal shadowing (in dB) over 1-D position.
 
-    Zero-mean Gaussian with exponential spatial autocorrelation
-    exp(-delta / decorrelation_m).  Samples are memoized, so querying the
-    same position twice returns the identical value, and new positions are
-    drawn conditionally on every position seen so far (exact for the
-    exponential kernel via its Markov property).
+    Zero-mean Gaussian with variance sigma_db**2 and exponential spatial
+    autocorrelation exp(-delta / decorrelation_m).  The field is Markov in
+    position, so along sorted positions it is exactly an AR(1) recursion.
+    decorrelation_m = 0 gives independent values and an infinite one a
+    constant field.
     """
 
     def __init__(self, sigma_db: float, decorrelation_m: float,
                  rng: np.random.Generator):
-        if sigma_db < 0:
-            raise ValueError("sigma_db must be >= 0")
-        if decorrelation_m < 0:
+        if not (math.isfinite(sigma_db) and sigma_db >= 0):
+            raise ValueError("sigma_db must be finite and >= 0")
+        if not decorrelation_m >= 0:                # NaN fails too
             raise ValueError("decorrelation_m must be >= 0")
         self.sigma_db = sigma_db
         self.decorrelation_m = decorrelation_m
         self._rng = rng
-        self._positions: list[float] = []
-        self._values: dict[float, float] = {}
 
-    def _rho(self, delta: float) -> float:
-        if self.decorrelation_m == 0.0:
-            return 1.0 if delta == 0.0 else 0.0
-        return math.exp(-abs(delta) / self.decorrelation_m)
+    def sample(self, positions_m) -> np.ndarray:
+        """Draw the field jointly at every position; same shape as input.
 
-    def sample(self, position_m: float) -> float:
+        Equal positions get equal values.  Each call is a new, independent
+        realisation of the field drawn from the generator's stream, and
+        sigma_db = 0 returns zeros without drawing.
+        """
+        positions = np.asarray(positions_m, dtype=float)
         if self.sigma_db == 0.0:
-            return 0.0
-        pos = float(position_m)
-        if pos in self._values:
-            return self._values[pos]
-
-        i = bisect.bisect_left(self._positions, pos)
-        left = self._positions[i - 1] if i > 0 else None
-        right = self._positions[i] if i < len(self._positions) else None
-
+            return np.zeros(positions.shape)
+        unique, inverse = np.unique(positions, return_inverse=True)
+        z = self._rng.standard_normal(unique.size)
+        xs, d_c = unique.tolist(), self.decorrelation_m
         var = self.sigma_db ** 2
-        if left is None and right is None:
-            mean, cvar = 0.0, var
-        elif left is None or right is None:
-            anchor = left if right is None else right
-            rho = self._rho(pos - anchor)
-            mean = rho * self._values[anchor]
-            cvar = var * (1.0 - rho * rho)
-        else:
-            rl, rr = self._rho(pos - left), self._rho(right - pos)
-            denom = 1.0 - (rl * rl) * (rr * rr)
-            mean = (rl * (1.0 - rr * rr) * self._values[left]
-                    + rr * (1.0 - rl * rl) * self._values[right]) / denom
-            cvar = var * (1.0 - rl * rl) * (1.0 - rr * rr) / denom
-
-        value = mean + math.sqrt(max(cvar, 0.0)) * self._rng.standard_normal()
-        self._positions.insert(i, pos)
-        self._values[pos] = value
-        return value
+        values = []
+        v = 0.0
+        for k, z_k in enumerate(z.tolist()):
+            rho = (math.exp(-(xs[k] - xs[k - 1]) / d_c)
+                   if k > 0 and d_c > 0.0 else 0.0)
+            v = rho * v + math.sqrt(max(var * (1.0 - rho * rho), 0.0)) * z_k
+            values.append(v)
+        return np.array(values)[inverse].reshape(positions.shape)
 
 
 def per_prb_bits(gain_db: float, budget: LinkBudget,
@@ -176,7 +162,8 @@ def build_trace(trajectory_m, bs_positions_m, budget: LinkBudget,
     """Build the per-slot channel trace for one user trajectory.
 
     Each slot attaches to the BS with the highest average received power
-    (path loss plus shadowing, independent shadowing stream per BS).
+    (path loss plus shadowing).  Each BS has its own shadowing stream,
+    drawn once jointly over the whole trajectory.
     `seed` may be an int or a numpy SeedSequence; identical seeds reproduce
     the trace bit for bit.
     """
@@ -187,15 +174,20 @@ def build_trace(trajectory_m, bs_positions_m, budget: LinkBudget,
         raise ValueError(
             f"trajectory has {trajectory_m.size} slots, video needs "
             f"{spec.num_slots}")
+    if not np.all(np.isfinite(trajectory_m)):
+        raise ValueError("trajectory positions must be finite")
     bs_positions_m = np.asarray(bs_positions_m, dtype=float)
     if bs_positions_m.size == 0:
         raise ValueError("need at least one BS position")
+    if not np.all(np.isfinite(bs_positions_m)):
+        raise ValueError("BS positions must be finite")
 
     ss = seed if isinstance(seed, np.random.SeedSequence) \
         else np.random.SeedSequence(seed)
-    fields = [ShadowingField(sigma_db, decorrelation_m,
-                             np.random.default_rng(child))
-              for child in ss.spawn(bs_positions_m.size)]
+    shadowing = [ShadowingField(sigma_db, decorrelation_m,
+                                np.random.default_rng(child)
+                                ).sample(trajectory_m).tolist()
+                 for child in ss.spawn(bs_positions_m.size)]
 
     T = trajectory_m.size
     distances = np.empty(T)
@@ -208,7 +200,7 @@ def build_trace(trajectory_m, bs_positions_m, budget: LinkBudget,
         best_d = 0.0
         for b, bx in enumerate(bs_positions_m):
             d_m = max(abs(x - bx), budget.min_bs_distance_m)
-            g = -path_loss_db(d_m / 1000.0) + fields[b].sample(x)
+            g = -path_loss_db(d_m / 1000.0) + shadowing[b][t]
             if g > best_gain:
                 best_gain, best_b, best_d = g, b, d_m
         distances[t] = best_d

@@ -23,7 +23,6 @@ class VideoSpec:
     slot_duration_s: float
     num_slots: int
     max_carryover_bits: float
-    avg_rate_bps: float | None = None
 
     def __post_init__(self) -> None:
         for name in ("bits_per_slot", "slot_duration_s"):
@@ -36,13 +35,6 @@ class VideoSpec:
         if math.isnan(self.max_carryover_bits) \
                 or self.max_carryover_bits < 0:
             raise ValueError("max_carryover_bits must be >= 0")
-        if self.avg_rate_bps is not None:
-            implied = self.bits_per_slot / self.slot_duration_s
-            if not abs(self.avg_rate_bps - implied) / self.avg_rate_bps \
-                    <= 1e-6:
-                raise ValueError(
-                    f"avg_rate_bps {self.avg_rate_bps} inconsistent with "
-                    f"bits_per_slot/slot_duration_s = {implied}")
 
     @property
     def total_bits(self) -> float:

@@ -46,8 +46,7 @@ def default_video_spec() -> VideoSpec:
     # 1.5 Mbit/s video in 1/6 s slots over a 16 s window; buffer cap of
     # five slots of content.
     return VideoSpec(bits_per_slot=250_000.0, slot_duration_s=1.0 / 6.0,
-                     num_slots=96, max_carryover_bits=1_250_000.0,
-                     avg_rate_bps=1.5e6)
+                     num_slots=96, max_carryover_bits=1_250_000.0)
 
 
 @dataclass(frozen=True)
@@ -244,11 +243,11 @@ def run_buffer_sweep(config: ScenarioConfig, z_values_bits,
 def run_multiuser(config: ScenarioConfig, admission: AdmissionConfig,
                   kv_range, out_dir, num_seeds: int = 10) -> list[dict]:
     """Admission experiment over request volumes; writes service_curve.csv."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows = service_curve(kv_range, config.video, config.make_trace,
                          admission, num_seeds=num_seeds)
     means = summarize_curve(rows)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     csv_rows = [[r["kv"], r["planner"], str(r["seed"]), r["admitted"],
                  r["served"], float(r["service_rate"])] for r in rows]

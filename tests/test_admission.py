@@ -5,7 +5,8 @@ import pytest
 
 from prebuf import (AdmissionConfig, ScenarioConfig, ShadowingConfig,
                     run_admission, service_curve, summarize_curve)
-from prebuf.admission import PLANNER_KINDS
+from prebuf.admission import (MAX_LEDGER_SLOTS, PLANNER_KINDS,
+                              LedgerHorizonError)
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +118,26 @@ class TestRunAdmission:
     def test_nonfinite_or_negative_fields_rejected(self, kwargs):
         with pytest.raises(ValueError):
             AdmissionConfig(total_requests=1, **kwargs)
+
+    @pytest.mark.parametrize("mean_s", [1e6, 1e300, 1e308])
+    def test_arrival_horizon_checked_before_planning(self, scenario, mean_s):
+        def no_trace(seed):
+            pytest.fail("a trace was built past the ledger limit")
+
+        cfg = AdmissionConfig(total_requests=2, mean_interarrival_s=mean_s)
+        with pytest.raises(LedgerHorizonError, match="ledger limit"):
+            run_admission(cfg, scenario.video, no_trace)
+
+    def test_long_horizon_within_limit_runs(self, scenario):
+        # one request arriving tens of thousands of slots in: the ledger is
+        # large but legal, and the request meets an empty spectrum
+        mean_s = MAX_LEDGER_SLOTS * scenario.video.slot_duration_s / 16
+        cfg = AdmissionConfig(total_requests=1, mean_interarrival_s=mean_s,
+                              available_prbs=50, seed=0)
+        log = run_admission(cfg, scenario.video, scenario.make_trace)
+        assert log.records[0].arrival_slot > 10_000
+        assert log.served_count == 1
+        assert log.residual_prbs_timeline.size <= MAX_LEDGER_SLOTS
 
     @pytest.mark.parametrize("planner_kind", PLANNER_KINDS)
     @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from prebuf import (ChannelTrace, LinkBudget, ShadowingField, VideoSpec,
-                    build_trace, path_loss_db, per_prb_bits)
+from prebuf import (ChannelTrace, LinkBudget, ScenarioConfig, ShadowingField,
+                    VideoSpec, build_trace, path_loss_db, per_prb_bits)
 
 
 def small_video(T=8):
@@ -37,16 +37,40 @@ class TestPathLoss:
 
 class TestShadowing:
     def test_zero_sigma_is_zero(self):
-        f = ShadowingField(0.0, 50.0, np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        f = ShadowingField(0.0, 50.0, rng)
         assert f.sample(123.4) == 0.0
         assert f.sample(0.0) == 0.0
+        assert np.array_equal(f.sample([1.0, 2.0]), np.zeros(2))
+        # and draws nothing from the generator
+        assert rng.standard_normal() \
+            == np.random.default_rng(3).standard_normal()
 
     def test_same_position_same_value(self):
         f = ShadowingField(10.0, 50.0, np.random.default_rng(7))
-        first = f.sample(42.0)
-        f.sample(10.0)
-        f.sample(99.0)
-        assert f.sample(42.0) == first
+        values = f.sample([42.0, 10.0, 99.0, 42.0])
+        assert values[3] == values[0]
+
+    def test_permuted_positions_permute_values(self):
+        positions = np.array([300.0, 5.0, 105.0, 55.0, 0.5, 220.0])
+        perm = np.random.default_rng(1).permutation(positions.size)
+        a = ShadowingField(10.0, 50.0, np.random.default_rng(11))
+        b = ShadowingField(10.0, 50.0, np.random.default_rng(11))
+        assert np.array_equal(b.sample(positions[perm]),
+                              a.sample(positions)[perm])
+
+    @pytest.mark.parametrize("sigma_db, decorrelation_m", [
+        (-1.0, 50.0), (math.nan, 50.0), (math.inf, 50.0),
+        (10.0, -1.0), (10.0, math.nan),
+    ])
+    def test_bad_parameters_rejected(self, sigma_db, decorrelation_m):
+        with pytest.raises(ValueError):
+            ShadowingField(sigma_db, decorrelation_m,
+                           np.random.default_rng(0))
+
+    def test_empty_positions(self):
+        f = ShadowingField(10.0, 50.0, np.random.default_rng(2))
+        assert f.sample([]).shape == (0,)
 
     def test_same_seed_same_stream(self):
         positions = [5.0, 105.0, 55.0, 300.0]
@@ -62,13 +86,33 @@ class TestShadowing:
         assert 9.0 <= np.std(samples) <= 11.0
 
     def test_nearby_positions_strongly_correlated(self):
-        rng = np.random.default_rng(5)
         deltas = []
         for k in range(500):
             f = ShadowingField(10.0, 50.0, np.random.default_rng(k))
-            deltas.append(f.sample(0.0) - f.sample(1.0))
+            at_0, at_1 = f.sample([0.0, 1.0])
+            deltas.append(at_0 - at_1)
         # corr exp(-1/50) => std of difference ~ 10*sqrt(2*(1-rho)) ~ 2
         assert np.std(deltas) < 4.0
+
+    def test_correlation_at_decorrelation_distance(self):
+        pairs = np.array([
+            ShadowingField(10.0, 50.0, np.random.default_rng(k))
+            .sample([0.0, 50.0]) for k in range(1000)])
+        # standard error of the sample correlation ~ 0.027 at n = 1000
+        corr = np.corrcoef(pairs[:, 0], pairs[:, 1])[0, 1]
+        assert corr == pytest.approx(math.exp(-1.0), abs=0.08)
+
+    def test_zero_decorrelation_is_independent(self):
+        f = ShadowingField(10.0, 0.0, np.random.default_rng(4))
+        values = f.sample(np.arange(2000) * 1e-3)
+        assert abs(np.corrcoef(values[:-1], values[1:])[0, 1]) < 0.1
+        assert 9.0 <= np.std(values) <= 11.0
+
+    def test_infinite_decorrelation_is_constant(self):
+        f = ShadowingField(10.0, math.inf, np.random.default_rng(4))
+        values = f.sample([0.0, 1e3, 1e6])
+        assert values[0] != 0.0
+        assert np.all(values == values[0])
 
 
 class TestPerPrbBits:
@@ -157,6 +201,41 @@ class TestBuildTrace:
         redo = [per_prb_bits(g, budget, spec.slot_duration_s)
                 for g in trace.gain_db]
         assert np.array_equal(np.array(redo), trace.bits_per_prb)
+
+    def test_one_joint_draw_per_bs(self, monkeypatch):
+        sizes = []
+        sample = ShadowingField.sample
+
+        def counted(field, positions_m):
+            sizes.append(len(positions_m))
+            return sample(field, positions_m)
+
+        monkeypatch.setattr(ShadowingField, "sample", counted)
+        build_trace(35.0 + 30.0 * np.arange(12), [0.0, 550.0, 900.0],
+                    LinkBudget(), small_video(12), seed=0)
+        assert sizes == [12, 12, 12]
+
+    def test_turnaround_revisits_same_shadowing(self):
+        traj = np.array([40.0, 60.0, 80.0, 100.0, 80.0, 60.0, 40.0])
+        trace = build_trace(traj, [0.0], LinkBudget(), small_video(7),
+                            seed=3)
+        assert np.array_equal(trace.gain_db, trace.gain_db[::-1])
+
+    def test_default_trace_pinned(self):
+        gain = ScenarioConfig().make_trace().gain_db
+        assert gain[0] == -58.92004892058911
+        assert gain[47] == -94.9623534711147
+        assert gain[95] == -74.5240530147613
+
+    @pytest.mark.parametrize("traj, bss, name", [
+        ([10.0, math.nan, 30.0], [0.0], "trajectory"),
+        ([10.0, 20.0, math.inf], [0.0], "trajectory"),
+        ([10.0, 20.0, 30.0], [0.0, math.inf], "BS"),
+        ([10.0, 20.0, 30.0], [math.nan], "BS"),
+    ])
+    def test_nonfinite_positions_rejected(self, traj, bss, name):
+        with pytest.raises(ValueError, match=name):
+            build_trace(traj, bss, LinkBudget(), small_video(3), seed=0)
 
     def test_empty_trajectory_rejected(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prebuf import (ChannelTrace, LinkBudget, LpProblem, VideoSpec,
                     build_buffer_matrix, build_trace, plan_anticipatory,
@@ -183,7 +184,40 @@ def lp_in_video_slots(trace, residual, spec):
                                         np.full(T - 1, z_cap)]))
 
 
+@st.composite
+def flow_instances(draw):
+    """T in 1..8, free capacities and residuals, Z in {0, kV, inf}."""
+    T = draw(st.integers(1, 8))
+    caps = draw(st.lists(st.floats(5e4, 2e6), min_size=T, max_size=T))
+    residual = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 6.0)),
+                             min_size=T, max_size=T))
+    z_cap = draw(st.one_of(st.just(0.0), st.just(np.inf),
+                           st.integers(1, 10).map(lambda k: k * V)))
+    return (trace_from_capacity(caps), np.array(residual),
+            make_spec(T, z_cap))
+
+
 class TestFlowAgainstLp:
+    @settings(max_examples=200, deadline=None)
+    @given(flow_instances())
+    def test_flow_equals_simplex_property(self, instance):
+        trace, residual, spec = instance
+        cost, A, b, upper = lp_in_video_slots(trace, residual, spec)
+        plan = plan_anticipatory(spec, trace, residual)
+        ref = solve(LpProblem(objective=cost, eq_matrix=A, eq_rhs=b,
+                              var_upper_bounds=upper))
+        assert ref.status in ("optimal", "infeasible")
+        assert plan.feasible == (ref.status == "optimal")
+        if not plan.feasible:
+            return
+        assert plan.total_prb_slots == pytest.approx(ref.objective_value,
+                                                     rel=1e-9)
+        timeline = simulate_playback(plan.received_bits, spec)
+        assert timeline.num_outages == 0
+        assert timeline.final_carryover_bits == pytest.approx(
+            0.0, abs=1e-9 * V)
+        assert not timeline.carryover_limit_exceeded
+
     def test_matches_simplex_and_highs(self):
         linprog = pytest.importorskip("scipy.optimize").linprog
         rng = np.random.default_rng(31)

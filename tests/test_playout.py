@@ -107,11 +107,6 @@ class TestSimulatePlayback:
 
 
 class TestVideoSpecValidation:
-    def test_rate_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            VideoSpec(bits_per_slot=V, slot_duration_s=1 / 6, num_slots=96,
-                      max_carryover_bits=0.0, avg_rate_bps=2.0e6)
-
     def test_unbounded_buffer_accepted(self):
         spec = VideoSpec(bits_per_slot=V, slot_duration_s=1 / 6,
                          num_slots=96, max_carryover_bits=np.inf)
@@ -119,8 +114,9 @@ class TestVideoSpecValidation:
 
     def test_consistent_rate_accepted(self):
         spec = VideoSpec(bits_per_slot=V, slot_duration_s=1 / 6,
-                         num_slots=96, max_carryover_bits=0.0,
-                         avg_rate_bps=1.5e6)
+                         num_slots=96, max_carryover_bits=0.0)
+        assert spec.bits_per_slot / spec.slot_duration_s \
+            == pytest.approx(1.5e6)
         assert spec.total_bits == pytest.approx(96 * V)
 
     @pytest.mark.parametrize("kwargs", [
@@ -133,7 +129,6 @@ class TestVideoSpecValidation:
         {"slot_duration_s": np.nan},
         {"slot_duration_s": np.inf},
         {"max_carryover_bits": np.nan},
-        {"avg_rate_bps": np.nan},
     ])
     def test_invalid_fields_rejected(self, kwargs):
         base = dict(bits_per_slot=V, slot_duration_s=1 / 6, num_slots=96,

@@ -17,7 +17,8 @@ class TestConfig:
         assert cfg.bs_positions_m == (0.0, 550.0)
         assert cfg.video.num_slots == 96
         assert cfg.video.bits_per_slot == V
-        assert cfg.video.avg_rate_bps == 1.5e6
+        assert cfg.video.bits_per_slot / cfg.video.slot_duration_s \
+            == pytest.approx(1.5e6)
         assert cfg.video.max_carryover_bits == 5 * V
         assert cfg.link.total_power_dbm == 46.0
         assert cfg.link.num_system_prbs == 50
@@ -56,6 +57,20 @@ sigma_db = 0
         assert cfg.video.num_slots == 48
         assert cfg.link.snr_gap_db == 3.0
         assert cfg.shadowing.sigma_db == 0.0
+
+    def test_bits_per_slot_override_alone(self, tmp_path):
+        path = tmp_path / "rate.ini"
+        path.write_text("[video]\nbits_per_slot = 300000\n")
+        cfg = load_config(path)
+        assert cfg.video.bits_per_slot == 300_000.0
+        assert cfg.video.bits_per_slot / cfg.video.slot_duration_s \
+            == pytest.approx(1.8e6)
+
+    def test_avg_rate_bps_is_unknown_key(self, tmp_path):
+        path = tmp_path / "rate.ini"
+        path.write_text("[video]\navg_rate_bps = 1500000\n")
+        with pytest.raises(ConfigError, match="avg_rate_bps"):
+            load_config(path)
 
     def test_unknown_key_named_in_error(self, tmp_path):
         path = tmp_path / "bad.ini"
@@ -241,6 +256,16 @@ class TestCli:
         assert rc == 1
         assert err.startswith("config error: ")
         assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_huge_mean_interarrival_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["multi-user", "--mean-interarrival", "1e300", "--kv", "2",
+                   "--num-seeds", "1", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("config error: ")
+        assert "ledger limit" in err
         assert not out.exists()
 
     def test_missing_config_file_exit_code(self, tmp_path):
