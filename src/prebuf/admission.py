@@ -10,6 +10,7 @@ on the first slot only and pays for it with outages later.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -32,6 +33,13 @@ class LedgerHorizonError(ValueError):
     """The arrival process reaches past MAX_LEDGER_SLOTS."""
 
 
+def _check_count(value, name: str) -> None:
+    """Reject anything but an integer >= 1 (bools and floats included)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+            or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class AdmissionConfig:
     total_requests: int
@@ -40,8 +48,7 @@ class AdmissionConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.total_requests < 1:
-            raise ValueError("total_requests must be >= 1")
+        _check_count(self.total_requests, "total_requests")
         if not math.isfinite(self.mean_interarrival_s) \
                 or self.mean_interarrival_s <= 0:
             raise ValueError("mean_interarrival_s must be positive and finite")
@@ -134,6 +141,22 @@ def run_admission(config: AdmissionConfig, video: VideoSpec,
     return log
 
 
+def _shared(make_trace: TraceFactory) -> TraceFactory:
+    """`make_trace` memoized on the user seed's spawn key.
+
+    Every run with one config.seed spawns the same user seeds, so runs of
+    the two planners on one seed get the same (read-only) trace objects.
+    """
+    traces = {}
+
+    def trace(user_seed: np.random.SeedSequence) -> ChannelTrace:
+        key = user_seed.spawn_key
+        if key not in traces:
+            traces[key] = make_trace(user_seed)
+        return traces[key]
+    return trace
+
+
 def service_curve(kv_values, video: VideoSpec, make_trace: TraceFactory,
                   base_config: AdmissionConfig, num_seeds: int = 10,
                   planner_kinds=PLANNER_KINDS) -> list[dict]:
@@ -141,30 +164,48 @@ def service_curve(kv_values, video: VideoSpec, make_trace: TraceFactory,
 
     Seeds are derived as base_config.seed + i so the two planners see
     identical arrival processes and shadowing per (kv, seed) pair.
+
+    Admission records are prefix-consistent: the first kv records of a
+    run equal a run of kv requests with the same seed.  So each (seed,
+    planner) pair runs once, at max(kv_values), and the row for each kv
+    counts the first kv records of that run.  Each user's trace is built
+    once per seed and shared by the planners.  Rows are ordered by kv (as
+    given, duplicates kept), then planner, then seed.
     """
     kv_values = list(kv_values)
     if not kv_values:
         raise ValueError("kv_values must be non-empty")
+    for kv in kv_values:
+        _check_count(kv, "kv")
     if num_seeds < 1:
         raise ValueError("num_seeds must be >= 1")
+    seeds = [base_config.seed + i for i in range(num_seeds)]
+    outcomes = {}                   # (planner, seed) -> [(admitted, served)]
+    for seed in seeds:
+        cfg = AdmissionConfig(
+            total_requests=max(kv_values),
+            mean_interarrival_s=base_config.mean_interarrival_s,
+            available_prbs=base_config.available_prbs,
+            seed=seed,
+        )
+        shared_trace = _shared(make_trace)
+        for kind in planner_kinds:
+            log = run_admission(cfg, video, shared_trace, kind)
+            outcomes[kind, seed] = [(r.admitted, r.served)
+                                    for r in log.records]
     rows = []
     for kv in kv_values:
         for kind in planner_kinds:
-            for i in range(num_seeds):
-                cfg = AdmissionConfig(
-                    total_requests=kv,
-                    mean_interarrival_s=base_config.mean_interarrival_s,
-                    available_prbs=base_config.available_prbs,
-                    seed=base_config.seed + i,
-                )
-                log = run_admission(cfg, video, make_trace, kind)
+            for seed in seeds:
+                head = outcomes[kind, seed][:kv]
+                served = sum(s for _, s in head)
                 rows.append({
                     "kv": kv,
                     "planner": kind,
-                    "seed": cfg.seed,
-                    "admitted": log.admitted_count,
-                    "served": log.served_count,
-                    "service_rate": log.served_count / kv,
+                    "seed": seed,
+                    "admitted": sum(a for a, _ in head),
+                    "served": served,
+                    "service_rate": served / kv,
                 })
     return rows
 

@@ -131,7 +131,11 @@ def per_prb_bits(gain_db: float, budget: LinkBudget,
 
 @dataclass(frozen=True)
 class ChannelTrace:
-    """Per-slot serving-cell geometry, average gain and PRB capacity."""
+    """Per-slot serving-cell geometry, average gain and PRB capacity.
+
+    The arrays are read-only views, so one trace can be shared by several
+    planners without one of them changing what another sees.
+    """
 
     slot_duration_s: float
     distances_m: np.ndarray
@@ -140,6 +144,10 @@ class ChannelTrace:
     bits_per_prb: np.ndarray
 
     def __post_init__(self) -> None:
+        for name in ("distances_m", "serving_bs", "gain_db", "bits_per_prb"):
+            view = np.asarray(getattr(self, name)).view()
+            view.setflags(write=False)
+            object.__setattr__(self, name, view)
         n = len(self.distances_m)
         if n < 1:
             raise ValueError("trace must cover at least one slot")

@@ -209,7 +209,7 @@ def run_buffer_sweep(config: ScenarioConfig, z_values_bits,
     and by the (possibly smaller) schedulable budget.
     """
     z_values = list(z_values_bits)
-    if not z_values or any(z < 0 for z in z_values):
+    if not z_values or any(not z >= 0 for z in z_values):   # NaN fails
         raise ConfigError("z_values must be non-empty and >= 0")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

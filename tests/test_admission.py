@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -7,6 +8,15 @@ from prebuf import (AdmissionConfig, ScenarioConfig, ShadowingConfig,
                     run_admission, service_curve, summarize_curve)
 from prebuf.admission import (MAX_LEDGER_SLOTS, PLANNER_KINDS,
                               LedgerHorizonError)
+from prebuf.cli import main
+
+# sha256 of `prebuf multi-user` with every default: service_curve.csv and
+# stdout, as written when each kv was a separate run
+DEFAULT_CURVE_CSV_SHA256 = \
+    "bf8164bb00a5069b33d45c470c77c17568b6584517f9e83bdab41e9dd80289f3"
+DEFAULT_CURVE_STDOUT_SHA256 = \
+    "140e1a02f90b37f6cbe0e0d64013dee36533e4077180e076b66224006db56319"
+BAD_COUNTS = [0, -1, 2.5, 3.0, True, "3", None]
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +116,11 @@ class TestRunAdmission:
             AdmissionConfig(total_requests=0)
         with pytest.raises(ValueError):
             AdmissionConfig(total_requests=1, mean_interarrival_s=0.0)
+
+    @pytest.mark.parametrize("total", BAD_COUNTS)
+    def test_total_requests_must_be_positive_int(self, total):
+        with pytest.raises(ValueError, match="total_requests"):
+            AdmissionConfig(total_requests=total)
 
     @pytest.mark.parametrize("kwargs", [
         {"mean_interarrival_s": math.nan},
@@ -211,3 +226,57 @@ class TestServiceCurve:
         with pytest.raises(ValueError):
             service_curve([1], scenario.video, scenario.make_trace,
                           AdmissionConfig(total_requests=1), num_seeds=0)
+
+    @pytest.mark.parametrize("kv_values", [[5, 0], [2.5], [5, 5.0], [True],
+                                           [-3], ["4"], [None]])
+    def test_bad_kv_rejected_before_any_trace(self, scenario, kv_values):
+        def no_trace(seed):
+            pytest.fail("a trace was built for a bad kv list")
+
+        with pytest.raises(ValueError, match="kv"):
+            service_curve(kv_values, scenario.video, no_trace,
+                          AdmissionConfig(total_requests=1))
+
+    def test_rows_equal_one_run_per_kv(self, shadowed_scenario):
+        # The oracle is the direct definition: a separate admission run for
+        # every (kv, planner, seed), rows in kv, planner, seed order.
+        video = shadowed_scenario.video
+        kv_values = [10, 5, 10, 1]
+        want = []
+        for kv in kv_values:
+            for kind in PLANNER_KINDS:
+                for seed in range(3):
+                    cfg = AdmissionConfig(total_requests=kv,
+                                          available_prbs=15, seed=seed)
+                    log = run_admission(cfg, video,
+                                        shadowed_scenario.make_trace, kind)
+                    want.append({"kv": kv, "planner": kind, "seed": seed,
+                                 "admitted": log.admitted_count,
+                                 "served": log.served_count,
+                                 "service_rate": log.served_count / kv})
+        rows = service_curve(kv_values, video, shadowed_scenario.make_trace,
+                             AdmissionConfig(total_requests=1,
+                                             available_prbs=15),
+                             num_seeds=3)
+        assert rows == want
+
+    def test_each_trace_built_once_per_seed(self, shadowed_scenario):
+        calls = []
+
+        def counting_trace(seed):
+            calls.append(seed.spawn_key)
+            return shadowed_scenario.make_trace(seed)
+
+        service_curve([3, 7, 5], shadowed_scenario.video, counting_trace,
+                      AdmissionConfig(total_requests=1, available_prbs=15),
+                      num_seeds=2)
+        assert len(calls) == 7 * 2
+
+    def test_default_multi_user_output_pinned(self, tmp_path, capsys):
+        assert main(["multi-user", "--out", str(tmp_path)]) == 0
+        csv_bytes = (tmp_path / "service_curve.csv").read_bytes()
+        stdout = capsys.readouterr().out.encode()
+        assert hashlib.sha256(csv_bytes).hexdigest() \
+            == DEFAULT_CURVE_CSV_SHA256
+        assert hashlib.sha256(stdout).hexdigest() \
+            == DEFAULT_CURVE_STDOUT_SHA256

@@ -248,6 +248,23 @@ class TestBuildTrace:
 
 
 class TestChannelTraceValidation:
+    @pytest.mark.parametrize("name", ["distances_m", "serving_bs", "gain_db",
+                                      "bits_per_prb"])
+    def test_arrays_read_only(self, name):
+        trace = build_trace([35.0, 40.0], [0.0, 550.0], LinkBudget(),
+                            small_video(2), seed=0)
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(trace, name)[0] = 1.0
+
+    def test_callers_arrays_stay_writable(self):
+        bits = np.array([3e5, 3e5])
+        trace = ChannelTrace(slot_duration_s=1 / 6,
+                             distances_m=np.full(2, 100.0),
+                             serving_bs=np.zeros(2, dtype=int),
+                             gain_db=np.zeros(2), bits_per_prb=bits)
+        bits[0] = 1e5
+        assert not trace.bits_per_prb.flags.writeable
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
     def test_bad_capacity_rejected(self, bad):
         with pytest.raises(ValueError):

@@ -197,6 +197,13 @@ class TestBufferSweep:
         with pytest.raises(ConfigError):
             run_buffer_sweep(ScenarioConfig(), [], tmp_path)
 
+    @pytest.mark.parametrize("z", [float("nan"), -V])
+    def test_bad_z_value_rejected_before_output(self, tmp_path, z):
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match="z_values"):
+            run_buffer_sweep(ScenarioConfig(), [0.0, z], out)
+        assert not out.exists()
+
 
 class TestMultiUser:
     def test_csv_and_dominance(self, tmp_path):
