@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -164,6 +164,7 @@ def service_curve(kv_values, video: VideoSpec, make_trace: TraceFactory,
 
     Seeds are derived as base_config.seed + i so the two planners see
     identical arrival processes and shadowing per (kv, seed) pair.
+    base_config.total_requests is ignored: each run has max(kv_values).
 
     Admission records are prefix-consistent: the first kv records of a
     run equal a run of kv requests with the same seed.  So each (seed,
@@ -182,12 +183,7 @@ def service_curve(kv_values, video: VideoSpec, make_trace: TraceFactory,
     seeds = [base_config.seed + i for i in range(num_seeds)]
     outcomes = {}                   # (planner, seed) -> [(admitted, served)]
     for seed in seeds:
-        cfg = AdmissionConfig(
-            total_requests=max(kv_values),
-            mean_interarrival_s=base_config.mean_interarrival_s,
-            available_prbs=base_config.available_prbs,
-            seed=seed,
-        )
+        cfg = replace(base_config, total_requests=max(kv_values), seed=seed)
         shared_trace = _shared(make_trace)
         for kind in planner_kinds:
             log = run_admission(cfg, video, shared_trace, kind)

@@ -36,10 +36,6 @@ class VideoSpec:
                 or self.max_carryover_bits < 0:
             raise ValueError("max_carryover_bits must be >= 0")
 
-    @property
-    def total_bits(self) -> float:
-        return self.bits_per_slot * self.num_slots
-
 
 @dataclass(frozen=True)
 class BufferTimeline:

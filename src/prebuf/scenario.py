@@ -19,7 +19,9 @@ import numpy as np
 
 from .admission import AdmissionConfig, service_curve, summarize_curve
 from .link import ChannelTrace, LinkBudget, build_trace
-from .planner import plan_anticipatory, plan_baseline
+# plan_baseline is unused here but kept as a module attribute: the
+# benchmark tracer patches prebuf.scenario.plan_baseline by name.
+from .planner import plan_anticipatory, plan_baseline  # noqa: F401
 from .playout import VideoSpec, simulate_playback
 
 FLOAT_FMT = "%.9g"
@@ -85,30 +87,30 @@ class ScenarioConfig:
                            seed=seed)
 
 
-def _coerce(raw: str, target_type, key: str):
-    try:
-        if target_type is int:
-            return int(raw)
-        if target_type is float:
-            return float(raw)
-        if target_type is tuple:
-            return tuple(float(v) for v in raw.replace(",", " ").split())
-        return raw
-    except ValueError as exc:
-        raise ConfigError(f"{key}: cannot parse {raw!r}") from exc
+# INI value parser per field type; every config module uses postponed
+# annotations, so a dataclass field's type is its name as a string.
+_PARSERS = {
+    "int": int,                 # "1.5" and "1e3" are errors, not rounded
+    "float": float,
+    "tuple": lambda raw: tuple(map(float, raw.replace(",", " ").split())),
+}
+_SUB_CONFIGS = ("video", "link", "shadowing")
 
 
-def _load_section(parser, section, cls, defaults, int_fields=()):
-    if not parser.has_section(section):
-        return defaults
+def _load_section(parser, section, defaults, exclude=()):
+    """`defaults` with each key of `section` parsed as its field's type."""
+    types = {f.name: f.type for f in fields(defaults)
+             if f.name not in exclude}
+    items = parser.items(section) if parser.has_section(section) else []
     kwargs = {}
-    valid = {f.name for f in fields(cls)}
-    for key, raw in parser.items(section):
-        if key not in valid:
+    for key, raw in items:
+        if key not in types:
             raise ConfigError(f"[{section}] unknown key {key!r}")
-        target = int if key in int_fields else (
-            tuple if key == "bs_positions_m" else float)
-        kwargs[key] = _coerce(raw, target, f"[{section}] {key}")
+        try:
+            kwargs[key] = _PARSERS[types[key]](raw)
+        except ValueError as exc:
+            raise ConfigError(
+                f"[{section}] {key}: cannot parse {raw!r}") from exc
     try:
         return replace(defaults, **kwargs)
     except ValueError as exc:
@@ -116,36 +118,27 @@ def _load_section(parser, section, cls, defaults, int_fields=()):
 
 
 def load_config(path) -> ScenarioConfig:
-    """Read a ScenarioConfig from an INI-style file; empty file = defaults."""
-    parser = configparser.ConfigParser()
-    text = Path(path).read_text()
+    """Read a ScenarioConfig from an INI-style file; empty file = defaults.
+
+    Values are literal (no % interpolation) and [DEFAULT] is an unknown
+    section, not a fallback for the others.
+    """
+    # No header can name the empty section, so [DEFAULT] is an ordinary one.
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
-        parser.read_string(text)
+        parser.read_string(Path(path).read_text())
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from exc
 
-    known = {"scenario", "video", "link", "shadowing"}
-    unknown = set(parser.sections()) - known
+    unknown = set(parser.sections()) - {"scenario", *_SUB_CONFIGS}
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
 
-    video = _load_section(parser, "video", VideoSpec, default_video_spec(),
-                          int_fields=("num_slots",))
-    link = _load_section(parser, "link", LinkBudget, LinkBudget(),
-                         int_fields=("num_system_prbs",))
-    shadowing = _load_section(parser, "shadowing", ShadowingConfig,
-                              ShadowingConfig())
-
-    kwargs = {"video": video, "link": link, "shadowing": shadowing}
-    if parser.has_section("scenario"):
-        valid = {f.name for f in fields(ScenarioConfig)} - set(kwargs)
-        for key, raw in parser.items("scenario"):
-            if key not in valid:
-                raise ConfigError(f"[scenario] unknown key {key!r}")
-            target = int if key == "seed" else (
-                tuple if key == "bs_positions_m" else float)
-            kwargs[key] = _coerce(raw, target, f"[scenario] {key}")
-    return ScenarioConfig(**kwargs)
+    base = ScenarioConfig()
+    subs = {name: _load_section(parser, name, getattr(base, name))
+            for name in _SUB_CONFIGS}
+    return _load_section(parser, "scenario", replace(base, **subs),
+                         exclude=subs)
 
 
 def _write_csv(path, header, rows):
@@ -201,20 +194,18 @@ def run_single_user(config: ScenarioConfig, out_dir) -> dict:
     return summary
 
 
-def run_buffer_sweep(config: ScenarioConfig, z_values_bits,
-                     out_dir, available_prbs: float | None = None) -> dict:
+def run_buffer_sweep(config: ScenarioConfig, z_values_bits, out_dir) -> dict:
     """Total required spectrum versus buffer cap; writes sweep.csv.
 
-    Reports the total both raw and normalized by the system PRB budget
-    and by the (possibly smaller) schedulable budget.
+    Reports the total both raw and normalized by the system PRB budget.
+    The sweep schedules the whole budget, so frac_of_available_prbs
+    repeats frac_of_system_prbs; it stays to keep the CSV layout.
     """
     z_values = list(z_values_bits)
     if not z_values or any(not z >= 0 for z in z_values):   # NaN fails
         raise ConfigError("z_values must be non-empty and >= 0")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if available_prbs is None:
-        available_prbs = config.link.num_system_prbs
 
     trace = config.make_trace()
     video = config.video
@@ -227,11 +218,9 @@ def run_buffer_sweep(config: ScenarioConfig, z_values_bits,
         spec = replace(video, max_carryover_bits=float(z))
         plan = plan_anticipatory(spec, trace, residual)
         totals.append(plan.total_prb_slots)
-        rows.append([
-            z / video.bits_per_slot, float(z), plan.total_prb_slots,
-            plan.total_prb_slots / (T * config.link.num_system_prbs),
-            plan.total_prb_slots / (T * available_prbs),
-        ])
+        frac = plan.total_prb_slots / (T * config.link.num_system_prbs)
+        rows.append([z / video.bits_per_slot, float(z),
+                     plan.total_prb_slots, frac, frac])
     _write_csv(out_dir / "sweep.csv",
                ["z_over_v", "z_bits", "total_prb_slots",
                 "frac_of_system_prbs", "frac_of_available_prbs"],

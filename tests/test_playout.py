@@ -117,7 +117,6 @@ class TestVideoSpecValidation:
                          num_slots=96, max_carryover_bits=0.0)
         assert spec.bits_per_slot / spec.slot_duration_s \
             == pytest.approx(1.5e6)
-        assert spec.total_bits == pytest.approx(96 * V)
 
     @pytest.mark.parametrize("kwargs", [
         {"bits_per_slot": 0.0},

@@ -1,4 +1,5 @@
 import csv
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -121,6 +122,48 @@ sigma_db = 0
         with pytest.raises(ConfigError, match="seed"):
             load_config(path)
 
+    def test_every_field_round_trips(self, tmp_path):
+        base = ScenarioConfig()
+        lines = []
+        for section, obj in config_sections(base).items():
+            lines.append(f"[{section}]")
+            for f in fields(obj):
+                value = getattr(obj, f.name)
+                if isinstance(value, tuple):
+                    lines.append(f"{f.name} = {' '.join(map(repr, value))}")
+                elif not is_dataclass(value):
+                    lines.append(f"{f.name} = {value!r}")
+        path = tmp_path / "all.ini"
+        path.write_text("\n".join(lines) + "\n")
+        cfg = load_config(path)
+        assert cfg == base
+        for section, obj in config_sections(cfg).items():
+            default = config_sections(base)[section]
+            for f in fields(obj):
+                assert type(getattr(obj, f.name)) \
+                    is type(getattr(default, f.name)), f.name
+
+    @pytest.mark.parametrize("section, key, raw, value", [
+        ("video", "num_slots", "48", 48),
+        ("shadowing", "sigma_db", "4", 4.0),
+        ("scenario", "bs_positions_m", "0, 400 900", (0.0, 400.0, 900.0)),
+    ])
+    def test_value_parsed_as_field_type(self, tmp_path, section, key, raw,
+                                        value):
+        path = tmp_path / "one.ini"
+        path.write_text(f"[{section}]\n{key} = {raw}\n")
+        got = getattr(config_sections(load_config(path))[section], key)
+        assert got == value
+        assert type(got) is type(value)
+        if isinstance(value, tuple):
+            assert all(type(v) is float for v in got)
+
+
+def config_sections(cfg):
+    """INI section name -> the config object it sets."""
+    return {"scenario": cfg, "video": cfg.video, "link": cfg.link,
+            "shadowing": cfg.shadowing}
+
 
 def read_csv(path):
     with open(path) as fh:
@@ -184,14 +227,14 @@ class TestBufferSweep:
 
     def test_normalization_columns(self, tmp_path):
         cfg = ScenarioConfig(seed=2)
-        run_buffer_sweep(cfg, [0.0, V], tmp_path, available_prbs=15)
+        run_buffer_sweep(cfg, [0.0, V], tmp_path)
         rows = read_csv(tmp_path / "sweep.csv")
         for row in rows:
             total = float(row["total_prb_slots"])
             assert float(row["frac_of_system_prbs"]) \
                 == pytest.approx(total / (96 * 50), rel=1e-6)
-            assert float(row["frac_of_available_prbs"]) \
-                == pytest.approx(total / (96 * 15), rel=1e-6)
+            assert row["frac_of_available_prbs"] \
+                == row["frac_of_system_prbs"]
 
     def test_empty_z_values_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -273,6 +316,27 @@ class TestCli:
         assert rc == 1
         assert err.startswith("config error: ")
         assert "ledger limit" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, named", [
+        ("[scenario]\nseed = 5%\n", "5%"),
+        ("[video]\nbits_per_slot = %(x)s\n", "%(x)s"),
+        ("[DEFAULT]\nseed = 3\n", "DEFAULT"),
+        ("[DEFAULT]\nseed = 3\n[video]\nnum_slots = 48\n", "DEFAULT"),
+        ("[scenario]\nseed = 1.5\n", "seed"),
+        ("[video]\nnum_slots = 1.5\n", "num_slots"),
+        ("[link]\nnum_system_prbs = 1.5\n", "num_system_prbs"),
+    ], ids=["percent", "interpolation", "default", "default-and-video",
+            "seed-1.5", "num_slots-1.5", "num_system_prbs-1.5"])
+    def test_bad_ini_exit_code(self, tmp_path, capsys, text, named):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(text)
+        out = tmp_path / "out"
+        rc = main(["single-user", "--config", str(bad), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("config error: ")
+        assert named in err
         assert not out.exists()
 
     def test_missing_config_file_exit_code(self, tmp_path):
