@@ -98,8 +98,22 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
+    try:
+        if args.command == "single-user":
+            summary = run_single_user(config, args.out)
+        elif args.command == "buffer-sweep":
+            v = config.video.bits_per_slot
+            z_values = [k * v for k in range(args.z_max_multiple + 1)]
+            result = run_buffer_sweep(config, z_values, args.out)
+        else:
+            means = run_multiuser(config, admission, args.kv, args.out,
+                                  num_seeds=args.num_seeds)
+    except (LedgerHorizonError, OSError) as exc:
+        # an OSError names the path: --out is a file, or is not writable
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+
     if args.command == "single-user":
-        summary = run_single_user(config, args.out)
         for key, value in summary.items():
             print(f"{key}: {value}")
         if not summary["feasible"]:
@@ -107,18 +121,9 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return EXIT_INFEASIBLE
     elif args.command == "buffer-sweep":
-        v = config.video.bits_per_slot
-        z_values = [k * v for k in range(args.z_max_multiple + 1)]
-        result = run_buffer_sweep(config, z_values, args.out)
         print("total_prb_slots:",
               " ".join(f"{t:.6g}" for t in result["total_prb_slots"]))
-    elif args.command == "multi-user":
-        try:
-            means = run_multiuser(config, admission, args.kv, args.out,
-                                  num_seeds=args.num_seeds)
-        except LedgerHorizonError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
+    else:
         for row in means:
             print(f"kv={row['kv']} planner={row['planner']} "
                   f"mean_served={row['mean_served']:.3f}")

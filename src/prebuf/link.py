@@ -197,22 +197,29 @@ def build_trace(trajectory_m, bs_positions_m, budget: LinkBudget,
                                 ).sample(trajectory_m).tolist()
                  for child in ss.spawn(bs_positions_m.size)]
 
-    T = trajectory_m.size
-    distances = np.empty(T)
-    serving = np.empty(T, dtype=int)
-    gains = np.empty(T)
-    bits = np.empty(T)
-    for t, x in enumerate(trajectory_m):
+    # Link-budget invariants, evaluated in per_prb_bits's operation order.
+    power_w = budget.per_prb_power_w
+    denom = (db_to_linear(budget.snr_gap_db)
+             * budget.noise_plus_interference_w)
+    slot_hz = spec.slot_duration_s * budget.prb_bandwidth_hz
+    min_d = budget.min_bs_distance_m
+    bs_list = bs_positions_m.tolist()
+    distances, serving, gains, bits = [], [], [], []
+    for t, x in enumerate(trajectory_m.tolist()):
         best_gain = -math.inf
         best_b = 0
         best_d = 0.0
-        for b, bx in enumerate(bs_positions_m):
-            d_m = max(abs(x - bx), budget.min_bs_distance_m)
-            g = -path_loss_db(d_m / 1000.0) + shadowing[b][t]
+        for b, bx in enumerate(bs_list):
+            d_m = max(abs(x - bx), min_d)
+            # -path_loss_db(d_m / 1000.0), inlined
+            g = -(128.1 + 37.6 * math.log10(d_m / 1000.0)) + shadowing[b][t]
             if g > best_gain:
                 best_gain, best_b, best_d = g, b, d_m
-        distances[t] = best_d
-        serving[t] = best_b
-        gains[t] = best_gain
-        bits[t] = per_prb_bits(best_gain, budget, spec.slot_duration_s)
-    return ChannelTrace(spec.slot_duration_s, distances, serving, gains, bits)
+        distances.append(best_d)
+        serving.append(best_b)
+        gains.append(best_gain)
+        sinr = power_w * 10.0 ** (best_gain / 10.0) / denom
+        bits.append(slot_hz * math.log2(1.0 + sinr))
+    return ChannelTrace(spec.slot_duration_s, np.array(distances),
+                        np.array(serving, dtype=int), np.array(gains),
+                        np.array(bits))

@@ -12,6 +12,7 @@ look-ahead serves as the comparison baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 import numpy as np
 
@@ -74,34 +75,53 @@ def plan_anticipatory(spec: VideoSpec, trace: ChannelTrace,
     carry-over arc in [s, t).  No flow yet crosses slot t, so this is the
     shortest augmenting path, and successive shortest paths are optimal
     (Ahuja, Magnanti and Orlin, Network Flows, ch. 9).
+
+    Each augmentation is one backward scan from t over Python lists.  It
+    tracks h, the least headroom on the carry-over arcs passed so far, so
+    slot s can supply min(supply_s, h); slot t itself crosses no arc.  A
+    strict > keeps the latest of tied slots.  The scan stops as soon as h
+    is spent, since no earlier slot can then be reached, so the work per
+    augmentation is O(t).  The float operations are those of the earlier
+    numpy form, in the same order, so plans are byte-identical to it.
     """
     residual = _check_inputs(spec, trace, residual_prbs)
     T, V = spec.num_slots, spec.bits_per_slot
+    z_max = spec.max_carryover_bits
     c = trace.bits_per_prb
-    supply = c * residual
-    received = np.zeros(T)
-    carry = np.zeros(T - 1)            # bits on the arc from slot s to s+1
+    cs = c.tolist()
+    supply = (c * residual).tolist()
+    received = [0.0] * T
+    carry = [0.0] * (T - 1)            # bits on the arc from slot s to s+1
     tol = 1e-12 * V       # rounding only, far inside playback's 1e-9 V
     for t in range(T):
         need = V
         while need > tol:
-            # reach[s]: least headroom on the arcs from s up to t
-            reach = np.minimum.accumulate(
-                (spec.max_carryover_bits - carry[:t])[::-1])[::-1]
-            avail = np.minimum(supply[:t + 1], np.append(reach, np.inf))
-            # latest slot first, so argmax breaks ties toward the latest
-            score = np.where(avail > tol, c[:t + 1], 0.0)[::-1]
-            k = int(np.argmax(score))
-            if score[k] == 0.0:
+            best, best_c, best_avail = -1, 0.0, 0.0
+            if supply[t] > tol:
+                best, best_c, best_avail = t, cs[t], supply[t]
+            h = inf
+            for s in range(t - 1, -1, -1):
+                headroom = z_max - carry[s]
+                if headroom < h:
+                    h = headroom
+                    if h <= tol:
+                        break
+                if cs[s] > best_c:
+                    avail = supply[s] if supply[s] < h else h
+                    if avail > tol:
+                        best, best_c, best_avail = s, cs[s], avail
+            if best < 0:
                 return _infeasible_plan(T)
-            s = t - k
-            amount = min(need, float(avail[s]))
-            supply[s] -= amount
-            carry[s:t] += amount
-            received[s] += amount
+            amount = min(need, best_avail)
+            supply[best] -= amount
+            for k in range(best, t):
+                carry[k] += amount
+            received[best] += amount
             need -= amount
+    received = np.array(received)
     prbs = received / c
-    return AllocationPlan(received, carry, prbs, float(prbs.sum()), True)
+    return AllocationPlan(received, np.array(carry), prbs,
+                          float(prbs.sum()), True)
 
 
 def plan_baseline(spec: VideoSpec, trace: ChannelTrace,

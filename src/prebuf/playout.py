@@ -86,15 +86,24 @@ def simulate_playback(plan_received, spec: VideoSpec) -> BufferTimeline:
     if not (np.all(np.isfinite(received)) and np.all(received >= 0)):
         raise ValueError("received bits must be finite and non-negative")
 
-    T = spec.num_slots
-    carry = np.zeros(T)
-    played = np.zeros(T)
-    outage = np.zeros(T, dtype=bool)
+    # step_buffer's recursion, inlined; the inputs are checked above.
+    v = spec.bits_per_slot
+    need = v * (1.0 - 1e-9)
+    carry, played, outage = [], [], []
     z = 0.0
-    for t in range(T):
-        carry[t] = z
-        z, played[t], outage[t] = step_buffer(z, received[t],
-                                              spec.bits_per_slot)
-    limit = spec.max_carryover_bits + 1e-6 * spec.bits_per_slot
+    for r in received.tolist():
+        carry.append(z)
+        total = r + z
+        if total >= need:
+            z = max(total - v, 0.0)
+            played.append(v)
+            outage.append(False)
+        else:
+            z = total
+            played.append(0.0)
+            outage.append(True)
+    carry = np.array(carry)
+    limit = spec.max_carryover_bits + 1e-6 * v
     exceeded = bool(np.any(carry > limit)) or z > limit
-    return BufferTimeline(received, carry, played, outage, exceeded)
+    return BufferTimeline(received, carry, np.array(played, dtype=float),
+                          np.array(outage), exceeded)

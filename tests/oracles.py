@@ -69,3 +69,37 @@ def two_slot_plan_objective(c_bits, v_bits, z_cap_bits, grid=200_001):
     r1 = np.linspace(v_bits, hi, grid)
     r2 = 2.0 * v_bits - r1
     return float(np.min(r1 / c1 + r2 / c2))
+
+
+def plan_anticipatory_numpy(spec, trace, residual_prbs):
+    """The planner's successive-shortest-path loop as one numpy pass per
+    augmentation: its earlier form, kept as the byte-for-byte reference.
+
+    Returns (received_bits, carryover_bits, prbs, total_prb_slots,
+    feasible) for inputs the planner has already accepted.
+    """
+    T, V = spec.num_slots, spec.bits_per_slot
+    c = trace.bits_per_prb
+    supply = c * np.asarray(residual_prbs, dtype=float)
+    received = np.zeros(T)
+    carry = np.zeros(T - 1)
+    tol = 1e-12 * V
+    for t in range(T):
+        need = V
+        while need > tol:
+            reach = np.minimum.accumulate(
+                (spec.max_carryover_bits - carry[:t])[::-1])[::-1]
+            avail = np.minimum(supply[:t + 1], np.append(reach, np.inf))
+            score = np.where(avail > tol, c[:t + 1], 0.0)[::-1]
+            k = int(np.argmax(score))
+            if score[k] == 0.0:
+                z = np.zeros(T)
+                return z, np.zeros(max(T - 1, 0)), z.copy(), 0.0, False
+            s = t - k
+            amount = min(need, float(avail[s]))
+            supply[s] -= amount
+            carry[s:t] += amount
+            received[s] += amount
+            need -= amount
+    prbs = received / c
+    return received, carry, prbs, float(prbs.sum()), True

@@ -247,6 +247,57 @@ class TestBuildTrace:
                         seed=0)
 
 
+def scalar_trace(traj, bss, budget, spec):
+    """Unshadowed trace rebuilt slot by slot from the public scalars."""
+    distances, serving, gains, bits = [], [], [], []
+    for x in traj:
+        best = (-math.inf, 0, 0.0)
+        for b, bx in enumerate(bss):
+            d_m = max(abs(x - bx), budget.min_bs_distance_m)
+            g = -path_loss_db(d_m / 1000.0) + 0.0
+            if g > best[0]:                   # the first of equals wins
+                best = (g, b, d_m)
+        gains.append(best[0])
+        serving.append(best[1])
+        distances.append(best[2])
+        bits.append(per_prb_bits(best[0], budget, spec.slot_duration_s))
+    return (np.array(distances), np.array(serving, dtype=int),
+            np.array(gains), np.array(bits))
+
+
+class TestBuildTraceAgainstScalars:
+    @pytest.mark.parametrize("bss", [
+        [0.0],
+        [0.0, 550.0],
+        [0.0, 300.0, 650.0],
+        [200.0, 550.0],            # BS on the trajectory: distance clamped
+        [100.0, 300.0],            # equidistant from x = 200 m
+    ])
+    @pytest.mark.parametrize("budget", [
+        LinkBudget(), LinkBudget(snr_gap_db=3.0, num_system_prbs=25)])
+    def test_bit_identical(self, bss, budget):
+        spec = small_video(24)
+        traj = np.linspace(-50.0, 640.0, 24)
+        traj[5] = 200.0
+        trace = build_trace(traj, bss, budget, spec, sigma_db=0.0, seed=0)
+        names = ("distances_m", "serving_bs", "gain_db", "bits_per_prb")
+        for name, want in zip(names, scalar_trace(traj, bss, budget, spec)):
+            got = getattr(trace, name)
+            assert got.dtype == want.dtype, name
+            assert np.array_equal(got, want), name
+
+    def test_equidistant_tie_goes_to_first_bs(self):
+        trace = build_trace([200.0], [100.0, 300.0], LinkBudget(),
+                            small_video(1), sigma_db=0.0, seed=0)
+        assert trace.serving_bs[0] == 0
+
+    def test_bs_on_trajectory_clamped(self):
+        budget = LinkBudget()
+        trace = build_trace([200.0], [200.0], budget, small_video(1),
+                            sigma_db=0.0, seed=0)
+        assert trace.distances_m[0] == budget.min_bs_distance_m
+
+
 class TestChannelTraceValidation:
     @pytest.mark.parametrize("name", ["distances_m", "serving_bs", "gain_db",
                                       "bits_per_prb"])

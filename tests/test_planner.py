@@ -6,7 +6,7 @@ from prebuf import (ChannelTrace, LinkBudget, LpProblem, VideoSpec,
                     build_buffer_matrix, build_trace, plan_anticipatory,
                     plan_baseline, simulate_playback, solve)
 
-from oracles import two_slot_plan_objective
+from oracles import plan_anticipatory_numpy, two_slot_plan_objective
 
 V = 250_000.0
 
@@ -253,6 +253,60 @@ class TestFlowAgainstLp:
             assert not timeline.carryover_limit_exceeded, k
         assert all(count >= 30 for count in seen.values()), seen
         assert seen["infeasible"] <= 270, seen
+
+
+class TestPlanBytes:
+    """The list scan reproduces the numpy augmentation loop bit for bit."""
+
+    @staticmethod
+    def assert_same_bytes(spec, trace, residual):
+        plan = plan_anticipatory(spec, trace, residual)
+        received, carry, prbs, total, feasible = plan_anticipatory_numpy(
+            spec, trace, residual)
+        assert np.array_equal(plan.received_bits, received)
+        assert np.array_equal(plan.carryover_bits, carry)
+        assert np.array_equal(plan.prbs, prbs)
+        assert plan.total_prb_slots == total
+        assert plan.feasible == feasible
+        return feasible
+
+    def test_trace_grid(self):
+        rng = np.random.default_rng(7)
+        feasible = 0
+        for _ in range(40):
+            trace = random_trace(rng, 96)
+            zeroed = rng.choice(96, size=5, replace=False)
+            for prbs in (50.0, 15.0, 3.0):
+                residual = np.full(96, prbs)
+                residual[zeroed] = 0.0
+                for k in (0, 1, 5, 10, 40, np.inf):
+                    feasible += self.assert_same_bytes(
+                        make_spec(96, k * V), trace, residual)
+        assert 0 < feasible < 40 * 3 * 6      # both outcomes covered
+
+    @pytest.mark.parametrize("z_cap", [0.0, V, np.inf])
+    @pytest.mark.parametrize("residual", [[50.0], [0.0], [0.5]])
+    def test_single_slot(self, z_cap, residual):
+        self.assert_same_bytes(make_spec(1, z_cap),
+                               trace_from_capacity([8e5]), residual)
+
+    @pytest.mark.parametrize("z_cap", [0.0, 3 * V, np.inf])
+    def test_all_zero_residual(self, z_cap):
+        assert not self.assert_same_bytes(
+            make_spec(6, z_cap), trace_from_capacity([8e5] * 6), np.zeros(6))
+
+    @pytest.mark.parametrize("z_cap", [0.0, V, 3 * V, np.inf])
+    def test_tied_capacities(self, z_cap):
+        caps = [4e5, 8e5, 8e5, 2e5, 8e5, 4e5, 4e5, 1e5]
+        residual = [1.0, 0.2, 0.4, 3.0, 0.3, 1.5, 0.0, 6.0]
+        self.assert_same_bytes(make_spec(8, z_cap),
+                               trace_from_capacity(caps), residual)
+
+    def test_random_small_instances(self):
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            trace, residual, spec = random_flow_instance(rng)
+            self.assert_same_bytes(spec, trace, residual)
 
 
 class TestPlanBaseline:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from prebuf import VideoSpec, simulate_playback, step_buffer
+from prebuf import (LinkBudget, VideoSpec, build_trace, plan_anticipatory,
+                    plan_baseline, simulate_playback, step_buffer)
 
 V = 250_000.0
 
@@ -104,6 +105,61 @@ class TestSimulatePlayback:
         timeline = simulate_playback(received, spec_for(received))
         assert np.all(timeline.played_bits >= 0)
         assert np.all(timeline.played_bits <= V)
+
+
+def fold_step_buffer(received, spec):
+    """The timeline as a plain fold of step_buffer over the plan."""
+    carry, played, outage = [], [], []
+    z = 0.0
+    for r in received:
+        carry.append(z)
+        z, p, o = step_buffer(z, float(r), spec.bits_per_slot)
+        played.append(p)
+        outage.append(o)
+    carry = np.array(carry)
+    limit = spec.max_carryover_bits + 1e-6 * spec.bits_per_slot
+    exceeded = bool(np.any(carry > limit)) or z > limit
+    return carry, np.array(played), np.array(outage), exceeded
+
+
+class TestPlaybackAgainstStepBuffer:
+    def test_planned_timelines_bit_identical(self):
+        rng = np.random.default_rng(5)
+        outages = 0
+        for k in range(30):
+            spec = VideoSpec(bits_per_slot=V, slot_duration_s=1 / 6,
+                             num_slots=96, max_carryover_bits=5 * V)
+            traj = 35.0 + 5.0 * np.arange(96)
+            trace = build_trace(traj, [0.0, 550.0], LinkBudget(), spec,
+                                seed=k)
+            residual = np.full(96, float(rng.choice([50.0, 15.0, 3.0])))
+            residual[rng.choice(96, size=5, replace=False)] = 0.0
+            for planner in (plan_anticipatory, plan_baseline):
+                received = planner(spec, trace, residual).received_bits
+                timeline = simulate_playback(received, spec)
+                carry, played, outage, exceeded = fold_step_buffer(
+                    received, spec)
+                assert np.array_equal(timeline.received_bits, received)
+                for got, want in ((timeline.carryover_bits, carry),
+                                  (timeline.played_bits, played),
+                                  (timeline.outage_flags, outage)):
+                    assert got.dtype == want.dtype
+                    assert np.array_equal(got, want)
+                assert timeline.carryover_limit_exceeded == exceeded
+                outages += timeline.num_outages
+        assert outages > 0
+
+    @given(st.lists(st.floats(min_value=0, max_value=4 * V),
+                    min_size=1, max_size=12))
+    @example([V * (1.0 - 1e-9), 0.0, 2.5 * V])    # exactly at the slack
+    def test_hand_made_plans_bit_identical(self, received):
+        spec = spec_for(received, z_cap=V)
+        timeline = simulate_playback(received, spec)
+        carry, played, outage, exceeded = fold_step_buffer(received, spec)
+        assert np.array_equal(timeline.carryover_bits, carry)
+        assert np.array_equal(timeline.played_bits, played)
+        assert np.array_equal(timeline.outage_flags, outage)
+        assert timeline.carryover_limit_exceeded == exceeded
 
 
 class TestVideoSpecValidation:

@@ -308,6 +308,22 @@ class TestCli:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["single-user"],
+        ["buffer-sweep", "--z-max-multiple", "1"],
+        ["multi-user", "--kv", "2", "--num-seeds", "1"],
+    ])
+    def test_out_names_a_file_exit_code(self, tmp_path, capsys, argv):
+        out = tmp_path / "afile"
+        out.write_text("kept\n")
+        rc = main(argv + ["--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("config error: ")
+        assert str(out) in err
+        assert "Traceback" not in err
+        assert out.read_text() == "kept\n"
+
     def test_huge_mean_interarrival_exit_code(self, tmp_path, capsys):
         out = tmp_path / "out"
         rc = main(["multi-user", "--mean-interarrival", "1e300", "--kv", "2",
