@@ -10,12 +10,12 @@ on the first slot only and pays for it with outages later.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
+from ._checks import check_int
 from .link import ChannelTrace
 from .planner import AllocationPlan, plan_anticipatory, plan_baseline
 from .playout import VideoSpec, simulate_playback
@@ -33,13 +33,6 @@ class LedgerHorizonError(ValueError):
     """The arrival process reaches past MAX_LEDGER_SLOTS."""
 
 
-def _check_count(value, name: str) -> None:
-    """Reject anything but an integer >= 1 (bools and floats included)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
-            or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-
-
 @dataclass(frozen=True)
 class AdmissionConfig:
     total_requests: int
@@ -48,14 +41,13 @@ class AdmissionConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _check_count(self.total_requests, "total_requests")
+        check_int(self.total_requests, "total_requests", 1)
         if not math.isfinite(self.mean_interarrival_s) \
                 or self.mean_interarrival_s <= 0:
             raise ValueError("mean_interarrival_s must be positive and finite")
         if not math.isfinite(self.available_prbs) or self.available_prbs < 0:
             raise ValueError("available_prbs must be finite and >= 0")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        check_int(self.seed, "seed", 0)
 
 
 @dataclass(frozen=True)
@@ -177,9 +169,8 @@ def service_curve(kv_values, video: VideoSpec, make_trace: TraceFactory,
     if not kv_values:
         raise ValueError("kv_values must be non-empty")
     for kv in kv_values:
-        _check_count(kv, "kv")
-    if num_seeds < 1:
-        raise ValueError("num_seeds must be >= 1")
+        check_int(kv, "kv", 1)
+    check_int(num_seeds, "num_seeds", 1)
     seeds = [base_config.seed + i for i in range(num_seeds)]
     outcomes = {}                   # (planner, seed) -> [(admitted, served)]
     for seed in seeds:

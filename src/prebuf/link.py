@@ -9,11 +9,13 @@ plain bits.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import check_int
 from .playout import VideoSpec
 
 
@@ -39,8 +41,7 @@ class LinkBudget:
     min_bs_distance_m: float = 35.0
 
     def __post_init__(self) -> None:
-        if self.num_system_prbs < 1:
-            raise ValueError("num_system_prbs must be >= 1")
+        check_int(self.num_system_prbs, "num_system_prbs", 1)
         if self.prb_bandwidth_hz <= 0:
             raise ValueError("prb_bandwidth_hz must be positive")
         if self.snr_gap_db < 0:
@@ -99,23 +100,76 @@ class ShadowingField:
 
         Equal positions get equal values.  Each call is a new, independent
         realisation of the field drawn from the generator's stream, and
-        sigma_db = 0 returns zeros without drawing.
+        sigma_db = 0 returns zeros without drawing.  Positions must be
+        finite.
+
+        The AR(1) steps depend only on (positions, decorrelation_m,
+        sigma_db), so they are memoized on those values (the positions by
+        their bytes) in a bounded cache; a call then draws
+        standard_normal(len(rho)) and runs v = rho*v + scale*z over Python
+        floats.  rho and scale are computed by the same operations as
+        without the memo, so every draw keeps its bits.
         """
         positions = np.asarray(positions_m, dtype=float)
+        inverse, rho, scale = _ar1_steps(positions.tobytes(),
+                                         self.decorrelation_m, self.sigma_db)
         if self.sigma_db == 0.0:
             return np.zeros(positions.shape)
-        unique, inverse = np.unique(positions, return_inverse=True)
-        z = self._rng.standard_normal(unique.size)
-        xs, d_c = unique.tolist(), self.decorrelation_m
-        var = self.sigma_db ** 2
+        z = self._rng.standard_normal(len(rho))
         values = []
         v = 0.0
-        for k, z_k in enumerate(z.tolist()):
-            rho = (math.exp(-(xs[k] - xs[k - 1]) / d_c)
-                   if k > 0 and d_c > 0.0 else 0.0)
-            v = rho * v + math.sqrt(max(var * (1.0 - rho * rho), 0.0)) * z_k
+        for rho_k, scale_k, z_k in zip(rho, scale, z.tolist()):
+            v = rho_k * v + scale_k * z_k
             values.append(v)
         return np.array(values)[inverse].reshape(positions.shape)
+
+
+# Entries kept by each memo below.  All users of a scenario share one
+# trajectory, BS layout and shadowing setting, so a scenario needs one entry
+# in each; past 64 interleaved ones the least recently used is evicted.
+_MEMO_SIZE = 64
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _ar1_steps(positions_bytes: bytes, decorrelation_m: float,
+               sigma_db: float):
+    """AR(1) steps of the shadowing field along sorted unique positions.
+
+    Returns (inverse, rho, scale): the read-only np.unique inverse and the
+    tuples rho_k = exp(-(x_k - x_{k-1}) / decorrelation_m) (0 for k = 0
+    and for no correlation) and sqrt(max(var * (1 - rho_k**2), 0)).
+    """
+    positions = np.frombuffer(positions_bytes)
+    if not np.all(np.isfinite(positions)):
+        raise ValueError("shadowing positions must be finite")
+    unique, inverse = np.unique(positions, return_inverse=True)
+    inverse.setflags(write=False)
+    xs, d_c = unique.tolist(), decorrelation_m
+    var = sigma_db ** 2
+    rho, scale = [], []
+    for k in range(len(xs)):
+        r = (math.exp(-(xs[k] - xs[k - 1]) / d_c)
+             if k > 0 and d_c > 0.0 else 0.0)
+        rho.append(r)
+        scale.append(math.sqrt(max(var * (1.0 - r * r), 0.0)))
+    return inverse, tuple(rho), tuple(scale)
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _geometry(trajectory_bytes: bytes, bs_bytes: bytes, min_bs_distance_m):
+    """Clamped distance and path gain (-path loss, dB) of every BS at every
+    trajectory point: two read-only float64 arrays of shape (num_BS, T).
+    """
+    xs = np.frombuffer(trajectory_bytes).tolist()
+    distances = [[max(abs(x - bx), min_bs_distance_m) for x in xs]
+                 for bx in np.frombuffer(bs_bytes).tolist()]
+    # -path_loss_db(d_m / 1000.0), inlined
+    path = [[-(128.1 + 37.6 * math.log10(d_m / 1000.0)) for d_m in row]
+            for row in distances]
+    distances, path = np.array(distances), np.array(path)
+    distances.setflags(write=False)
+    path.setflags(write=False)
+    return distances, path
 
 
 def per_prb_bits(gain_db: float, budget: LinkBudget,
@@ -174,8 +228,19 @@ def build_trace(trajectory_m, bs_positions_m, budget: LinkBudget,
     drawn once jointly over the whole trajectory.
     `seed` may be an int or a numpy SeedSequence; identical seeds reproduce
     the trace bit for bit.
+
+    Every user of a scenario shares its trajectory and BS layout, so the
+    clamped distances and path gains of every (BS, slot) pair are
+    memoized in a bounded cache keyed on the bytes of the trajectory and
+    of the BS positions and on min_bs_distance_m; only the shadowing
+    draws are per trace.  The memo evaluates the scalar path loss with
+    `math` as before, numpy then only adds the shadowing (one IEEE
+    addition per element, the same bits as in Python) and takes the
+    argmax (the first of equals wins, as a strict `>` scan does), and the
+    capacities keep the scalar `math` `10 **` and `log2` of
+    `per_prb_bits`: numpy's versions differ from them by ulps.
     """
-    trajectory_m = np.asarray(trajectory_m, dtype=float)
+    trajectory_m = np.asarray(trajectory_m, dtype=float).ravel()
     if trajectory_m.size == 0:
         raise ValueError("trajectory must not be empty")
     if trajectory_m.size != spec.num_slots:
@@ -194,32 +259,22 @@ def build_trace(trajectory_m, bs_positions_m, budget: LinkBudget,
         else np.random.SeedSequence(seed)
     shadowing = [ShadowingField(sigma_db, decorrelation_m,
                                 np.random.default_rng(child)
-                                ).sample(trajectory_m).tolist()
+                                ).sample(trajectory_m)
                  for child in ss.spawn(bs_positions_m.size)]
+    distance, path = _geometry(trajectory_m.tobytes(),
+                               bs_positions_m.tobytes(),
+                               budget.min_bs_distance_m)
+    gain = path + np.array(shadowing)
+    serving = gain.argmax(axis=0)           # the first of equals wins
+    slots = np.arange(trajectory_m.size)
+    gains = gain[serving, slots]
 
     # Link-budget invariants, evaluated in per_prb_bits's operation order.
     power_w = budget.per_prb_power_w
     denom = (db_to_linear(budget.snr_gap_db)
              * budget.noise_plus_interference_w)
     slot_hz = spec.slot_duration_s * budget.prb_bandwidth_hz
-    min_d = budget.min_bs_distance_m
-    bs_list = bs_positions_m.tolist()
-    distances, serving, gains, bits = [], [], [], []
-    for t, x in enumerate(trajectory_m.tolist()):
-        best_gain = -math.inf
-        best_b = 0
-        best_d = 0.0
-        for b, bx in enumerate(bs_list):
-            d_m = max(abs(x - bx), min_d)
-            # -path_loss_db(d_m / 1000.0), inlined
-            g = -(128.1 + 37.6 * math.log10(d_m / 1000.0)) + shadowing[b][t]
-            if g > best_gain:
-                best_gain, best_b, best_d = g, b, d_m
-        distances.append(best_d)
-        serving.append(best_b)
-        gains.append(best_gain)
-        sinr = power_w * 10.0 ** (best_gain / 10.0) / denom
-        bits.append(slot_hz * math.log2(1.0 + sinr))
-    return ChannelTrace(spec.slot_duration_s, np.array(distances),
-                        np.array(serving, dtype=int), np.array(gains),
-                        np.array(bits))
+    bits = [slot_hz * math.log2(1.0 + power_w * 10.0 ** (x / 10.0) / denom)
+            for x in gains.tolist()]
+    return ChannelTrace(spec.slot_duration_s, distance[serving, slots],
+                        serving, gains, np.array(bits))

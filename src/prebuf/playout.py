@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import check_int
+
 
 @dataclass(frozen=True)
 class VideoSpec:
@@ -29,8 +31,7 @@ class VideoSpec:
             value = getattr(self, name)
             if not math.isfinite(value) or value <= 0:
                 raise ValueError(f"{name} must be positive and finite")
-        if self.num_slots < 1:
-            raise ValueError("num_slots must be >= 1")
+        check_int(self.num_slots, "num_slots", 1)
         # an infinite cap is legal and means an unbounded buffer
         if math.isnan(self.max_carryover_bits) \
                 or self.max_carryover_bits < 0:

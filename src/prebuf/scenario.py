@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._checks import check_int
 from .admission import AdmissionConfig, service_curve, summarize_curve
 from .link import ChannelTrace, LinkBudget, build_trace
 # plan_baseline is unused here but kept as a module attribute: the
@@ -69,8 +70,10 @@ class ScenarioConfig:
             raise ConfigError("user_speed_mps must be positive")
         if not self.bs_positions_m:
             raise ConfigError("bs_positions_m must list at least one BS")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
+        try:
+            check_int(self.seed, "seed", 0)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     def trajectory_m(self) -> np.ndarray:
         """User position at the start of each slot."""

@@ -2,9 +2,12 @@
 
 These deliberately avoid the code paths they check: the LP oracle
 enumerates basic solutions geometrically instead of pivoting, and the
-planner oracle scans a one-dimensional feasible family directly.
+planner oracle scans a one-dimensional feasible family directly.  The
+`*_numpy` and `*_loop` functions are earlier forms of fast paths, kept as
+byte-for-byte references.
 """
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -103,3 +106,63 @@ def plan_anticipatory_numpy(spec, trace, residual_prbs):
             need -= amount
     prbs = received / c
     return received, carry, prbs, float(prbs.sum()), True
+
+
+def shadowing_loop(sigma_db, decorrelation_m, rng, positions_m):
+    """ShadowingField.sample in its earlier form: np.unique, then one AR(1)
+    step per unique position with rho and its scale computed in the loop."""
+    positions = np.asarray(positions_m, dtype=float)
+    if sigma_db == 0.0:
+        return np.zeros(positions.shape)
+    unique, inverse = np.unique(positions, return_inverse=True)
+    z = rng.standard_normal(unique.size)
+    xs, d_c = unique.tolist(), decorrelation_m
+    var = sigma_db ** 2
+    values = []
+    v = 0.0
+    for k, z_k in enumerate(z.tolist()):
+        rho = (math.exp(-(xs[k] - xs[k - 1]) / d_c)
+               if k > 0 and d_c > 0.0 else 0.0)
+        v = rho * v + math.sqrt(max(var * (1.0 - rho * rho), 0.0)) * z_k
+        values.append(v)
+    return np.array(values)[inverse].reshape(positions.shape)
+
+
+def build_trace_loop(trajectory_m, bs_positions_m, budget, spec, *,
+                     sigma_db=10.0, decorrelation_m=50.0, seed=0):
+    """build_trace in its earlier form: a slot-by-slot loop over every BS
+    with a strict `>`, for inputs build_trace has already accepted.
+
+    Returns (distances_m, serving_bs, gain_db, bits_per_prb).
+    """
+    trajectory_m = np.asarray(trajectory_m, dtype=float)
+    bs_positions_m = np.asarray(bs_positions_m, dtype=float)
+    ss = seed if isinstance(seed, np.random.SeedSequence) \
+        else np.random.SeedSequence(seed)
+    shadowing = [shadowing_loop(sigma_db, decorrelation_m,
+                                np.random.default_rng(child),
+                                trajectory_m).tolist()
+                 for child in ss.spawn(bs_positions_m.size)]
+    power_w = budget.per_prb_power_w
+    denom = (10.0 ** (budget.snr_gap_db / 10.0)
+             * budget.noise_plus_interference_w)
+    slot_hz = spec.slot_duration_s * budget.prb_bandwidth_hz
+    min_d = budget.min_bs_distance_m
+    bs_list = bs_positions_m.tolist()
+    distances, serving, gains, bits = [], [], [], []
+    for t, x in enumerate(trajectory_m.tolist()):
+        best_gain = -math.inf
+        best_b = 0
+        best_d = 0.0
+        for b, bx in enumerate(bs_list):
+            d_m = max(abs(x - bx), min_d)
+            g = -(128.1 + 37.6 * math.log10(d_m / 1000.0)) + shadowing[b][t]
+            if g > best_gain:
+                best_gain, best_b, best_d = g, b, d_m
+        distances.append(best_d)
+        serving.append(best_b)
+        gains.append(best_gain)
+        sinr = power_w * 10.0 ** (best_gain / 10.0) / denom
+        bits.append(slot_hz * math.log2(1.0 + sinr))
+    return (np.array(distances), np.array(serving, dtype=int),
+            np.array(gains), np.array(bits))

@@ -122,6 +122,11 @@ class TestRunAdmission:
         with pytest.raises(ValueError, match="total_requests"):
             AdmissionConfig(total_requests=total)
 
+    @pytest.mark.parametrize("seed", [math.nan, math.inf, 2.5, True, -1])
+    def test_seed_must_be_nonnegative_int(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            AdmissionConfig(total_requests=1, seed=seed)
+
     @pytest.mark.parametrize("kwargs", [
         {"mean_interarrival_s": math.nan},
         {"mean_interarrival_s": math.inf},

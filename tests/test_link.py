@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from oracles import build_trace_loop
 
 from prebuf import (ChannelTrace, LinkBudget, ScenarioConfig, ShadowingField,
-                    VideoSpec, build_trace, path_loss_db, per_prb_bits)
+                    VideoSpec, build_trace, link, path_loss_db, per_prb_bits)
 
 
 def small_video(T=8):
@@ -67,6 +68,15 @@ class TestShadowing:
         with pytest.raises(ValueError):
             ShadowingField(sigma_db, decorrelation_m,
                            np.random.default_rng(0))
+
+    @pytest.mark.parametrize("sigma_db", [10.0, 0.0])
+    @pytest.mark.parametrize("positions", [
+        [0.0, math.nan, 5.0], [0.0, math.inf], [-math.inf, 0.0]])
+    def test_nonfinite_positions_rejected(self, positions, sigma_db):
+        f = ShadowingField(sigma_db, 50.0, np.random.default_rng(0))
+        for _ in range(2):          # a failed call leaves nothing cached
+            with pytest.raises(ValueError, match="positions"):
+                f.sample(positions)
 
     def test_empty_positions(self):
         f = ShadowingField(10.0, 50.0, np.random.default_rng(2))
@@ -298,6 +308,97 @@ class TestBuildTraceAgainstScalars:
         assert trace.distances_m[0] == budget.min_bs_distance_m
 
 
+TRACE_FIELDS = ("distances_m", "serving_bs", "gain_db", "bits_per_prb")
+
+
+def assert_matches_loop(trace, traj, bss, budget, spec, **kwargs):
+    want = build_trace_loop(traj, bss, budget, spec, **kwargs)
+    for name, expect in zip(TRACE_FIELDS, want):
+        got = getattr(trace, name)
+        assert got.dtype == expect.dtype, name
+        assert np.array_equal(got, expect), name
+
+
+class TestBuildTraceAgainstLoop:
+    """Byte contract with the slot-by-slot loop build_trace replaced."""
+
+    def test_bit_identical_interleaved(self):
+        T = 24
+        sweep = np.linspace(-50.0, 640.0, T)
+        sweep[5] = 200.0                    # on the BS at 200 m: clamped
+        turnaround = np.concatenate([np.linspace(40.0, 400.0, T // 2),
+                                     np.linspace(400.0, 40.0, T // 2)])
+        unsorted = np.random.default_rng(5).choice(
+            [10.0, 95.5, 180.0, 260.0, 333.0, 480.0, 610.0], T)
+        trajectories = [sweep, turnaround, unsorted]
+        layouts = [[0.0], [0.0, 550.0], [200.0, 550.0], [0.0, 300.0, 650.0],
+                   [250.0, 250.0],          # co-located: the first wins
+                   [-100.0, 150.0, 400.0, 900.0]]
+        budgets = [LinkBudget(),
+                   LinkBudget(snr_gap_db=3.0, num_system_prbs=25,
+                              min_bs_distance_m=50.0)]
+        shadowings = [(10.0, 50.0), (0.0, 50.0), (8.0, 0.0), (6.0, math.inf)]
+        spec = small_video(T)
+        before = link._geometry.cache_info()
+        # Layouts vary fastest and each pass runs twice, so consecutive
+        # builds change the memo keys and the second pass hits every one.
+        # A SeedSequence counts its spawns, so each build gets a fresh one.
+        seeds = (lambda: 3, lambda: np.random.SeedSequence(11))
+        for _ in range(2):
+            for make_seed in seeds:
+                for traj in trajectories:
+                    for sigma_db, decorrelation_m in shadowings:
+                        for budget in budgets:
+                            for bss in layouts:
+                                kwargs = dict(sigma_db=sigma_db,
+                                              decorrelation_m=decorrelation_m)
+                                trace = build_trace(traj, bss, budget, spec,
+                                                    seed=make_seed(), **kwargs)
+                                assert_matches_loop(trace, traj, bss, budget,
+                                                    spec, seed=make_seed(),
+                                                    **kwargs)
+        after = link._geometry.cache_info()
+        assert after.hits > before.hits and after.misses > before.misses
+
+    def test_memo_arrays_read_only(self):
+        traj = 35.0 + 30.0 * np.arange(12)
+        trace = build_trace(traj, [0.0, 550.0], LinkBudget(), small_video(12),
+                            seed=0)
+        for name in TRACE_FIELDS:
+            assert not getattr(trace, name).flags.writeable, name
+        distances, path = link._geometry(traj.tobytes(),
+                                         np.array([0.0, 550.0]).tobytes(),
+                                         35.0)
+        inverse, _, _ = link._ar1_steps(traj.tobytes(), 50.0, 10.0)
+        for memo in (distances, path, inverse):
+            with pytest.raises(ValueError, match="read-only"):
+                memo[0] = 1.0
+
+    def test_mutated_trajectory_rebuilds(self):
+        traj = 35.0 + 30.0 * np.arange(12)
+        spec, budget = small_video(12), LinkBudget()
+        build_trace(traj, [0.0, 550.0], budget, spec, seed=2)
+        traj[4:] += 100.0                   # the caller's array, in place
+        trace = build_trace(traj, [0.0, 550.0], budget, spec, seed=2)
+        assert_matches_loop(trace, traj, [0.0, 550.0], budget, spec, seed=2)
+
+    def test_scalar_trajectory_is_one_slot(self):
+        a = build_trace(200.0, [0.0, 550.0], LinkBudget(), small_video(1))
+        b = build_trace([200.0], [0.0, 550.0], LinkBudget(), small_video(1))
+        for name in TRACE_FIELDS:
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+    def test_memo_bounded(self):
+        spec = small_video(8)
+        for k in range(200):
+            build_trace(k + 10.0 * np.arange(8), [0.0, 550.0], LinkBudget(),
+                        spec, seed=k)
+        for memo in (link._geometry, link._ar1_steps):
+            info = memo.cache_info()
+            assert info.maxsize == link._MEMO_SIZE
+            assert info.currsize <= info.maxsize
+
+
 class TestChannelTraceValidation:
     @pytest.mark.parametrize("name", ["distances_m", "serving_bs", "gain_db",
                                       "bits_per_prb"])
@@ -330,6 +431,11 @@ class TestLinkBudgetValidation:
     def test_rejects_zero_prbs(self):
         with pytest.raises(ValueError):
             LinkBudget(num_system_prbs=0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 2.5, True])
+    def test_num_system_prbs_must_be_int(self, bad):
+        with pytest.raises(ValueError, match="num_system_prbs"):
+            LinkBudget(num_system_prbs=bad)
 
     def test_rejects_negative_gap(self):
         with pytest.raises(ValueError):

@@ -191,3 +191,14 @@ class TestVideoSpecValidation:
         base.update(kwargs)
         with pytest.raises(ValueError):
             VideoSpec(**base)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 2.5, True])
+    def test_num_slots_must_be_int(self, bad):
+        with pytest.raises(ValueError, match="num_slots"):
+            VideoSpec(bits_per_slot=V, slot_duration_s=1 / 6,
+                      num_slots=bad, max_carryover_bits=0.0)
+
+    def test_numpy_int_num_slots_accepted(self):
+        spec = VideoSpec(bits_per_slot=V, slot_duration_s=1 / 6,
+                         num_slots=np.int64(96), max_carryover_bits=0.0)
+        assert spec.num_slots == 96

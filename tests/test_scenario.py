@@ -105,6 +105,16 @@ sigma_db = 0
         with pytest.raises(ConfigError):
             ScenarioConfig(**kwargs)
 
+    @pytest.mark.parametrize("seed", [np.nan, np.inf, 2.5, True])
+    def test_seed_must_be_int(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            ScenarioConfig(seed=seed)
+
+    def test_numpy_int_seed_accepted(self):
+        trace = ScenarioConfig(seed=np.int64(3)).make_trace()
+        assert np.array_equal(trace.gain_db,
+                              ScenarioConfig(seed=3).make_trace().gain_db)
+
     @pytest.mark.parametrize("kwargs", [
         {"sigma_db": np.nan},
         {"sigma_db": np.inf},
