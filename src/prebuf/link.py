@@ -156,7 +156,8 @@ def _ar1_steps(positions_bytes: bytes, decorrelation_m: float,
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
-def _geometry(trajectory_bytes: bytes, bs_bytes: bytes, min_bs_distance_m):
+def _geometry(trajectory_bytes: bytes, bs_bytes: bytes,
+              min_bs_distance_m: float):
     """Clamped distance and path gain (-path loss, dB) of every BS at every
     trajectory point: two read-only float64 arrays of shape (num_BS, T).
     """
@@ -264,10 +265,10 @@ def build_trace(trajectory_m, bs_positions_m, budget: LinkBudget,
     distance, path = _geometry(trajectory_m.tobytes(),
                                bs_positions_m.tobytes(),
                                budget.min_bs_distance_m)
-    gain = path + np.array(shadowing)
-    serving = gain.argmax(axis=0)           # the first of equals wins
+    bs_gain = path + np.array(shadowing)
+    serving = bs_gain.argmax(axis=0)       # the first of equals wins
     slots = np.arange(trajectory_m.size)
-    gains = gain[serving, slots]
+    gain = bs_gain[serving, slots]
 
     # Link-budget invariants, evaluated in per_prb_bits's operation order.
     power_w = budget.per_prb_power_w
@@ -275,6 +276,6 @@ def build_trace(trajectory_m, bs_positions_m, budget: LinkBudget,
              * budget.noise_plus_interference_w)
     slot_hz = spec.slot_duration_s * budget.prb_bandwidth_hz
     bits = [slot_hz * math.log2(1.0 + power_w * 10.0 ** (x / 10.0) / denom)
-            for x in gains.tolist()]
+            for x in gain.tolist()]
     return ChannelTrace(spec.slot_duration_s, distance[serving, slots],
-                        serving, gains, np.array(bits))
+                        serving, gain, np.array(bits))
