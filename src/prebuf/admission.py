@@ -90,8 +90,7 @@ def run_admission(config: AdmissionConfig, video: VideoSpec,
         raise ValueError(f"unknown planner kind {planner_kind!r}")
 
     ss = np.random.SeedSequence(config.seed)
-    arrival_ss, *user_seeds = ss.spawn(config.total_requests + 1)
-    arrival_rng = np.random.default_rng(arrival_ss)
+    arrival_rng = np.random.default_rng(ss.spawn(1)[0])
     interarrivals = arrival_rng.exponential(config.mean_interarrival_s,
                                             size=config.total_requests)
     arrival_times = np.cumsum(interarrivals)
@@ -102,6 +101,9 @@ def run_admission(config: AdmissionConfig, video: VideoSpec,
             f"arrivals span {span:.3g} slots, past the "
             f"{MAX_LEDGER_SLOTS}-slot ledger limit; lower "
             f"mean_interarrival_s or total_requests")
+    # Spawned only once the horizon is legal; the keys continue from the
+    # arrival child's, as one spawn(total_requests + 1) would give them.
+    user_seeds = ss.spawn(config.total_requests)
     arrival_slots = np.floor(arrival_times / video.slot_duration_s).astype(int)
     ledger = np.full(int(arrival_slots[-1]) + T, float(config.available_prbs))
 

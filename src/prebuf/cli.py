@@ -24,6 +24,18 @@ EXIT_CONFIG = 1
 EXIT_INFEASIBLE = 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors are config errors (exit 1).
+
+    Subparsers inherit the class, so a bad flag value or an unknown
+    subcommand never takes argparse's own exit 2, which means an
+    infeasible scenario here.
+    """
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _add_common(sub):
     sub.add_argument("--config", help="scenario config file (INI)")
     sub.add_argument("--seed", type=int, help="override the scenario seed")
@@ -34,7 +46,7 @@ def _add_common(sub):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="prebuf",
         description="Anticipatory buffer and spectrum allocation simulator")
     subs = parser.add_subparsers(dest="command", required=True)
@@ -83,8 +95,8 @@ def _check_flags(args) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _check_flags(args)
         config = _load_scenario(args)
         if args.command == "multi-user":

@@ -228,7 +228,9 @@ def build_trace(trajectory_m, bs_positions_m, budget: LinkBudget,
     (path loss plus shadowing).  Each BS has its own shadowing stream,
     drawn once jointly over the whole trajectory.
     `seed` may be an int or a numpy SeedSequence; identical seeds reproduce
-    the trace bit for bit.
+    the trace bit for bit.  The per-BS streams are the children of a first
+    spawn of `seed`, built without spawning from it, so a SeedSequence
+    passed twice gives the same trace and is left unchanged.
 
     Every user of a scenario shares its trajectory and BS layout, so the
     clamped distances and path gains of every (BS, slot) pair are
@@ -258,10 +260,14 @@ def build_trace(trajectory_m, bs_positions_m, budget: LinkBudget,
 
     ss = seed if isinstance(seed, np.random.SeedSequence) \
         else np.random.SeedSequence(seed)
+    children = [np.random.SeedSequence(ss.entropy,
+                                       spawn_key=ss.spawn_key + (i,),
+                                       pool_size=ss.pool_size)
+                for i in range(bs_positions_m.size)]
     shadowing = [ShadowingField(sigma_db, decorrelation_m,
                                 np.random.default_rng(child)
                                 ).sample(trajectory_m)
-                 for child in ss.spawn(bs_positions_m.size)]
+                 for child in children]
     distance, path = _geometry(trajectory_m.tobytes(),
                                bs_positions_m.tobytes(),
                                budget.min_bs_distance_m)

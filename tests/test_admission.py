@@ -148,6 +148,21 @@ class TestRunAdmission:
         with pytest.raises(LedgerHorizonError, match="ledger limit"):
             run_admission(cfg, scenario.video, no_trace)
 
+    def test_rejected_horizon_spawns_no_user_seed(self, scenario,
+                                                  monkeypatch):
+        spawned = []
+
+        class Recording(np.random.SeedSequence):
+            def spawn(self, n_children):
+                spawned.append(n_children)
+                return super().spawn(n_children)
+
+        monkeypatch.setattr(np.random, "SeedSequence", Recording)
+        cfg = AdmissionConfig(total_requests=1000, mean_interarrival_s=1e6)
+        with pytest.raises(LedgerHorizonError):
+            run_admission(cfg, scenario.video, scenario.make_trace)
+        assert spawned == [1]
+
     def test_long_horizon_within_limit_runs(self, scenario):
         # one request arriving tens of thousands of slots in: the ledger is
         # large but legal, and the request meets an empty spectrum

@@ -192,6 +192,25 @@ class TestBuildTrace:
         assert np.array_equal(a.gain_db, b.gain_db)
         assert np.array_equal(a.bits_per_prb, b.bits_per_prb)
 
+    def test_seed_sequence_reused_gives_same_trace(self):
+        ss = np.random.SeedSequence(5)
+        a = ScenarioConfig().make_trace(ss)
+        b = ScenarioConfig().make_trace(ss)
+        assert ss.n_children_spawned == 0
+        for name in ("gain_db", "bits_per_prb", "serving_bs"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+
+    def test_seed_sequence_matches_fresh_copy(self):
+        user = np.random.SeedSequence(5).spawn(3)[2]
+        user.spawn(2)                          # the caller spawned before
+        fresh = np.random.SeedSequence(user.entropy,
+                                       spawn_key=user.spawn_key)
+        a = ScenarioConfig().make_trace(user)
+        b = ScenarioConfig().make_trace(fresh)
+        assert user.n_children_spawned == 2
+        assert np.array_equal(a.gain_db, b.gain_db)
+        assert np.array_equal(a.bits_per_prb, b.bits_per_prb)
+
     def test_serving_bs_is_strongest_when_unshadowed(self):
         spec = small_video(16)
         traj = np.linspace(10.0, 700.0, 16)

@@ -308,6 +308,9 @@ class TestCli:
         ["buffer-sweep", "--z-max-multiple", "-1"],
         ["single-user", "--sigma-db", "nan"],
         ["single-user", "--seed", "-1"],
+        ["multi-user", "--kv", "x"],
+        ["buffer-sweep", "--z-max-multiple", "1.5"],
+        ["bogus"],
     ])
     def test_bad_flag_exit_code(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
@@ -317,6 +320,23 @@ class TestCli:
         assert err.startswith("config error: ")
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_infeasible_scenario_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "heavy.ini"
+        cfg.write_text("[video]\nbits_per_slot = 1e9\n")
+        rc = main(["single-user", "--config", str(cfg),
+                   "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "scenario infeasible" in captured.err
+        assert "feasible: False" in captured.out
+        assert (tmp_path / "trace.csv").exists()
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["multi-user", "--help"])
+        assert exc.value.code == 0
+        assert "--kv" in capsys.readouterr().out
 
     @pytest.mark.parametrize("argv", [
         ["single-user"],

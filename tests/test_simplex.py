@@ -89,6 +89,27 @@ class TestSmallExamples:
         assert sol.objective_value == pytest.approx(-1.0, abs=1e-9)
 
 
+    @pytest.mark.parametrize("cost, status", [
+        ([1.0, 0.0, 2.0], "optimal"),
+        ([1.0, -0.5, 2.0], "unbounded"),
+    ])
+    def test_no_rows_no_finite_bound(self, cost, status):
+        sol = solve(LpProblem(objective=cost))
+        assert sol.status == status
+        if status == "optimal":
+            assert np.array_equal(sol.x, np.zeros(3))
+            assert sol.objective_value == 0.0
+
+    def test_zero_upper_bound(self):
+        # x_0 is pinned at zero, so the row is met by x_1 alone
+        sol = solve(LpProblem(objective=[-1.0, 1.0],
+                              eq_matrix=[[1.0, 1.0]], eq_rhs=[2.0],
+                              var_upper_bounds=[0.0, np.inf]))
+        assert sol.status == "optimal"
+        assert sol.x == pytest.approx([0.0, 2.0], abs=1e-12)
+        assert sol.objective_value == pytest.approx(2.0)
+
+
 class TestValidation:
     def test_dimension_mismatch_is_error_not_infeasible(self):
         with pytest.raises(ValueError):
@@ -150,3 +171,57 @@ class TestAgainstVertexEnumeration:
             if a.status == "optimal":
                 assert np.array_equal(a.x, b.x)
 
+
+
+def random_open_lp(rng):
+    """Random LP with about half the upper bounds infinite.
+
+    Mixes eq and ub rows with unconstrained rhs signs, so infeasible and
+    unbounded draws are both common.
+    """
+    n = int(rng.integers(1, 7))
+    n_eq = int(rng.integers(0, 3))
+    n_ub = int(rng.integers(0, 4))
+    u = rng.uniform(0.0, 4.0, size=n).round(2)
+    u[rng.random(n) < 0.5] = np.inf
+    kwargs = {}
+    if n_eq:
+        kwargs["eq_matrix"] = rng.normal(size=(n_eq, n)).round(2)
+        kwargs["eq_rhs"] = rng.normal(size=n_eq).round(2)
+    if n_ub:
+        kwargs["ub_matrix"] = rng.normal(size=(n_ub, n)).round(2)
+        kwargs["ub_rhs"] = rng.uniform(-1.0, 3.0, size=n_ub).round(2)
+    return LpProblem(objective=rng.normal(size=n).round(2),
+                     var_upper_bounds=u, **kwargs)
+
+
+class TestAgainstHighs:
+    def test_open_bounds_match_highs(self):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        rng = np.random.default_rng(11)
+        seen = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+        for k in range(300):
+            problem = random_open_lp(rng)
+            constraints = dict(
+                A_eq=problem.eq_matrix, b_eq=problem.eq_rhs,
+                A_ub=problem.ub_matrix, b_ub=problem.ub_rhs,
+                bounds=[(0.0, None if np.isinf(u) else u)
+                        for u in problem.var_upper_bounds],
+                method="highs")
+            highs = linprog(problem.objective, **constraints)
+            expect = {0: "optimal", 2: "infeasible", 3: "unbounded"}[
+                highs.status]
+            if expect == "infeasible":
+                # HiGHS's presolve may call an unbounded LP infeasible; a
+                # zero objective tells the two apart.
+                zero = linprog(np.zeros(problem.num_vars), **constraints)
+                assert zero.status in (0, 2), k
+                if zero.status == 0:
+                    expect = "unbounded"
+            sol = solve(problem)
+            assert sol.status == expect, k
+            seen[expect] += 1
+            if expect == "optimal":
+                assert sol.objective_value == pytest.approx(
+                    highs.fun, rel=1e-7, abs=1e-7), k
+        assert all(count >= 30 for count in seen.values()), seen
