@@ -4,8 +4,7 @@ from .admission import (AdmissionConfig, AdmissionLog, RequestRecord,
                         run_admission, service_curve, summarize_curve)
 from .link import (ChannelTrace, LinkBudget, ShadowingField, build_trace,
                    path_loss_db, per_prb_bits)
-from .planner import (AllocationPlan, build_buffer_matrix, plan_anticipatory,
-                      plan_baseline)
+from .planner import AllocationPlan, plan_anticipatory, plan_baseline
 from .playout import BufferTimeline, VideoSpec, simulate_playback, step_buffer
 from .scenario import (ConfigError, ScenarioConfig, ShadowingConfig,
                        default_video_spec, load_config, run_buffer_sweep,
@@ -16,9 +15,9 @@ __all__ = [
     "AdmissionConfig", "AdmissionLog", "AllocationPlan", "BufferTimeline",
     "ChannelTrace", "ConfigError", "LinkBudget", "LpProblem", "LpSolution",
     "RequestRecord", "ScenarioConfig", "ShadowingConfig", "ShadowingField",
-    "VideoSpec", "build_buffer_matrix", "build_trace", "default_video_spec",
-    "load_config", "path_loss_db", "per_prb_bits", "plan_anticipatory",
-    "plan_baseline", "run_admission", "run_buffer_sweep", "run_multiuser",
-    "run_single_user", "service_curve", "simulate_playback", "solve",
-    "step_buffer", "summarize_curve",
+    "VideoSpec", "build_trace", "default_video_spec", "load_config",
+    "path_loss_db", "per_prb_bits", "plan_anticipatory", "plan_baseline",
+    "run_admission", "run_buffer_sweep", "run_multiuser", "run_single_user",
+    "service_curve", "simulate_playback", "solve", "step_buffer",
+    "summarize_curve",
 ]

@@ -12,10 +12,11 @@ Exit codes: 0 success, 1 config error, 2 infeasible scenario.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 
-from .admission import AdmissionConfig, LedgerHorizonError
+from .admission import AdmissionConfig
 from .scenario import (ConfigError, ScenarioConfig, load_config,
                        run_buffer_sweep, run_multiuser, run_single_user)
 
@@ -36,13 +37,50 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_common(sub):
+def _infeasible() -> int:
+    print("scenario infeasible: no zero-outage plan exists", file=sys.stderr)
+    return EXIT_INFEASIBLE
+
+
+def _single_user(config: ScenarioConfig, args) -> int:
+    summary = run_single_user(config, args.out)
+    for key, value in summary.items():
+        print(f"{key}: {value}")
+    return EXIT_OK if summary["feasible"] else _infeasible()
+
+
+def _buffer_sweep(config: ScenarioConfig, args) -> int:
+    v = config.video.bits_per_slot
+    z_values = [k * v for k in range(args.z_max_multiple + 1)]
+    totals = run_buffer_sweep(config, z_values, args.out)["total_prb_slots"]
+    print("total_prb_slots:", " ".join(f"{t:.6g}" for t in totals))
+    # a cap with no feasible plan is reported as costing inf
+    return _infeasible() if all(map(math.isinf, totals)) else EXIT_OK
+
+
+def _multi_user(config: ScenarioConfig, args) -> int:
+    admission = AdmissionConfig(total_requests=max(args.kv),
+                                mean_interarrival_s=args.mean_interarrival,
+                                available_prbs=args.available_prbs,
+                                seed=config.seed)
+    means = run_multiuser(config, admission, args.kv, args.out,
+                          num_seeds=args.num_seeds)
+    for row in means:
+        print(f"kv={row['kv']} planner={row['planner']} "
+              f"mean_served={row['mean_served']:.3f}")
+    return EXIT_OK
+
+
+def _add_subcommand(subs, name, run, help_text):
+    sub = subs.add_parser(name, help=help_text)
+    sub.set_defaults(run=run)
     sub.add_argument("--config", help="scenario config file (INI)")
     sub.add_argument("--seed", type=int, help="override the scenario seed")
     sub.add_argument("--out", default="prebuf-out",
                      help="output directory for CSV files")
     sub.add_argument("--sigma-db", type=float,
                      help="override shadowing standard deviation")
+    return sub
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -51,18 +89,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Anticipatory buffer and spectrum allocation simulator")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    single = subs.add_parser("single-user",
-                             help="plan one user, both buffer cases")
-    _add_common(single)
+    _add_subcommand(subs, "single-user", _single_user,
+                    "plan one user, both buffer cases")
 
-    sweep = subs.add_parser("buffer-sweep",
-                            help="total spectrum versus buffer cap")
-    _add_common(sweep)
+    sweep = _add_subcommand(subs, "buffer-sweep", _buffer_sweep,
+                            "total spectrum versus buffer cap")
     sweep.add_argument("--z-max-multiple", type=int, default=10,
                        help="sweep Z from 0 to this many slots of video")
 
-    multi = subs.add_parser("multi-user", help="admission-control experiment")
-    _add_common(multi)
+    multi = _add_subcommand(subs, "multi-user", _multi_user,
+                            "admission-control experiment")
     multi.add_argument("--kv", type=int, nargs="+",
                        default=[5, 10, 20, 30, 40],
                        help="request volumes to evaluate")
@@ -83,63 +119,17 @@ def _load_scenario(args) -> ScenarioConfig:
     return config
 
 
-def _check_flags(args) -> None:
-    """Reject subcommand flags that no driver run could use."""
-    if args.command == "buffer-sweep" and args.z_max_multiple < 0:
-        raise ConfigError("--z-max-multiple must be >= 0")
-    if args.command == "multi-user":
-        if min(args.kv) < 1:
-            raise ConfigError("--kv values must be >= 1")
-        if args.num_seeds < 1:
-            raise ConfigError("--num-seeds must be >= 1")
-
-
 def main(argv=None) -> int:
+    # The one error boundary.  Bad input raises a ValueError (ConfigError
+    # and LedgerHorizonError are ones) before any output is written; an
+    # OSError names the path (--out is a file, or is not writable).  A
+    # RuntimeError is a broken invariant and keeps its traceback.
     try:
         args = build_parser().parse_args(argv)
-        _check_flags(args)
-        config = _load_scenario(args)
-        if args.command == "multi-user":
-            admission = AdmissionConfig(
-                total_requests=max(args.kv),
-                mean_interarrival_s=args.mean_interarrival,
-                available_prbs=args.available_prbs,
-                seed=config.seed,
-            )
-    except (ConfigError, OSError, ValueError) as exc:
+        return args.run(_load_scenario(args), args)
+    except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-
-    try:
-        if args.command == "single-user":
-            summary = run_single_user(config, args.out)
-        elif args.command == "buffer-sweep":
-            v = config.video.bits_per_slot
-            z_values = [k * v for k in range(args.z_max_multiple + 1)]
-            result = run_buffer_sweep(config, z_values, args.out)
-        else:
-            means = run_multiuser(config, admission, args.kv, args.out,
-                                  num_seeds=args.num_seeds)
-    except (LedgerHorizonError, OSError) as exc:
-        # an OSError names the path: --out is a file, or is not writable
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    if args.command == "single-user":
-        for key, value in summary.items():
-            print(f"{key}: {value}")
-        if not summary["feasible"]:
-            print("scenario infeasible: no zero-outage plan exists",
-                  file=sys.stderr)
-            return EXIT_INFEASIBLE
-    elif args.command == "buffer-sweep":
-        print("total_prb_slots:",
-              " ".join(f"{t:.6g}" for t in result["total_prb_slots"]))
-    else:
-        for row in means:
-            print(f"kv={row['kv']} planner={row['planner']} "
-                  f"mean_served={row['mean_served']:.3f}")
-    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -54,6 +54,20 @@ class LinkBudget:
                 raise ValueError(f"{name} must be finite")
         if self.min_bs_distance_m <= 0:
             raise ValueError("min_bs_distance_m must be positive")
+        # Finite dB values can still overflow in linear units or round to
+        # 0, and build_trace scales by the power and divides by the rest.
+        for name, source in (
+                ("per_prb_power_w", "total_power_dbm"),
+                ("noise_plus_interference_w", "noise_psd_dbm_hz, "
+                 "noise_figure_db, interference_psd_dbm_hz"),
+                ("snr_gap_linear", "snr_gap_db")):
+            try:
+                value = getattr(self, name)
+            except OverflowError:
+                value = math.inf
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} (from {source}) must be finite and "
+                                 f"positive, got {value!r}")
 
     @property
     def per_prb_power_w(self) -> float:
@@ -66,6 +80,10 @@ class LinkBudget:
         noise = dbm_to_watts(self.noise_psd_dbm_hz + self.noise_figure_db)
         interference = dbm_to_watts(self.interference_psd_dbm_hz)
         return (noise + interference) * self.prb_bandwidth_hz
+
+    @property
+    def snr_gap_linear(self) -> float:
+        return db_to_linear(self.snr_gap_db)
 
 
 def path_loss_db(distance_km: float) -> float:
@@ -164,8 +182,7 @@ def _geometry(trajectory_bytes: bytes, bs_bytes: bytes,
     xs = np.frombuffer(trajectory_bytes).tolist()
     distances = [[max(abs(x - bx), min_bs_distance_m) for x in xs]
                  for bx in np.frombuffer(bs_bytes).tolist()]
-    # -path_loss_db(d_m / 1000.0), inlined
-    path = [[-(128.1 + 37.6 * math.log10(d_m / 1000.0)) for d_m in row]
+    path = [[-path_loss_db(d_m / 1000.0) for d_m in row]
             for row in distances]
     distances, path = np.array(distances), np.array(path)
     distances.setflags(write=False)
@@ -179,8 +196,7 @@ def per_prb_bits(gain_db: float, budget: LinkBudget,
     if slot_duration_s <= 0:
         raise ValueError("slot_duration_s must be positive")
     sinr = (budget.per_prb_power_w * db_to_linear(gain_db)
-            / (db_to_linear(budget.snr_gap_db)
-               * budget.noise_plus_interference_w))
+            / (budget.snr_gap_linear * budget.noise_plus_interference_w))
     return slot_duration_s * budget.prb_bandwidth_hz * math.log2(1.0 + sinr)
 
 
@@ -278,10 +294,14 @@ def build_trace(trajectory_m, bs_positions_m, budget: LinkBudget,
 
     # Link-budget invariants, evaluated in per_prb_bits's operation order.
     power_w = budget.per_prb_power_w
-    denom = (db_to_linear(budget.snr_gap_db)
-             * budget.noise_plus_interference_w)
+    denom = budget.snr_gap_linear * budget.noise_plus_interference_w
     slot_hz = spec.slot_duration_s * budget.prb_bandwidth_hz
-    bits = [slot_hz * math.log2(1.0 + power_w * 10.0 ** (x / 10.0) / denom)
-            for x in gain.tolist()]
+    try:
+        bits = [slot_hz * math.log2(1.0 + power_w * 10.0 ** (x / 10.0)
+                                    / denom)
+                for x in gain.tolist()]
+    except OverflowError:
+        raise ValueError(f"gain_db up to {gain.max():.6g} dB overflows the "
+                         "per-PRB capacity") from None
     return ChannelTrace(spec.slot_duration_s, distance[serving, slots],
                         serving, gain, np.array(bits))

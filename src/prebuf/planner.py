@@ -4,9 +4,10 @@ The buffer recursion plus channel capacities form a small LP: variables
 x = [r_1..r_T, z_2..z_T], objective is the PRB-slots needed to deliver
 the r's, equality rows force exactly one slot of video per slot, and box
 bounds encode both the buffer cap and the residual spectrum left in each
-slot.  `build_buffer_matrix` states that LP; `plan_anticipatory` solves it
-directly as a min-cost flow on a line.  The slot-local greedy with no
-look-ahead serves as the comparison baseline.
+slot.  `plan_anticipatory` solves it directly as a min-cost flow on a
+line; the tests state it as a matrix and check the plans against LP
+solvers.  The slot-local greedy with no look-ahead serves as the
+comparison baseline.
 """
 
 from __future__ import annotations
@@ -29,23 +30,6 @@ class AllocationPlan:
     prbs: np.ndarray              # w_t = r_t / c_t, length T
     total_prb_slots: float
     feasible: bool
-
-
-def build_buffer_matrix(T: int) -> np.ndarray:
-    """Equality-constraint matrix over x = [r_1..r_T, z_2..z_T].
-
-    Row t states that received plus carried-in minus carried-out bits
-    equal one slot of video; the first and last rows have no carry-in and
-    no carry-out respectively.
-    """
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    A = np.zeros((T, 2 * T - 1))
-    A[:, :T] = np.eye(T)
-    for t in range(T - 1):
-        A[t, T + t] = -1.0       # carry-out of slot t+1
-        A[t + 1, T + t] = 1.0    # carry-in to slot t+2
-    return A
 
 
 def _check_inputs(spec: VideoSpec, trace: ChannelTrace, residual_prbs):

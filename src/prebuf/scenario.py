@@ -144,8 +144,12 @@ def load_config(path) -> ScenarioConfig:
                          exclude=subs)
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
+def _write_csv(out_dir, name, header, rows):
+    """Write out_dir/name, creating out_dir; a run that fails before it
+    writes leaves no directory behind."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with open(out_dir / name, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
@@ -159,8 +163,6 @@ def run_single_user(config: ScenarioConfig, out_dir) -> dict:
     Writes trace.csv with one row per (case, slot) and returns a summary
     with the total PRB-slots each case needs.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     trace = config.make_trace()
     video = config.video
     residual = np.full(video.num_slots, float(config.link.num_system_prbs))
@@ -189,7 +191,7 @@ def run_single_user(config: ScenarioConfig, out_dir) -> dict:
                 float(timeline.carryover_bits[t]),
                 int(timeline.outage_flags[t]),
             ])
-    _write_csv(out_dir / "trace.csv",
+    _write_csv(out_dir, "trace.csv",
                ["case", "slot", "time_s", "distance_m", "gain_db",
                 "bits_per_prb", "r_bits", "z_bits", "w_prbs",
                 "buffer_bits", "outage"],
@@ -200,15 +202,15 @@ def run_single_user(config: ScenarioConfig, out_dir) -> dict:
 def run_buffer_sweep(config: ScenarioConfig, z_values_bits, out_dir) -> dict:
     """Total required spectrum versus buffer cap; writes sweep.csv.
 
-    Reports the total both raw and normalized by the system PRB budget.
-    The sweep schedules the whole budget, so frac_of_available_prbs
-    repeats frac_of_system_prbs; it stays to keep the CSV layout.
+    Reports the total both raw and normalized by the system PRB budget;
+    a cap with no zero-outage plan costs inf in both and in the returned
+    totals.  The sweep schedules the whole budget, so
+    frac_of_available_prbs repeats frac_of_system_prbs; it stays to keep
+    the CSV layout.
     """
     z_values = list(z_values_bits)
     if not z_values or any(not z >= 0 for z in z_values):   # NaN fails
         raise ConfigError("z_values must be non-empty and >= 0")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     trace = config.make_trace()
     video = config.video
@@ -220,11 +222,11 @@ def run_buffer_sweep(config: ScenarioConfig, z_values_bits, out_dir) -> dict:
     for z in z_values:
         spec = replace(video, max_carryover_bits=float(z))
         plan = plan_anticipatory(spec, trace, residual)
-        totals.append(plan.total_prb_slots)
-        frac = plan.total_prb_slots / (T * config.link.num_system_prbs)
-        rows.append([z / video.bits_per_slot, float(z),
-                     plan.total_prb_slots, frac, frac])
-    _write_csv(out_dir / "sweep.csv",
+        total = plan.total_prb_slots if plan.feasible else math.inf
+        totals.append(total)
+        frac = total / (T * config.link.num_system_prbs)
+        rows.append([z / video.bits_per_slot, float(z), total, frac, frac])
+    _write_csv(out_dir, "sweep.csv",
                ["z_over_v", "z_bits", "total_prb_slots",
                 "frac_of_system_prbs", "frac_of_available_prbs"],
                rows)
@@ -238,14 +240,12 @@ def run_multiuser(config: ScenarioConfig, admission: AdmissionConfig,
     rows = service_curve(kv_range, config.video, config.make_trace,
                          admission, num_seeds=num_seeds)
     means = summarize_curve(rows)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     csv_rows = [[r["kv"], r["planner"], str(r["seed"]), r["admitted"],
                  r["served"], float(r["service_rate"])] for r in rows]
     csv_rows += [[r["kv"], r["planner"], "mean", "", r["mean_served"],
                   float(r["mean_service_rate"])] for r in means]
-    _write_csv(out_dir / "service_curve.csv",
+    _write_csv(out_dir, "service_curve.csv",
                ["kv", "planner", "seed", "admitted", "served",
                 "service_rate"],
                csv_rows)

@@ -1,9 +1,9 @@
 """Dense two-phase primal simplex on a standard-form tableau.
 
 The reference LP solver: the tests check the line-flow planner against it
-on the LP of `planner.build_buffer_matrix`, and check it in turn against
-a vertex enumeration and HiGHS.  Solves  min c.x  s.t.  A_eq x = b_eq,
-A_ub x <= b_ub,  0 <= x <= u.
+on the planner's LP (`build_buffer_matrix` in tests/oracles.py), and check
+it in turn against a vertex enumeration and HiGHS.  Solves  min c.x  s.t.
+A_eq x = b_eq,  A_ub x <= b_ub,  0 <= x <= u.
 
 The textbook method, in four steps:
 
@@ -77,7 +77,8 @@ class LpProblem:
                                                dtype=float)
             if self.var_upper_bounds.shape != (n,):
                 raise ValueError("var_upper_bounds length mismatch")
-            if np.any(self.var_upper_bounds < 0):
+            # +inf is no bound; NaN fails the test
+            if not np.all(self.var_upper_bounds >= 0):
                 raise ValueError("var_upper_bounds must be >= 0")
         for arr in (self.objective, self.eq_matrix, self.eq_rhs,
                     self.ub_matrix, self.ub_rhs):

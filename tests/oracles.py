@@ -4,7 +4,8 @@ These deliberately avoid the code paths they check: the LP oracle
 enumerates basic solutions geometrically instead of pivoting, and the
 planner oracle scans a one-dimensional feasible family directly.  The
 `*_numpy` and `*_loop` functions are earlier forms of fast paths, kept as
-byte-for-byte references.
+byte-for-byte references, and `build_buffer_matrix` states the planner's
+LP for the LP solvers.
 """
 
 import math
@@ -59,6 +60,23 @@ def vertex_enum_objective(problem, feas_tol=1e-7, det_tol=1e-8):
     if not np.any(feasible):
         return None
     return float(np.min(xs[feasible] @ c))
+
+
+def build_buffer_matrix(T: int) -> np.ndarray:
+    """Equality-constraint matrix over x = [r_1..r_T, z_2..z_T].
+
+    Row t states that received plus carried-in minus carried-out bits
+    equal one slot of video; the first and last rows have no carry-in and
+    no carry-out respectively.
+    """
+    if T < 1:
+        raise ValueError("T must be >= 1")
+    A = np.zeros((T, 2 * T - 1))
+    A[:, :T] = np.eye(T)
+    for t in range(T - 1):
+        A[t, T + t] = -1.0       # carry-out of slot t+1
+        A[t + 1, T + t] = 1.0    # carry-in to slot t+2
+    return A
 
 
 def two_slot_plan_objective(c_bits, v_bits, z_cap_bits, grid=200_001):

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from prebuf import (ChannelTrace, LinkBudget, LpProblem, VideoSpec,
-                    build_buffer_matrix, build_trace, plan_anticipatory,
-                    plan_baseline, simulate_playback, solve)
+                    build_trace, plan_anticipatory, plan_baseline,
+                    simulate_playback, solve)
 
-from oracles import plan_anticipatory_numpy, two_slot_plan_objective
+from oracles import (build_buffer_matrix, plan_anticipatory_numpy,
+                     two_slot_plan_objective)
 
 V = 250_000.0
 

@@ -1,12 +1,12 @@
 import csv
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
 
 from prebuf import (AdmissionConfig, ConfigError, ScenarioConfig,
-                    ShadowingConfig, load_config, run_buffer_sweep,
-                    run_multiuser, run_single_user)
+                    ShadowingConfig, default_video_spec, load_config,
+                    run_buffer_sweep, run_multiuser, run_single_user)
 from prebuf.cli import main
 
 V = 250_000.0
@@ -258,6 +258,24 @@ class TestBufferSweep:
         assert not out.exists()
 
 
+    def test_infeasible_cap_costs_inf(self, tmp_path):
+        # V = 1e7 exceeds the worst slot's 50-PRB capacity (9.2e6 bits),
+        # so Z = 0 has no plan; one slot of buffer already has one
+        v = 1e7
+        cfg = ScenarioConfig(
+            video=replace(default_video_spec(), bits_per_slot=v),
+            shadowing=ShadowingConfig(sigma_db=0.0))
+        totals = run_buffer_sweep(cfg, [0.0, v, 2 * v],
+                                  tmp_path)["total_prb_slots"]
+        assert totals[0] == np.inf
+        assert np.all(np.isfinite(totals[1:]))
+        rows = read_csv(tmp_path / "sweep.csv")
+        assert [rows[0][k] for k in ("total_prb_slots", "frac_of_system_prbs",
+                                     "frac_of_available_prbs")] \
+            == ["inf"] * 3
+        assert float(rows[1]["total_prb_slots"]) == pytest.approx(totals[1])
+
+
 class TestMultiUser:
     def test_csv_and_dominance(self, tmp_path):
         cfg = ScenarioConfig(seed=0)
@@ -332,6 +350,24 @@ class TestCli:
         assert "feasible: False" in captured.out
         assert (tmp_path / "trace.csv").exists()
 
+    @pytest.mark.parametrize("bits_per_slot, rc, printed", [
+        ("1e7", 0, "total_prb_slots: inf 3471.61 3437.23\n"),
+        ("1e9", 2, "total_prb_slots: inf inf inf\n"),
+    ], ids=["partly-feasible", "none-feasible"])
+    def test_buffer_sweep_infeasible_exit_code(self, tmp_path, capsys,
+                                               bits_per_slot, rc, printed):
+        cfg = tmp_path / "heavy.ini"
+        cfg.write_text(f"[video]\nbits_per_slot = {bits_per_slot}\n")
+        out = tmp_path / "out"
+        assert main(["buffer-sweep", "--config", str(cfg), "--sigma-db", "0",
+                     "--z-max-multiple", "2", "--out", str(out)]) == rc
+        captured = capsys.readouterr()
+        assert captured.out == printed
+        assert ("scenario infeasible" in captured.err) == (rc == 2)
+        rows = read_csv(out / "sweep.csv")
+        assert rows[0]["total_prb_slots"] == "inf"
+        assert len(rows) == 3
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["multi-user", "--help"])
@@ -383,6 +419,29 @@ class TestCli:
         assert rc == 1
         assert err.startswith("config error: ")
         assert named in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, flags, named", [
+        ("[link]\ntotal_power_dbm = 4000\n", [], "total_power_dbm"),
+        ("[link]\ntotal_power_dbm = -4000\n", [], "total_power_dbm"),
+        ("[link]\nsnr_gap_db = 4000\n", [], "snr_gap_db"),
+        ("[link]\nnoise_psd_dbm_hz = -4000\n"
+         "interference_psd_dbm_hz = -4000\n", [], "noise_psd_dbm_hz"),
+        ("", ["--sigma-db", "1e4"], "gain_db"),
+    ], ids=["power-overflow", "power-underflow", "snr-gap-overflow",
+            "zero-noise", "sigma-1e4"])
+    def test_extreme_link_budget_exit_code(self, tmp_path, capsys, text,
+                                           flags, named):
+        ini = tmp_path / "link.ini"
+        ini.write_text(text)
+        out = tmp_path / "out"
+        rc = main(["single-user", "--config", str(ini), *flags,
+                   "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("config error: ")
+        assert named in err
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_missing_config_file_exit_code(self, tmp_path):

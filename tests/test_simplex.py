@@ -123,6 +123,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             LpProblem(objective=[1.0], var_upper_bounds=[-1.0])
 
+    def test_nan_upper_bound_rejected(self):
+        with pytest.raises(ValueError, match="var_upper_bounds"):
+            LpProblem(objective=[-1.0], var_upper_bounds=[np.nan])
+        # +inf is no bound and stays legal
+        sol = solve(LpProblem(objective=[-1.0], var_upper_bounds=[np.inf]))
+        assert sol.status == "unbounded"
+
     def test_nonfinite_data_rejected(self):
         with pytest.raises(ValueError):
             LpProblem(objective=[np.inf])
