@@ -125,9 +125,9 @@ def run_admission(config: AdmissionConfig, video: VideoSpec,
                                              False, None, 0))
             continue
         window -= plan.prbs
-        if np.any(window < -1e-7):
+        if window.min() < -1e-7:
             raise RuntimeError("spectrum ledger driven negative")
-        np.clip(window, 0.0, None, out=window)   # drop rounding dust
+        np.maximum(window, 0.0, out=window)      # drop rounding dust
         timeline = simulate_playback(plan.received_bits, video)
         log.records.append(RequestRecord(float(arrival_times[k]), a, True,
                                          plan, timeline.num_outages))
@@ -151,6 +151,16 @@ def _shared(make_trace: TraceFactory) -> TraceFactory:
     return trace
 
 
+def check_kv_values(kv_values) -> list:
+    """The request volumes as a list; each must be an integer >= 1."""
+    kv_values = list(kv_values)
+    if not kv_values:
+        raise ValueError("kv_values must be non-empty")
+    for kv in kv_values:
+        check_int(kv, "kv", 1)
+    return kv_values
+
+
 def service_curve(kv_values, video: VideoSpec, make_trace: TraceFactory,
                   base_config: AdmissionConfig, num_seeds: int = 10,
                   planner_kinds=PLANNER_KINDS) -> list[dict]:
@@ -167,11 +177,7 @@ def service_curve(kv_values, video: VideoSpec, make_trace: TraceFactory,
     once per seed and shared by the planners.  Rows are ordered by kv (as
     given, duplicates kept), then planner, then seed.
     """
-    kv_values = list(kv_values)
-    if not kv_values:
-        raise ValueError("kv_values must be non-empty")
-    for kv in kv_values:
-        check_int(kv, "kv", 1)
+    kv_values = check_kv_values(kv_values)
     check_int(num_seeds, "num_seeds", 1)
     seeds = [base_config.seed + i for i in range(num_seeds)]
     outcomes = {}                   # (planner, seed) -> [(admitted, served)]

@@ -16,7 +16,7 @@ import math
 import sys
 from dataclasses import replace
 
-from .admission import AdmissionConfig
+from .admission import AdmissionConfig, check_kv_values
 from .scenario import (ConfigError, ScenarioConfig, load_config,
                        run_buffer_sweep, run_multiuser, run_single_user)
 
@@ -59,11 +59,13 @@ def _buffer_sweep(config: ScenarioConfig, args) -> int:
 
 
 def _multi_user(config: ScenarioConfig, args) -> int:
-    admission = AdmissionConfig(total_requests=max(args.kv),
+    # checked first, so a bad kv is not reported as total_requests
+    kv_values = check_kv_values(args.kv)
+    admission = AdmissionConfig(total_requests=max(kv_values),
                                 mean_interarrival_s=args.mean_interarrival,
                                 available_prbs=args.available_prbs,
                                 seed=config.seed)
-    means = run_multiuser(config, admission, args.kv, args.out,
+    means = run_multiuser(config, admission, kv_values, args.out,
                           num_seeds=args.num_seeds)
     for row in means:
         print(f"kv={row['kv']} planner={row['planner']} "

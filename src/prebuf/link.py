@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import check_int
+from ._checks import all_finite, check_int
 from .playout import VideoSpec
 
 
@@ -225,8 +225,8 @@ class ChannelTrace:
         for name in ("serving_bs", "gain_db", "bits_per_prb"):
             if len(getattr(self, name)) != n:
                 raise ValueError(f"{name} length mismatch")
-        bits = self.bits_per_prb
-        if not (np.all(np.isfinite(bits)) and np.all(bits > 0)):
+        # >= the least positive float is > 0
+        if not all_finite(self.bits_per_prb, math.ulp(0.0)):
             raise ValueError("bits_per_prb must be finite and positive")
 
     @property
@@ -266,12 +266,12 @@ def build_trace(trajectory_m, bs_positions_m, budget: LinkBudget,
         raise ValueError(
             f"trajectory has {trajectory_m.size} slots, video needs "
             f"{spec.num_slots}")
-    if not np.all(np.isfinite(trajectory_m)):
+    if not all_finite(trajectory_m):
         raise ValueError("trajectory positions must be finite")
     bs_positions_m = np.asarray(bs_positions_m, dtype=float)
     if bs_positions_m.size == 0:
         raise ValueError("need at least one BS position")
-    if not np.all(np.isfinite(bs_positions_m)):
+    if not all_finite(bs_positions_m):
         raise ValueError("BS positions must be finite")
 
     ss = seed if isinstance(seed, np.random.SeedSequence) \

@@ -17,6 +17,7 @@ from math import inf
 
 import numpy as np
 
+from ._checks import all_finite
 from .link import ChannelTrace
 from .playout import VideoSpec
 
@@ -40,8 +41,14 @@ def _check_inputs(spec: VideoSpec, trace: ChannelTrace, residual_prbs):
             f"{spec.num_slots}")
     if residual.shape != (spec.num_slots,):
         raise ValueError("residual_prbs length mismatch")
-    if not (np.all(np.isfinite(residual)) and np.all(residual >= 0)):
+    if not all_finite(residual, 0.0):
         raise ValueError("residual_prbs must be finite and non-negative")
+    # The planners take the supply bits_per_prb * residual_prbs of each
+    # slot.  Both factors are finite and >= 0, so the product of their
+    # maxima, in Python floats (no numpy overflow warning), bounds it.
+    if float(residual.max()) * float(trace.bits_per_prb.max()) == inf:
+        raise ValueError("residual_prbs too large: its supply "
+                         "residual_prbs * bits_per_prb overflows")
     return residual
 
 
@@ -120,7 +127,7 @@ def plan_baseline(spec: VideoSpec, trace: ChannelTrace,
     residual = _check_inputs(spec, trace, residual_prbs)
     cap_bits = trace.bits_per_prb * residual
     r = np.minimum(spec.bits_per_slot, cap_bits)
-    short = np.any(r < spec.bits_per_slot)
+    short = r.min() < spec.bits_per_slot
     prbs = r / trace.bits_per_prb
     return AllocationPlan(r, np.zeros(spec.num_slots - 1), prbs,
                           float(prbs.sum()), not bool(short))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import check_int
+from ._checks import all_finite, check_int
 
 
 @dataclass(frozen=True)
@@ -84,27 +84,32 @@ def simulate_playback(plan_received, spec: VideoSpec) -> BufferTimeline:
     if received.shape != (spec.num_slots,):
         raise ValueError(
             f"plan has {received.size} slots, expected {spec.num_slots}")
-    if not (np.all(np.isfinite(received)) and np.all(received >= 0)):
+    if not all_finite(received, 0.0):
         raise ValueError("received bits must be finite and non-negative")
 
-    # step_buffer's recursion, inlined; the inputs are checked above.
+    # step_buffer's recursion, inlined; the inputs are checked above.  The
+    # pass keeps only the carry and the stalled slots: a slot plays v
+    # unless it stalls, so played bits and outage flags follow from those.
     v = spec.bits_per_slot
     need = v * (1.0 - 1e-9)
-    carry, played, outage = [], [], []
+    carry = [0.0] * spec.num_slots
+    stalls = []
     z = 0.0
-    for r in received.tolist():
-        carry.append(z)
+    for t, r in enumerate(received.tolist()):
+        carry[t] = z
         total = r + z
         if total >= need:
-            z = max(total - v, 0.0)
-            played.append(v)
-            outage.append(False)
+            # max(total - v, 0.0), without the cost of a builtin call
+            z = total - v
+            if z < 0.0:
+                z = 0.0
         else:
             z = total
-            played.append(0.0)
-            outage.append(True)
+            stalls.append(t)
     carry = np.array(carry)
+    outage = np.zeros(spec.num_slots, dtype=bool)
+    outage[stalls] = True
     limit = spec.max_carryover_bits + 1e-6 * v
-    exceeded = bool(np.any(carry > limit)) or z > limit
-    return BufferTimeline(received, carry, np.array(played, dtype=float),
-                          np.array(outage), exceeded)
+    exceeded = bool(carry.max() > limit) or z > limit
+    return BufferTimeline(received, carry, np.where(outage, 0.0, v),
+                          outage, exceeded)

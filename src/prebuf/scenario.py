@@ -161,7 +161,8 @@ def run_single_user(config: ScenarioConfig, out_dir) -> dict:
     """Single-user proof of concept: anticipatory vs zero-buffer plan.
 
     Writes trace.csv with one row per (case, slot) and returns a summary
-    with the total PRB-slots each case needs.
+    with the total PRB-slots each case needs (inf if it has no
+    zero-outage plan).
     """
     trace = config.make_trace()
     video = config.video
@@ -177,7 +178,9 @@ def run_single_user(config: ScenarioConfig, out_dir) -> dict:
     summary = {"feasible": True}
     for name, plan in cases.items():
         timeline = simulate_playback(plan.received_bits, video)
-        summary[f"{name}_total_prb_slots"] = plan.total_prb_slots
+        # an infeasible plan costs inf, as in run_buffer_sweep
+        summary[f"{name}_total_prb_slots"] = (
+            plan.total_prb_slots if plan.feasible else math.inf)
         summary[f"{name}_outages"] = timeline.num_outages
         summary["feasible"] &= plan.feasible
         for t in range(video.num_slots):

@@ -257,14 +257,17 @@ class TestBuildTrace:
         assert gain[95] == -74.5240530147613
 
     @pytest.mark.parametrize("traj, bss, name", [
-        ([10.0, math.nan, 30.0], [0.0], "trajectory"),
-        ([10.0, 20.0, math.inf], [0.0], "trajectory"),
-        ([10.0, 20.0, 30.0], [0.0, math.inf], "BS"),
-        ([10.0, 20.0, 30.0], [math.nan], "BS"),
+        ([10.0, math.nan, 30.0], [0.0, 200.0, 550.0], "trajectory"),
+        ([10.0, 20.0, math.inf], [0.0, 200.0, 550.0], "trajectory"),
+        ([10.0, 20.0, 30.0], [0.0, 200.0, -math.inf], "BS"),
+        ([10.0, 20.0, 30.0], [math.nan, 200.0, 550.0], "BS"),
     ])
     def test_nonfinite_positions_rejected(self, traj, bss, name):
-        with pytest.raises(ValueError, match=name):
-            build_trace(traj, bss, LinkBudget(), small_video(3), seed=0)
+        # each rotation puts the bad value first, in the middle and last
+        for shift in range(3):
+            with pytest.raises(ValueError, match=name):
+                build_trace(np.roll(traj, shift), np.roll(bss, shift),
+                            LinkBudget(), small_video(3), seed=0)
 
     def test_empty_trajectory_rejected(self):
         with pytest.raises(ValueError):
@@ -438,12 +441,14 @@ class TestChannelTraceValidation:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
     def test_bad_capacity_rejected(self, bad):
-        with pytest.raises(ValueError):
-            ChannelTrace(slot_duration_s=1 / 6,
-                         distances_m=np.full(3, 100.0),
-                         serving_bs=np.zeros(3, dtype=int),
-                         gain_db=np.zeros(3),
-                         bits_per_prb=np.array([3e5, bad, 3e5]))
+        for slot in (0, 1, 2):                  # first, middle and last
+            bits = np.full(3, 3e5)
+            bits[slot] = bad
+            with pytest.raises(ValueError, match="bits_per_prb"):
+                ChannelTrace(slot_duration_s=1 / 6,
+                             distances_m=np.full(3, 100.0),
+                             serving_bs=np.zeros(3, dtype=int),
+                             gain_db=np.zeros(3), bits_per_prb=bits)
 
 
 class TestLinkBudgetValidation:

@@ -149,9 +149,20 @@ class TestPlanAnticipatory:
     @pytest.mark.parametrize("plan", [plan_anticipatory, plan_baseline])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
     def test_nonfinite_or_negative_residual_rejected(self, plan, bad):
-        trace = trace_from_capacity([8e5] * 4)
-        with pytest.raises(ValueError):
-            plan(make_spec(4, V), trace, [50.0, bad, 50.0, 50.0])
+        trace = trace_from_capacity([8e5] * 5)
+        for slot in (0, 2, 4):                  # first, middle and last
+            residual = np.full(5, 50.0)
+            residual[slot] = bad
+            with pytest.raises(ValueError, match="residual_prbs"):
+                plan(make_spec(5, V), trace, residual)
+
+    @pytest.mark.parametrize("plan", [plan_anticipatory, plan_baseline])
+    def test_overflowing_supply_rejected(self, plan):
+        # finite residual and capacity whose product is not; rejected
+        # before the multiply, so numpy warns nothing
+        trace = trace_from_capacity([8e5, 1e3, 8e5])
+        with pytest.raises(ValueError, match="residual_prbs"):
+            plan(make_spec(3, V), trace, [50.0, 1e308, 50.0])
 
     def test_length_mismatch_rejected(self):
         trace = trace_from_capacity([8e5] * 4)

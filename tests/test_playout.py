@@ -73,9 +73,11 @@ class TestSimulatePlayback:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
     def test_nonfinite_or_negative_received_rejected(self, bad):
-        received = [V, bad, V]
-        with pytest.raises(ValueError):
-            simulate_playback(received, spec_for(received))
+        for slot in (0, 2, 4):                  # first, middle and last
+            received = [V] * 5
+            received[slot] = bad
+            with pytest.raises(ValueError, match="received bits"):
+                simulate_playback(received, spec_for(received))
 
     def test_carryover_cap_violation_flagged_not_clipped(self):
         received = [3 * V, 0.0, 0.0]
@@ -150,15 +152,20 @@ class TestPlaybackAgainstStepBuffer:
         assert outages > 0
 
     @given(st.lists(st.floats(min_value=0, max_value=4 * V),
-                    min_size=1, max_size=12))
-    @example([V * (1.0 - 1e-9), 0.0, 2.5 * V])    # exactly at the slack
-    def test_hand_made_plans_bit_identical(self, received):
-        spec = spec_for(received, z_cap=V)
+                    min_size=1, max_size=12),
+           st.sampled_from([0.0, V, np.inf]))
+    @example([V * (1.0 - 1e-9), 0.0, 2.5 * V], V)   # exactly at the slack
+    @example([4 * V, 4 * V, 0.0, 4 * V], np.inf)    # unbounded buffer
+    @example([1.5 * V, 0.5 * V, 0.0], V)      # slot 2's total is exactly V
+    def test_hand_made_plans_bit_identical(self, received, z_cap):
+        spec = spec_for(received, z_cap=z_cap)
         timeline = simulate_playback(received, spec)
         carry, played, outage, exceeded = fold_step_buffer(received, spec)
-        assert np.array_equal(timeline.carryover_bits, carry)
-        assert np.array_equal(timeline.played_bits, played)
-        assert np.array_equal(timeline.outage_flags, outage)
+        for got, want in ((timeline.carryover_bits, carry),
+                          (timeline.played_bits, played),
+                          (timeline.outage_flags, outage)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
         assert timeline.carryover_limit_exceeded == exceeded
 
 

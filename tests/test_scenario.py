@@ -350,6 +350,16 @@ class TestCli:
         assert "feasible: False" in captured.out
         assert (tmp_path / "trace.csv").exists()
 
+    def test_infeasible_totals_printed_as_inf(self, tmp_path, capsys):
+        cfg = tmp_path / "heavy.ini"
+        cfg.write_text("[video]\nbits_per_slot = 1e9\n")
+        rc = main(["single-user", "--config", str(cfg),
+                   "--out", str(tmp_path)])
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == 2
+        assert "anticipatory_total_prb_slots: inf" in lines
+        assert "zero_buffer_total_prb_slots: inf" in lines
+
     @pytest.mark.parametrize("bits_per_slot, rc, printed", [
         ("1e7", 0, "total_prb_slots: inf 3471.61 3437.23\n"),
         ("1e9", 2, "total_prb_slots: inf inf inf\n"),
@@ -398,6 +408,28 @@ class TestCli:
         assert rc == 1
         assert err.startswith("config error: ")
         assert "ledger limit" in err
+        assert not out.exists()
+
+    def test_huge_available_prbs_exit_code(self, tmp_path, capsys):
+        # the supply bits_per_prb * 1e308 overflows; rejected, not warned
+        out = tmp_path / "out"
+        rc = main(["multi-user", "--available-prbs", "1e308", "--kv", "2",
+                   "--num-seeds", "1", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("config error: ")
+        assert "residual_prbs" in err
+        assert "Warning" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kv", [["0"], ["-3"]])
+    def test_bad_kv_named_in_error(self, tmp_path, capsys, kv):
+        out = tmp_path / "out"
+        rc = main(["multi-user", "--kv", *kv, "--num-seeds", "1",
+                   "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("config error: kv must be")
         assert not out.exists()
 
     @pytest.mark.parametrize("text, named", [
