@@ -33,7 +33,9 @@ class AllocationPlan:
     feasible: bool
 
 
-def _check_inputs(spec: VideoSpec, trace: ChannelTrace, residual_prbs):
+def _supply_bits(spec: VideoSpec, trace: ChannelTrace,
+                 residual_prbs) -> np.ndarray:
+    """Check the inputs; return each slot's supply bits_per_prb * residual."""
     residual = np.asarray(residual_prbs, dtype=float)
     if trace.num_slots != spec.num_slots:
         raise ValueError(
@@ -43,13 +45,14 @@ def _check_inputs(spec: VideoSpec, trace: ChannelTrace, residual_prbs):
         raise ValueError("residual_prbs length mismatch")
     if not all_finite(residual, 0.0):
         raise ValueError("residual_prbs must be finite and non-negative")
-    # The planners take the supply bits_per_prb * residual_prbs of each
-    # slot.  Both factors are finite and >= 0, so the product of their
-    # maxima, in Python floats (no numpy overflow warning), bounds it.
-    if float(residual.max()) * float(trace.bits_per_prb.max()) == inf:
+    # Both factors are finite and >= 0, so a product is inf only where
+    # it overflowed; that is reported here rather than warned by numpy.
+    with np.errstate(over="ignore"):
+        supply = trace.bits_per_prb * residual
+    if supply.max() == inf:
         raise ValueError("residual_prbs too large: its supply "
                          "residual_prbs * bits_per_prb overflows")
-    return residual
+    return supply
 
 
 def _infeasible_plan(T: int) -> AllocationPlan:
@@ -75,12 +78,11 @@ def plan_anticipatory(spec: VideoSpec, trace: ChannelTrace,
     augmentation is O(t).  The float operations are those of the earlier
     numpy form, in the same order, so plans are byte-identical to it.
     """
-    residual = _check_inputs(spec, trace, residual_prbs)
+    supply = _supply_bits(spec, trace, residual_prbs).tolist()
     T, V = spec.num_slots, spec.bits_per_slot
     z_max = spec.max_carryover_bits
     c = trace.bits_per_prb
     cs = c.tolist()
-    supply = (c * residual).tolist()
     received = [0.0] * T
     carry = [0.0] * (T - 1)            # bits on the arc from slot s to s+1
     tol = 1e-12 * V       # rounding only, far inside playback's 1e-9 V
@@ -124,8 +126,7 @@ def plan_baseline(spec: VideoSpec, trace: ChannelTrace,
     truncated to the spectrum still available.  Short slots surface as
     outages in simulation; the plan is marked infeasible if any occurred.
     """
-    residual = _check_inputs(spec, trace, residual_prbs)
-    cap_bits = trace.bits_per_prb * residual
+    cap_bits = _supply_bits(spec, trace, residual_prbs)
     r = np.minimum(spec.bits_per_slot, cap_bits)
     short = r.min() < spec.bits_per_slot
     prbs = r / trace.bits_per_prb

@@ -259,8 +259,10 @@ class TestBuildTrace:
     @pytest.mark.parametrize("traj, bss, name", [
         ([10.0, math.nan, 30.0], [0.0, 200.0, 550.0], "trajectory"),
         ([10.0, 20.0, math.inf], [0.0, 200.0, 550.0], "trajectory"),
-        ([10.0, 20.0, 30.0], [0.0, 200.0, -math.inf], "BS"),
+        ([10.0, 20.0, 30.0], [0.0, 200.0, math.inf], "BS"),
         ([10.0, 20.0, 30.0], [math.nan, 200.0, 550.0], "BS"),
+        ([10.0, 20.0, 30.0], [0.0, 200.0, -math.inf], "BS"),
+        ([-math.inf, 20.0, 30.0], [0.0, 200.0, 550.0], "trajectory"),
     ])
     def test_nonfinite_positions_rejected(self, traj, bss, name):
         # each rotation puts the bad value first, in the middle and last

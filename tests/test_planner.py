@@ -158,11 +158,20 @@ class TestPlanAnticipatory:
 
     @pytest.mark.parametrize("plan", [plan_anticipatory, plan_baseline])
     def test_overflowing_supply_rejected(self, plan):
-        # finite residual and capacity whose product is not; rejected
-        # before the multiply, so numpy warns nothing
+        # finite residual and capacity whose product is not; rejected,
+        # and the suite's warnings-as-errors shows numpy warns nothing
         trace = trace_from_capacity([8e5, 1e3, 8e5])
         with pytest.raises(ValueError, match="residual_prbs"):
             plan(make_spec(3, V), trace, [50.0, 1e308, 50.0])
+
+    @pytest.mark.parametrize("plan", [plan_anticipatory, plan_baseline])
+    def test_large_factors_in_different_slots_planned(self, plan):
+        # max(residual) * max(capacity) overflows, yet every slot's own
+        # supply (1e308 and 1e6 bits) is finite, so the plan goes ahead
+        trace = trace_from_capacity([1.0, 1e6])
+        p = plan(make_spec(2, 0.0), trace, [1e308, 1.0])
+        assert p.feasible
+        assert p.received_bits.tolist() == [V, V]
 
     def test_length_mismatch_rejected(self):
         trace = trace_from_capacity([8e5] * 4)
