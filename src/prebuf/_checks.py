@@ -9,15 +9,23 @@ import sys
 import numpy as np
 
 
-def check_int(value, name: str, minimum: int) -> None:
-    """Reject anything but an integer >= minimum (bools and floats too).
+# Largest count input (slots, requests, seeds, sweep points): each one
+# sizes a list or an array, so it is bounded before anything is built.
+MAX_COUNT = 2 ** 20
+
+
+def check_int(value, name: str, minimum: int, maximum: int | None = None
+              ) -> None:
+    """Reject anything but an integer in [minimum, maximum] (bools and
+    floats too); no maximum by default.
 
     numpy integers pass; NaN, inf and fractions do not.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
-            or value < minimum:
-        raise ValueError(
-            f"{name} must be an integer >= {minimum}, got {value!r}")
+            or value < minimum or (maximum is not None and value > maximum):
+        bound = (f">= {minimum}" if maximum is None
+                 else f"in [{minimum}, {maximum}]")
+        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
 
 
 def all_finite(x: np.ndarray, lo: float = -sys.float_info.max) -> bool:

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._checks import check_int
+from ._checks import MAX_COUNT, check_int
 from .link import ChannelTrace
 from .planner import AllocationPlan, plan_anticipatory, plan_baseline
 from .playout import VideoSpec, simulate_playback
@@ -41,7 +41,7 @@ class AdmissionConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        check_int(self.total_requests, "total_requests", 1)
+        check_int(self.total_requests, "total_requests", 1, MAX_COUNT)
         if not math.isfinite(self.mean_interarrival_s) \
                 or self.mean_interarrival_s <= 0:
             raise ValueError("mean_interarrival_s must be positive and finite")
@@ -152,12 +152,12 @@ def _shared(make_trace: TraceFactory) -> TraceFactory:
 
 
 def check_kv_values(kv_values) -> list:
-    """The request volumes as a list; each must be an integer >= 1."""
+    """The request volumes as a list; each an integer in [1, MAX_COUNT]."""
     kv_values = list(kv_values)
     if not kv_values:
         raise ValueError("kv_values must be non-empty")
     for kv in kv_values:
-        check_int(kv, "kv", 1)
+        check_int(kv, "kv", 1, MAX_COUNT)
     return kv_values
 
 
@@ -178,7 +178,7 @@ def service_curve(kv_values, video: VideoSpec, make_trace: TraceFactory,
     given, duplicates kept), then planner, then seed.
     """
     kv_values = check_kv_values(kv_values)
-    check_int(num_seeds, "num_seeds", 1)
+    check_int(num_seeds, "num_seeds", 1, MAX_COUNT)
     seeds = [base_config.seed + i for i in range(num_seeds)]
     outcomes = {}                   # (planner, seed) -> [(admitted, served)]
     for seed in seeds:

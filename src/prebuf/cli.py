@@ -16,6 +16,7 @@ import math
 import sys
 from dataclasses import replace
 
+from ._checks import MAX_COUNT, check_int
 from .admission import AdmissionConfig, check_kv_values
 from .scenario import (ConfigError, ScenarioConfig, load_config,
                        run_buffer_sweep, run_multiuser, run_single_user)
@@ -50,6 +51,7 @@ def _single_user(config: ScenarioConfig, args) -> int:
 
 
 def _buffer_sweep(config: ScenarioConfig, args) -> int:
+    check_int(args.z_max_multiple, "--z-max-multiple", 0, MAX_COUNT)
     v = config.video.bits_per_slot
     z_values = [k * v for k in range(args.z_max_multiple + 1)]
     totals = run_buffer_sweep(config, z_values, args.out)["total_prb_slots"]

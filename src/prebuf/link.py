@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,6 +87,10 @@ class LinkBudget:
         return db_to_linear(self.snr_gap_db)
 
 
+# Largest shadowing sigma_db whose square, the field's variance, is finite.
+MAX_SIGMA_DB = math.sqrt(sys.float_info.max)
+
+
 def path_loss_db(distance_km: float) -> float:
     """Outdoor macro path loss, distance in kilometers."""
     if distance_km <= 0:
@@ -105,8 +110,9 @@ class ShadowingField:
 
     def __init__(self, sigma_db: float, decorrelation_m: float,
                  rng: np.random.Generator):
-        if not (math.isfinite(sigma_db) and sigma_db >= 0):
-            raise ValueError("sigma_db must be finite and >= 0")
+        if not 0 <= sigma_db <= MAX_SIGMA_DB:      # NaN fails too
+            raise ValueError(f"sigma_db must be in [0, {MAX_SIGMA_DB:.6g}], "
+                             f"got {sigma_db!r}")
         if not decorrelation_m >= 0:                # NaN fails too
             raise ValueError("decorrelation_m must be >= 0")
         self.sigma_db = sigma_db

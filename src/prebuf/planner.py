@@ -12,6 +12,7 @@ comparison baseline.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from math import inf
 
@@ -70,13 +71,20 @@ def plan_anticipatory(spec: VideoSpec, trace: ChannelTrace,
     shortest augmenting path, and successive shortest paths are optimal
     (Ahuja, Magnanti and Orlin, Network Flows, ch. 9).
 
-    Each augmentation is one backward scan from t over Python lists.  It
-    tracks h, the least headroom on the carry-over arcs passed so far, so
-    slot s can supply min(supply_s, h); slot t itself crosses no arc.  A
-    strict > keeps the latest of tied slots.  The scan stops as soon as h
-    is spent, since no earlier slot can then be reached, so the work per
-    augmentation is O(t).  The float operations are those of the earlier
-    numpy form, in the same order, so plans are byte-identical to it.
+    The search is a window queue over Python lists.  The window is the
+    slots after the edge, the latest saturated carry-over arc (headroom
+    z_max - carry <= tol); carries only grow, so the edge only moves
+    right, and with Z <= tol the window is slot t alone.  In the window a
+    slot can supply bits iff its supply > tol, so the best slot is the
+    front of a queue of live slots with strictly falling c; a new slot
+    pops the back while c[back] <= c[new], so the latest tie wins.  Float
+    subtraction rounds monotonically, so z_max - max(carry[best:t]) is
+    exactly the least headroom on the path, and z_max - (top + amount)
+    <= tol exactly tells that the update saturated an arc.  Only the
+    front's supply changes, so only the front can run out; the queue is
+    then rebuilt from the window's live slots.  amount, supply, carry and
+    received take the float operations of the earlier numpy form in the
+    same order, so plans are byte-identical to it.
     """
     supply = _supply_bits(spec, trace, residual_prbs).tolist()
     T, V = spec.num_slots, spec.bits_per_slot
@@ -86,31 +94,46 @@ def plan_anticipatory(spec: VideoSpec, trace: ChannelTrace,
     received = [0.0] * T
     carry = [0.0] * (T - 1)            # bits on the arc from slot s to s+1
     tol = 1e-12 * V       # rounding only, far inside playback's 1e-9 V
+    window = deque()      # live slots after the edge, c strictly falling
+    edge = -1             # latest saturated carry-over arc
     for t in range(T):
+        if z_max <= tol:               # every arc is saturated from the start
+            window.clear()
+            edge = t - 1
+        if supply[t] > tol:
+            while window and cs[window[-1]] <= cs[t]:
+                window.pop()
+            window.append(t)
         need = V
         while need > tol:
-            best, best_c, best_avail = -1, 0.0, 0.0
-            if supply[t] > tol:
-                best, best_c, best_avail = t, cs[t], supply[t]
-            h = inf
-            for s in range(t - 1, -1, -1):
-                headroom = z_max - carry[s]
-                if headroom < h:
-                    h = headroom
-                    if h <= tol:
-                        break
-                if cs[s] > best_c:
-                    avail = supply[s] if supply[s] < h else h
-                    if avail > tol:
-                        best, best_c, best_avail = s, cs[s], avail
-            if best < 0:
+            if not window:
                 return _infeasible_plan(T)
-            amount = min(need, best_avail)
+            best = window[0]
+            if best < t:
+                top = max(carry[best:t])
+                h = z_max - top
+                avail = supply[best] if supply[best] < h else h
+            else:
+                avail = supply[t]
+            amount = need if need < avail else avail
             supply[best] -= amount
             for k in range(best, t):
                 carry[k] += amount
             received[best] += amount
             need -= amount
+            if best < t and z_max - (top + amount) <= tol:
+                edge = t - 1
+                while z_max - carry[edge] > tol:
+                    edge -= 1
+                while window and window[0] <= edge:
+                    window.popleft()
+            if supply[best] <= tol:    # the front ran out: rebuild
+                window.clear()
+                for s in range(edge + 1, t + 1):
+                    if supply[s] > tol:
+                        while window and cs[window[-1]] <= cs[s]:
+                            window.pop()
+                        window.append(s)
     received = np.array(received)
     prbs = received / c
     return AllocationPlan(received, np.array(carry), prbs,

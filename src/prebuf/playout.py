@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import all_finite, check_int
+from ._checks import MAX_COUNT, all_finite, check_int
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,7 @@ class VideoSpec:
             value = getattr(self, name)
             if not math.isfinite(value) or value <= 0:
                 raise ValueError(f"{name} must be positive and finite")
-        check_int(self.num_slots, "num_slots", 1)
+        check_int(self.num_slots, "num_slots", 1, MAX_COUNT)
         # an infinite cap is legal and means an unbounded buffer
         if math.isnan(self.max_carryover_bits) \
                 or self.max_carryover_bits < 0:

@@ -19,7 +19,7 @@ import numpy as np
 
 from ._checks import check_int
 from .admission import AdmissionConfig, service_curve, summarize_curve
-from .link import ChannelTrace, LinkBudget, build_trace
+from .link import MAX_SIGMA_DB, ChannelTrace, LinkBudget, build_trace
 # plan_baseline is unused here but kept as a module attribute: the
 # benchmark tracer patches prebuf.scenario.plan_baseline by name.
 from .planner import plan_anticipatory, plan_baseline  # noqa: F401
@@ -38,8 +38,10 @@ class ShadowingConfig:
     decorrelation_m: float = 50.0
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.sigma_db) or self.sigma_db < 0:
-            raise ConfigError("shadowing.sigma_db must be finite and >= 0")
+        if not 0 <= self.sigma_db <= MAX_SIGMA_DB:    # NaN fails too
+            raise ConfigError(
+                f"shadowing.sigma_db must be in [0, {MAX_SIGMA_DB:.6g}], "
+                f"got {self.sigma_db!r}")
         # an infinite decorrelation distance is a fully correlated field
         if math.isnan(self.decorrelation_m) or self.decorrelation_m < 0:
             raise ConfigError("shadowing.decorrelation_m must be >= 0")

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
+import prebuf.admission
 from prebuf import (AdmissionConfig, ScenarioConfig, ShadowingConfig,
                     run_admission, service_curve, summarize_curve)
-from prebuf.admission import (MAX_LEDGER_SLOTS, PLANNER_KINDS,
+from prebuf.admission import (MAX_COUNT, MAX_LEDGER_SLOTS, PLANNER_KINDS,
                               LedgerHorizonError)
 from prebuf.cli import main
 
@@ -121,6 +122,13 @@ class TestRunAdmission:
     def test_total_requests_must_be_positive_int(self, total):
         with pytest.raises(ValueError, match="total_requests"):
             AdmissionConfig(total_requests=total)
+
+    @pytest.mark.parametrize("total", [MAX_COUNT + 1, 10 ** 20])
+    def test_total_requests_bounded(self, total):
+        with pytest.raises(ValueError, match="total_requests must be an "
+                                             "integer in"):
+            AdmissionConfig(total_requests=total)
+        AdmissionConfig(total_requests=MAX_COUNT)
 
     @pytest.mark.parametrize("seed", [math.nan, math.inf, 2.5, True, -1])
     def test_seed_must_be_nonnegative_int(self, seed):
@@ -247,8 +255,20 @@ class TestServiceCurve:
             service_curve([1], scenario.video, scenario.make_trace,
                           AdmissionConfig(total_requests=1), num_seeds=0)
 
+    def test_too_many_seeds_rejected_before_any_run(self, scenario,
+                                                    monkeypatch):
+        def unreachable(*args, **kwargs):
+            pytest.fail("a run started with num_seeds past MAX_COUNT")
+
+        monkeypatch.setattr(prebuf.admission, "run_admission", unreachable)
+        with pytest.raises(ValueError, match="num_seeds"):
+            service_curve([1], scenario.video, scenario.make_trace,
+                          AdmissionConfig(total_requests=1),
+                          num_seeds=MAX_COUNT + 1)
+
     @pytest.mark.parametrize("kv_values", [[5, 0], [2.5], [5, 5.0], [True],
-                                           [-3], ["4"], [None]])
+                                           [-3], ["4"], [None],
+                                           [MAX_COUNT + 1]])
     def test_bad_kv_rejected_before_any_trace(self, scenario, kv_values):
         def no_trace(seed):
             pytest.fail("a trace was built for a bad kv list")

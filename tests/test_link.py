@@ -61,13 +61,19 @@ class TestShadowing:
                               a.sample(positions)[perm])
 
     @pytest.mark.parametrize("sigma_db, decorrelation_m", [
-        (-1.0, 50.0), (math.nan, 50.0), (math.inf, 50.0),
+        (-1.0, 50.0), (math.nan, 50.0), (math.inf, 50.0), (1e200, 50.0),
+        (math.nextafter(link.MAX_SIGMA_DB, math.inf), 50.0),
         (10.0, -1.0), (10.0, math.nan),
     ])
     def test_bad_parameters_rejected(self, sigma_db, decorrelation_m):
         with pytest.raises(ValueError):
             ShadowingField(sigma_db, decorrelation_m,
                            np.random.default_rng(0))
+
+    def test_largest_sigma_has_finite_variance(self):
+        # the square of MAX_SIGMA_DB is finite; one ulp more overflows
+        f = ShadowingField(link.MAX_SIGMA_DB, 50.0, np.random.default_rng(0))
+        assert np.all(np.isfinite(f.sample([0.0, 10.0, 20.0])))
 
     @pytest.mark.parametrize("sigma_db", [10.0, 0.0])
     @pytest.mark.parametrize("positions", [

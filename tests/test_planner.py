@@ -330,6 +330,77 @@ class TestPlanBytes:
             self.assert_same_bytes(spec, trace, residual)
 
 
+
+@st.composite
+def tied_instances(draw):
+    """T in 1..12 on four capacity levels, some residuals zeroed, and Z
+    from 0 through a sliver at most the tolerance up to unbounded."""
+    T = draw(st.integers(1, 12))
+    caps = draw(st.lists(st.sampled_from([1e5, 2e5, 4e5, 8e5]),
+                         min_size=T, max_size=T))
+    residual = draw(st.lists(
+        st.one_of(st.just(0.0), st.sampled_from([0.1, 0.3, 0.6, 1.0, 2.5]),
+                  st.floats(0.0, 6.0)), min_size=T, max_size=T))
+    z_cap = draw(st.sampled_from([0.0, 1e-13 * V, 1e-12 * V, 0.5 * V, V,
+                                  1.5 * V, 3 * V, np.inf]))
+    return trace_from_capacity(caps), np.array(residual), make_spec(T, z_cap)
+
+
+class TestWindowSearchBytes:
+    """Cases aimed at the window queue of `plan_anticipatory`, each against
+    the numpy augmentation loop bit for bit."""
+
+    assert_same_bytes = staticmethod(TestPlanBytes.assert_same_bytes)
+
+    def test_front_slot_runs_out(self):
+        # slot 1 outranks slot 0 but holds under one slot of video; once
+        # it is spent, slot 0 (popped when slot 1 arrived) must serve
+        assert self.assert_same_bytes(
+            make_spec(3, 3 * V), trace_from_capacity([2e5, 8e5, 4e5]),
+            [10.0, 0.2, 10.0])
+
+    @pytest.mark.parametrize("z_cap", [1e-13 * V, 1e-12 * V])
+    def test_cap_within_tolerance(self, z_cap):
+        # every carry-over arc is saturated from the start, so each slot
+        # is served from itself, not from the cheaper slot before it
+        assert self.assert_same_bytes(
+            make_spec(4, z_cap), trace_from_capacity([8e5, 4e5, 8e5, 2e5]),
+            [10.0, 10.0, 10.0, 10.0])
+
+    def test_saturation_moves_the_edge(self):
+        # slot 0 serves slots 0 and 1 and half of slot 2, which fills the
+        # arc out of slot 0; the rest of slot 2 comes from the latest of
+        # the tied slots after it
+        assert self.assert_same_bytes(
+            make_spec(4, 1.5 * V), trace_from_capacity([8e5, 2e5, 2e5, 2e5]),
+            [10.0, 10.0, 10.0, 10.0])
+
+    def test_headroom_equal_to_tolerance_is_saturated(self):
+        # with V = 2**-40 / 1e-12 the tolerance is 2**-40 exactly, so
+        # carrying one slot of video under Z = V + tol leaves exactly tol
+        v = 2.0 ** -40 / 1e-12
+        tol = 1e-12 * v
+        spec = VideoSpec(bits_per_slot=v, slot_duration_s=1 / 6,
+                         num_slots=3, max_carryover_bits=v + tol)
+        assert spec.max_carryover_bits - v == tol == 2.0 ** -40
+        assert self.assert_same_bytes(spec, trace_from_capacity([2.0, 1.0,
+                                                                 1.0]),
+                                      [10.0, 10.0, 10.0])
+
+    @pytest.mark.parametrize("z_cap", [V, np.inf])
+    def test_tie_with_dead_later_twin(self, z_cap):
+        # slot 2 ties slot 0 but has no spectrum, so it never enters the
+        # window and cannot displace slot 0
+        assert self.assert_same_bytes(
+            make_spec(4, z_cap), trace_from_capacity([8e5, 4e5, 8e5, 1e5]),
+            [5.0, 1.0, 0.0, 3.0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(tied_instances())
+    def test_tied_levels_property(self, instance):
+        trace, residual, spec = instance
+        self.assert_same_bytes(spec, trace, residual)
+
 class TestPlanBaseline:
     def test_matches_zero_buffer_plan_with_ample_capacity(self):
         rng = np.random.default_rng(2)

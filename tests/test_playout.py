@@ -205,6 +205,14 @@ class TestVideoSpecValidation:
             VideoSpec(bits_per_slot=V, slot_duration_s=1 / 6,
                       num_slots=bad, max_carryover_bits=0.0)
 
+    @pytest.mark.parametrize("huge", [2 ** 20 + 1, 10 ** 12])
+    def test_num_slots_bounded(self, huge):
+        # a slot count sizes every per-slot array, so it is checked first
+        with pytest.raises(ValueError, match="num_slots must be an integer "
+                                             "in"):
+            VideoSpec(bits_per_slot=V, slot_duration_s=1 / 6,
+                      num_slots=huge, max_carryover_bits=0.0)
+
     def test_numpy_int_num_slots_accepted(self):
         spec = VideoSpec(bits_per_slot=V, slot_duration_s=1 / 6,
                          num_slots=np.int64(96), max_carryover_bits=0.0)

@@ -1,12 +1,18 @@
 import csv
+import itertools
+import math
 from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+import prebuf.admission
+import prebuf.cli
 from prebuf import (AdmissionConfig, ConfigError, ScenarioConfig,
                     ShadowingConfig, default_video_spec, load_config,
                     run_buffer_sweep, run_multiuser, run_single_user)
+from prebuf.admission import MAX_COUNT
 from prebuf.cli import main
 
 V = 250_000.0
@@ -119,6 +125,7 @@ sigma_db = 0
         {"sigma_db": np.nan},
         {"sigma_db": np.inf},
         {"sigma_db": -1.0},
+        {"sigma_db": 1e200},
         {"decorrelation_m": np.nan},
         {"decorrelation_m": -1.0},
     ])
@@ -476,6 +483,48 @@ class TestCli:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [
+        ["single-user"],
+        ["buffer-sweep", "--z-max-multiple", "1"],
+        ["multi-user", "--kv", "2", "--num-seeds", "1"],
+    ])
+    def test_sigma_with_overflowing_square_exit_code(self, tmp_path, capsys,
+                                                     command):
+        # the field's variance sigma_db**2 would overflow
+        out = tmp_path / "out"
+        rc = main(command + ["--sigma-db", "1e200", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("config error: shadowing.sigma_db must be")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, named", [
+        (["buffer-sweep", "--z-max-multiple", str(MAX_COUNT + 1)],
+         "--z-max-multiple"),
+        (["buffer-sweep", "--z-max-multiple", "-1"], "--z-max-multiple"),
+        (["multi-user", "--kv", str(MAX_COUNT + 1), "--num-seeds", "1"],
+         "kv"),
+        (["multi-user", "--kv", "99999999999999999999", "--num-seeds", "1"],
+         "kv"),
+        (["multi-user", "--kv", "2", "--num-seeds", str(MAX_COUNT + 1)],
+         "num_seeds"),
+    ], ids=["z-max-multiple", "z-max-multiple-negative", "kv", "kv-huge",
+            "num-seeds"])
+    def test_count_out_of_bounds_named(self, tmp_path, capsys, monkeypatch,
+                                       argv, named):
+        # a count is checked before it sizes anything: no driver is reached
+        def unreachable(*args, **kwargs):
+            pytest.fail("a driver ran with a count out of bounds")
+
+        monkeypatch.setattr(prebuf.cli, "run_buffer_sweep", unreachable)
+        monkeypatch.setattr(prebuf.admission, "run_admission", unreachable)
+        out = tmp_path / "out"
+        rc = main(argv + ["--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"config error: {named} must be an integer in [")
+        assert not out.exists()
+
     def test_missing_config_file_exit_code(self, tmp_path):
         rc = main(["single-user", "--config", str(tmp_path / "none.ini"),
                    "--out", str(tmp_path)])
@@ -486,3 +535,54 @@ class TestCli:
         main(["single-user", "--seed", "2", "--out", str(tmp_path / "b")])
         assert (tmp_path / "a" / "trace.csv").read_bytes() \
             != (tmp_path / "b" / "trace.csv").read_bytes()
+
+
+EXTREME_INTS = [-1, 0, 1, 2, 2 ** 63, 10 ** 20]
+EXTREME_FLOATS = [0.0, 1e308, -1e308, 1e-300, math.inf, -math.inf, math.nan]
+COMMON_FLAGS = {"--seed": EXTREME_INTS, "--sigma-db": EXTREME_FLOATS}
+SUBCOMMAND_FLAGS = {
+    "single-user": {},
+    "buffer-sweep": {"--z-max-multiple": EXTREME_INTS},
+    "multi-user": {"--kv": EXTREME_INTS, "--num-seeds": EXTREME_INTS,
+                   "--available-prbs": EXTREME_FLOATS,
+                   "--mean-interarrival": EXTREME_FLOATS},
+}
+# small runs unless the flag itself is drawn
+MULTI_USER_DEFAULTS = {"--kv": "2", "--num-seeds": "1"}
+
+
+@st.composite
+def extreme_argvs(draw):
+    """A subcommand with some of its flags set to extreme values."""
+    command = draw(st.sampled_from(sorted(SUBCOMMAND_FLAGS)))
+    argv = [command]
+    for flag, values in {**COMMON_FLAGS, **SUBCOMMAND_FLAGS[command]}.items():
+        if draw(st.booleans()):
+            argv.append(f"{flag}={draw(st.sampled_from(values))!r}")
+        elif command == "multi-user" and flag in MULTI_USER_DEFAULTS:
+            argv.append(f"{flag}={MULTI_USER_DEFAULTS[flag]}")
+    return argv
+
+
+class TestCliContract:
+    """Whatever the flags, the CLI exits 0, 1 or 2 as documented."""
+
+    runs = itertools.count()            # a fresh --out directory per example
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=extreme_argvs())
+    def test_extreme_flags(self, tmp_path, capsys, argv):
+        out = tmp_path / f"out{next(self.runs)}"
+        rc = main(argv + ["--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc in (0, 1, 2), argv
+        assert "Traceback" not in captured.err, argv
+        assert "Warning" not in captured.err, argv
+        if rc == 1:
+            assert captured.err.startswith("config error: "), argv
+            assert not out.exists(), argv
+        for line in captured.out.splitlines():
+            key, _, values = line.partition(": ")
+            if key.endswith("total_prb_slots"):     # an infeasible plan is inf
+                assert 0.0 not in map(float, values.split()), (argv, line)
