@@ -5,7 +5,7 @@ from .admission import (AdmissionConfig, AdmissionLog, RequestRecord,
 from .link import (ChannelTrace, LinkBudget, ShadowingField, build_trace,
                    path_loss_db, per_prb_bits)
 from .planner import AllocationPlan, plan_anticipatory, plan_baseline
-from .playout import BufferTimeline, VideoSpec, simulate_playback, step_buffer
+from .playout import BufferTimeline, VideoSpec, simulate_playback
 from .scenario import (ConfigError, ScenarioConfig, ShadowingConfig,
                        default_video_spec, load_config, run_buffer_sweep,
                        run_multiuser, run_single_user)
@@ -18,6 +18,5 @@ __all__ = [
     "VideoSpec", "build_trace", "default_video_spec", "load_config",
     "path_loss_db", "per_prb_bits", "plan_anticipatory", "plan_baseline",
     "run_admission", "run_buffer_sweep", "run_multiuser", "run_single_user",
-    "service_curve", "simulate_playback", "solve", "step_buffer",
-    "summarize_curve",
+    "service_curve", "simulate_playback", "solve", "summarize_curve",
 ]

@@ -140,11 +140,9 @@ class ShadowingField:
         if self.sigma_db == 0.0:
             return np.zeros(positions.shape)
         z = self._rng.standard_normal(len(rho))
-        values = []
         v = 0.0
-        for rho_k, scale_k, z_k in zip(rho, scale, z.tolist()):
-            v = rho_k * v + scale_k * z_k
-            values.append(v)
+        values = [v := rho_k * v + scale_k * z_k
+                  for rho_k, scale_k, z_k in zip(rho, scale, z.tolist())]
         return np.array(values)[inverse].reshape(positions.shape)
 
 
@@ -184,10 +182,19 @@ def _geometry(trajectory_bytes: bytes, bs_bytes: bytes,
               min_bs_distance_m: float):
     """Clamped distance and path gain (-path loss, dB) of every BS at every
     trajectory point: two read-only float64 arrays of shape (num_BS, T).
+
+    Both position arrays are checked for NaN and inf here, so only on a
+    miss; a call that raises caches nothing, so bad positions raise on
+    every call.
     """
-    xs = np.frombuffer(trajectory_bytes).tolist()
+    trajectory, bs = np.frombuffer(trajectory_bytes), np.frombuffer(bs_bytes)
+    if not all_finite(trajectory):
+        raise ValueError("trajectory positions must be finite")
+    if not all_finite(bs):
+        raise ValueError("BS positions must be finite")
+    xs = trajectory.tolist()
     distances = [[max(abs(x - bx), min_bs_distance_m) for x in xs]
-                 for bx in np.frombuffer(bs_bytes).tolist()]
+                 for bx in bs.tolist()]
     path = [[-path_loss_db(d_m / 1000.0) for d_m in row]
             for row in distances]
     distances, path = np.array(distances), np.array(path)
@@ -258,7 +265,10 @@ def build_trace(trajectory_m, bs_positions_m, budget: LinkBudget,
     clamped distances and path gains of every (BS, slot) pair are
     memoized in a bounded cache keyed on the bytes of the trajectory and
     of the BS positions and on min_bs_distance_m; only the shadowing
-    draws are per trace.  The memo evaluates the scalar path loss with
+    draws are per trace.  The memo also checks that the positions are
+    finite, so a geometry is checked when first seen, before any draw;
+    a call that raises caches nothing, so bad positions raise on every
+    call.  The memo evaluates the scalar path loss with
     `math` as before, numpy then only adds the shadowing (one IEEE
     addition per element, the same bits as in Python) and takes the
     argmax (the first of equals wins, as a strict `>` scan does), and the
@@ -272,13 +282,14 @@ def build_trace(trajectory_m, bs_positions_m, budget: LinkBudget,
         raise ValueError(
             f"trajectory has {trajectory_m.size} slots, video needs "
             f"{spec.num_slots}")
-    if not all_finite(trajectory_m):
-        raise ValueError("trajectory positions must be finite")
     bs_positions_m = np.asarray(bs_positions_m, dtype=float)
     if bs_positions_m.size == 0:
         raise ValueError("need at least one BS position")
-    if not all_finite(bs_positions_m):
-        raise ValueError("BS positions must be finite")
+    # Before the draws, so a non-finite position is reported as such and
+    # not by the shadowing sampler.
+    distance, path = _geometry(trajectory_m.tobytes(),
+                               bs_positions_m.tobytes(),
+                               budget.min_bs_distance_m)
 
     ss = seed if isinstance(seed, np.random.SeedSequence) \
         else np.random.SeedSequence(seed)
@@ -286,13 +297,11 @@ def build_trace(trajectory_m, bs_positions_m, budget: LinkBudget,
                                        spawn_key=ss.spawn_key + (i,),
                                        pool_size=ss.pool_size)
                 for i in range(bs_positions_m.size)]
+    # the generator np.random.default_rng(child) builds, without its checks
     shadowing = [ShadowingField(sigma_db, decorrelation_m,
-                                np.random.default_rng(child)
+                                np.random.Generator(np.random.PCG64(child))
                                 ).sample(trajectory_m)
                  for child in children]
-    distance, path = _geometry(trajectory_m.tobytes(),
-                               bs_positions_m.tobytes(),
-                               budget.min_bs_distance_m)
     bs_gain = path + np.array(shadowing)
     serving = bs_gain.argmax(axis=0)       # the first of equals wins
     slots = np.arange(trajectory_m.size)
@@ -302,9 +311,9 @@ def build_trace(trajectory_m, bs_positions_m, budget: LinkBudget,
     power_w = budget.per_prb_power_w
     denom = budget.snr_gap_linear * budget.noise_plus_interference_w
     slot_hz = spec.slot_duration_s * budget.prb_bandwidth_hz
+    log2 = math.log2
     try:
-        bits = [slot_hz * math.log2(1.0 + power_w * 10.0 ** (x / 10.0)
-                                    / denom)
+        bits = [slot_hz * log2(1.0 + power_w * 10.0 ** (x / 10.0) / denom)
                 for x in gain.tolist()]
     except OverflowError:
         raise ValueError(f"gain_db up to {gain.max():.6g} dB overflows the "

@@ -58,21 +58,6 @@ class BufferTimeline:
         return float(t[-1] + self.carryover_bits[-1] - self.played_bits[-1])
 
 
-def step_buffer(z_t: float, r_t: float, v: float):
-    """Advance the buffer one slot; returns (z_next, played, outage).
-
-    The outage comparison carries a 1e-9 relative slack so that plans
-    satisfying the no-outage equalities up to floating-point rounding do
-    not stall on sub-microbit shortfalls.
-    """
-    if not (z_t >= 0 and r_t >= 0 and v >= 0):     # NaN fails too
-        raise ValueError("buffer quantities must be non-negative")
-    total = r_t + z_t
-    if total >= v * (1.0 - 1e-9):
-        return max(total - v, 0.0), v, False
-    return total, 0.0, True
-
-
 def simulate_playback(plan_received, spec: VideoSpec) -> BufferTimeline:
     """Fold the buffer recursion over a full received-bits plan.
 
@@ -87,8 +72,11 @@ def simulate_playback(plan_received, spec: VideoSpec) -> BufferTimeline:
     if not all_finite(received, 0.0):
         raise ValueError("received bits must be finite and non-negative")
 
-    # step_buffer's recursion, inlined; the inputs are checked above.  The
-    # pass keeps only the carry and the stalled slots: a slot plays v
+    # One pass of the buffer recursion (kept slot by slot as step_buffer
+    # in tests/oracles.py); the inputs are checked above.  The outage test
+    # has a 1e-9 relative slack so that plans meeting the no-outage
+    # equalities up to rounding do not stall on sub-microbit shortfalls.
+    # The pass keeps only the carry and the stalled slots: a slot plays v
     # unless it stalls, so played bits and outage flags follow from those.
     v = spec.bits_per_slot
     need = v * (1.0 - 1e-9)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._checks import check_int
+from ._checks import all_finite, check_int
 from .admission import AdmissionConfig, service_curve, summarize_curve
 from .link import MAX_SIGMA_DB, ChannelTrace, LinkBudget, build_trace
 # plan_baseline is unused here but kept as a module attribute: the
@@ -76,16 +76,27 @@ class ScenarioConfig:
             check_int(self.seed, "seed", 0)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        # Every trace of this config shares one trajectory: computed once,
+        # read-only, and not a field, so it is no config key.
+        with np.errstate(over="ignore"):
+            t = np.arange(self.video.num_slots) * self.video.slot_duration_s
+            trajectory = self.user_start_m + self.user_speed_mps * t
+        if not all_finite(trajectory):
+            raise ConfigError(
+                "trajectory positions overflow: user_start_m + "
+                "user_speed_mps * slot_duration_s * slot must be finite "
+                "in every slot")
+        trajectory.setflags(write=False)
+        object.__setattr__(self, "_trajectory", trajectory)
 
     def trajectory_m(self) -> np.ndarray:
-        """User position at the start of each slot."""
-        t = np.arange(self.video.num_slots) * self.video.slot_duration_s
-        return self.user_start_m + self.user_speed_mps * t
+        """User position at the start of each slot (a fresh array)."""
+        return self._trajectory.copy()
 
     def make_trace(self, seed=None) -> ChannelTrace:
         if seed is None:
             seed = self.seed
-        return build_trace(self.trajectory_m(), self.bs_positions_m,
+        return build_trace(self._trajectory, self.bs_positions_m,
                            self.link, self.video,
                            sigma_db=self.shadowing.sigma_db,
                            decorrelation_m=self.shadowing.decorrelation_m,

@@ -4,8 +4,9 @@ These deliberately avoid the code paths they check: the LP oracle
 enumerates basic solutions geometrically instead of pivoting, and the
 planner oracle scans a one-dimensional feasible family directly.  The
 `*_numpy` and `*_loop` functions are earlier forms of fast paths, kept as
-byte-for-byte references, and `build_buffer_matrix` states the planner's
-LP for the LP solvers.
+byte-for-byte references, `step_buffer` is the one-slot buffer step that
+`simulate_playback` runs inline, and `build_buffer_matrix` states the
+planner's LP for the LP solvers.
 """
 
 import math
@@ -184,3 +185,18 @@ def build_trace_loop(trajectory_m, bs_positions_m, budget, spec, *,
         bits.append(slot_hz * math.log2(1.0 + sinr))
     return (np.array(distances), np.array(serving, dtype=int),
             np.array(gains), np.array(bits))
+
+
+def step_buffer(z_t: float, r_t: float, v: float):
+    """Advance the buffer one slot; returns (z_next, played, outage).
+
+    The outage comparison carries a 1e-9 relative slack so that plans
+    satisfying the no-outage equalities up to floating-point rounding do
+    not stall on sub-microbit shortfalls.
+    """
+    if not (z_t >= 0 and r_t >= 0 and v >= 0):     # NaN fails too
+        raise ValueError("buffer quantities must be non-negative")
+    total = r_t + z_t
+    if total >= v * (1.0 - 1e-9):
+        return max(total - v, 0.0), v, False
+    return total, 0.0, True

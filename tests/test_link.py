@@ -1,12 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from oracles import build_trace_loop
 
-from prebuf import (ChannelTrace, LinkBudget, ScenarioConfig, ShadowingField,
-                    VideoSpec, build_trace, link, path_loss_db, per_prb_bits)
+from prebuf import (ChannelTrace, LinkBudget, ScenarioConfig, ShadowingConfig,
+                    ShadowingField, VideoSpec, build_trace, link,
+                    path_loss_db, per_prb_bits, scenario)
 
 
 def small_video(T=8):
@@ -488,3 +490,65 @@ class TestLinkBudgetValidation:
     def test_rejects_nonfinite_or_nonpositive(self, kwargs):
         with pytest.raises(ValueError):
             LinkBudget(**kwargs)
+
+
+def trace_fields(trace):
+    return [getattr(trace, name) for name in TRACE_FIELDS]
+
+
+class TestSharedTrajectory:
+    """make_trace reuses one read-only trajectory per config; build_trace
+    checks positions once per geometry, in its memo."""
+
+    @pytest.mark.parametrize("cfg", [
+        ScenarioConfig(),
+        ScenarioConfig(bs_positions_m=(0.0, 300.0, 650.0)),
+        ScenarioConfig(shadowing=ShadowingConfig(sigma_db=0.0)),
+        replace(ScenarioConfig(), user_start_m=-20.0, user_speed_mps=12.5,
+                seed=4),
+    ], ids=["default", "3-bs", "sigma-0", "replaced"])
+    def test_make_trace_matches_build_trace(self, cfg):
+        for seed in (None, 7, np.random.SeedSequence(3).spawn(2)[1]):
+            got = cfg.make_trace(seed)
+            want = build_trace(
+                cfg.trajectory_m(), cfg.bs_positions_m, cfg.link, cfg.video,
+                sigma_db=cfg.shadowing.sigma_db,
+                decorrelation_m=cfg.shadowing.decorrelation_m,
+                seed=cfg.seed if seed is None else seed)
+            for name, a, b in zip(TRACE_FIELDS, trace_fields(got),
+                                  trace_fields(want)):
+                assert a.dtype == b.dtype, name
+                assert a.tobytes() == b.tobytes(), name
+
+    def test_cached_trajectory_read_only(self, monkeypatch):
+        cfg = ScenarioConfig()
+        passed = []
+
+        def spy(trajectory_m, *args, **kwargs):
+            passed.append(trajectory_m)
+            return build_trace(trajectory_m, *args, **kwargs)
+
+        monkeypatch.setattr(scenario, "build_trace", spy)
+        first = cfg.make_trace()
+        cfg.make_trace()
+        assert passed[0] is passed[1]
+        with pytest.raises(ValueError, match="read-only"):
+            passed[0][0] = 1.0
+        fresh = cfg.trajectory_m()
+        assert fresh.flags.writeable and fresh is not cfg.trajectory_m()
+        fresh[:] = 0.0
+        assert cfg.trajectory_m()[0] == cfg.user_start_m
+        assert np.array_equal(cfg.make_trace().gain_db, first.gain_db)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["trajectory", "BS"])
+    def test_nonfinite_positions_rejected_after_good_call(self, where, bad):
+        spec, budget = small_video(4), LinkBudget()
+        traj = 35.0 + 30.0 * np.arange(4)
+        bss = np.array([0.0, 200.0, 550.0])
+        build_trace(traj, bss, budget, spec, seed=0)    # fills the memo
+        # the caller's own arrays, changed in place after the good call
+        (traj if where == "trajectory" else bss)[1] = bad
+        for _ in range(2):
+            with pytest.raises(ValueError, match=where):
+                build_trace(traj, bss, budget, spec, seed=0)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
+from oracles import step_buffer
 
 from prebuf import (LinkBudget, VideoSpec, build_trace, plan_anticipatory,
-                    plan_baseline, simulate_playback, step_buffer)
+                    plan_baseline, simulate_playback)
 
 V = 250_000.0
 

@@ -106,6 +106,10 @@ sigma_db = 0
         {"user_speed_mps": np.inf},
         {"bs_positions_m": (0.0, np.nan)},
         {"seed": -1},
+        # finite fields whose trajectory overflows
+        {"user_speed_mps": 1e308},
+        {"user_start_m": 1e308, "user_speed_mps": 1e307},
+        {"video": replace(default_video_spec(), slot_duration_s=1e308)},
     ])
     def test_scenario_fields_rejected(self, kwargs):
         with pytest.raises(ConfigError):
@@ -483,6 +487,30 @@ class TestCli:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", [
+        "[video]\nslot_duration_s = 1e308\n",
+        "[scenario]\nuser_speed_mps = 1e308\n",
+        "[scenario]\nuser_start_m = 1e308\nuser_speed_mps = 1e307\n",
+    ], ids=["slot-duration", "speed", "start-and-speed"])
+    @pytest.mark.parametrize("command", [
+        ["single-user"],
+        ["buffer-sweep", "--z-max-multiple", "1"],
+        ["multi-user", "--kv", "2", "--num-seeds", "1"],
+    ])
+    def test_overflowing_trajectory_exit_code(self, tmp_path, capsys, text,
+                                              command):
+        ini = tmp_path / "far.ini"
+        ini.write_text(text)
+        out = tmp_path / "out"
+        rc = main(command + ["--config", str(ini), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("config error: ")
+        for name in ("user_start_m", "user_speed_mps", "slot_duration_s"):
+            assert name in err
+        assert "Warning" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", [
         ["single-user"],
         ["buffer-sweep", "--z-max-multiple", "1"],
@@ -564,15 +592,38 @@ def extreme_argvs(draw):
     return argv
 
 
+# INI keys the contract property draws one at a time, by section
+EXTREME_INI_KEYS = {
+    "scenario": ("user_start_m", "user_speed_mps", "bs_positions_m"),
+    "video": ("slot_duration_s", "bits_per_slot"),
+    "link": ("prb_bandwidth_hz", "min_bs_distance_m"),
+    "shadowing": ("decorrelation_m",),
+}
+EXTREME_INI_VALUES = [*EXTREME_FLOATS, 10 ** 20]
+
+
+@st.composite
+def extreme_ini_runs(draw):
+    """A small run of a subcommand, and an INI setting one key to an
+    extreme value."""
+    command = draw(st.sampled_from(sorted(SUBCOMMAND_FLAGS)))
+    argv = [command]
+    if command == "multi-user":
+        argv += [f"{flag}={value}"
+                 for flag, value in MULTI_USER_DEFAULTS.items()]
+    section = draw(st.sampled_from(sorted(EXTREME_INI_KEYS)))
+    key = draw(st.sampled_from(EXTREME_INI_KEYS[section]))
+    value = draw(st.sampled_from(EXTREME_INI_VALUES))
+    return argv, f"[{section}]\n{key} = {value!r}\n"
+
+
 class TestCliContract:
-    """Whatever the flags, the CLI exits 0, 1 or 2 as documented."""
+    """Whatever the flags and INI values, the CLI exits 0, 1 or 2 as
+    documented."""
 
     runs = itertools.count()            # a fresh --out directory per example
 
-    @settings(max_examples=150, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(argv=extreme_argvs())
-    def test_extreme_flags(self, tmp_path, capsys, argv):
+    def check_contract(self, argv, tmp_path, capsys):
         out = tmp_path / f"out{next(self.runs)}"
         rc = main(argv + ["--out", str(out)])
         captured = capsys.readouterr()
@@ -586,3 +637,18 @@ class TestCliContract:
             key, _, values = line.partition(": ")
             if key.endswith("total_prb_slots"):     # an infeasible plan is inf
                 assert 0.0 not in map(float, values.split()), (argv, line)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=extreme_argvs())
+    def test_extreme_flags(self, tmp_path, capsys, argv):
+        self.check_contract(argv, tmp_path, capsys)
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(run=extreme_ini_runs())
+    def test_extreme_ini_values(self, tmp_path, capsys, run):
+        argv, text = run
+        ini = tmp_path / f"extreme{next(self.runs)}.ini"
+        ini.write_text(text)
+        self.check_contract(argv + ["--config", str(ini)], tmp_path, capsys)
