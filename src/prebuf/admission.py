@@ -93,9 +93,12 @@ def run_admission(config: AdmissionConfig, video: VideoSpec,
     arrival_rng = np.random.default_rng(ss.spawn(1)[0])
     interarrivals = arrival_rng.exponential(config.mean_interarrival_s,
                                             size=config.total_requests)
-    arrival_times = np.cumsum(interarrivals)
     T = video.num_slots
-    span = arrival_times[-1] / video.slot_duration_s + T
+    # A huge mean can overflow the sum or the span to inf, which the
+    # horizon test below refuses; numpy need not warn about it first.
+    with np.errstate(over="ignore"):
+        arrival_times = np.cumsum(interarrivals)
+        span = arrival_times[-1] / video.slot_duration_s + T
     if not span <= MAX_LEDGER_SLOTS:            # inf fails too
         raise LedgerHorizonError(
             f"arrivals span {span:.3g} slots, past the "

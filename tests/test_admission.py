@@ -156,6 +156,15 @@ class TestRunAdmission:
         with pytest.raises(LedgerHorizonError, match="ledger limit"):
             run_admission(cfg, scenario.video, no_trace)
 
+    @pytest.mark.parametrize("seed", [2 ** 63, 10 ** 20])
+    def test_overflowing_arrivals_rejected_without_warning(self, scenario,
+                                                           seed):
+        # these seeds draw arrivals whose sum or span overflows at 1e308
+        cfg = AdmissionConfig(total_requests=2, mean_interarrival_s=1e308,
+                              seed=seed)
+        with pytest.raises(LedgerHorizonError, match="inf slots"):
+            run_admission(cfg, scenario.video, lambda seed: None)
+
     def test_rejected_horizon_spawns_no_user_seed(self, scenario,
                                                   monkeypatch):
         spawned = []
