@@ -9,14 +9,13 @@ from .playout import BufferTimeline, VideoSpec, simulate_playback
 from .scenario import (ConfigError, ScenarioConfig, ShadowingConfig,
                        default_video_spec, load_config, run_buffer_sweep,
                        run_multiuser, run_single_user)
-from .simplex import LpProblem, LpSolution, solve
 
 __all__ = [
     "AdmissionConfig", "AdmissionLog", "AllocationPlan", "BufferTimeline",
-    "ChannelTrace", "ConfigError", "LinkBudget", "LpProblem", "LpSolution",
-    "RequestRecord", "ScenarioConfig", "ShadowingConfig", "ShadowingField",
-    "VideoSpec", "build_trace", "default_video_spec", "load_config",
-    "path_loss_db", "per_prb_bits", "plan_anticipatory", "plan_baseline",
-    "run_admission", "run_buffer_sweep", "run_multiuser", "run_single_user",
-    "service_curve", "simulate_playback", "solve", "summarize_curve",
+    "ChannelTrace", "ConfigError", "LinkBudget", "RequestRecord",
+    "ScenarioConfig", "ShadowingConfig", "ShadowingField", "VideoSpec",
+    "build_trace", "default_video_spec", "load_config", "path_loss_db",
+    "per_prb_bits", "plan_anticipatory", "plan_baseline", "run_admission",
+    "run_buffer_sweep", "run_multiuser", "run_single_user", "service_curve",
+    "simulate_playback", "summarize_curve",
 ]

@@ -13,6 +13,11 @@ import numpy as np
 # sizes a list or an array, so it is bounded before anything is built.
 MAX_COUNT = 2 ** 20
 
+# The least positive float: lo=POSITIVE asks for a value > 0.
+POSITIVE = math.ulp(0.0)
+
+_MAX = sys.float_info.max
+
 
 def check_int(value, name: str, minimum: int, maximum: int | None = None
               ) -> None:
@@ -26,6 +31,26 @@ def check_int(value, name: str, minimum: int, maximum: int | None = None
         bound = (f">= {minimum}" if maximum is None
                  else f"in [{minimum}, {maximum}]")
         raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
+
+
+def check_real(value, name: str, lo: float = -_MAX, hi: float = _MAX
+               ) -> None:
+    """Reject anything but a real number in [lo, hi] (bools too).
+
+    NaN always fails; -inf and inf pass only where lo or hi is infinite,
+    so the default bounds ask for a finite value.  ints and numpy floats
+    pass.  A float takes one chained comparison before any ABC test,
+    since some configs are built in hot loops.
+    """
+    if type(value) is float and lo <= value <= hi:
+        return
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not lo <= value <= hi:
+        kind = "finite real" if -_MAX <= lo and hi <= _MAX else "real"
+        low = {POSITIVE: " > 0", -_MAX: ""}.get(lo, f" >= {lo:.6g}")
+        high = {_MAX: "", math.inf: " or inf"}.get(hi, f" <= {hi:.6g}")
+        raise ValueError(f"{name} must be a {kind} number{low}{high}, "
+                         f"got {value!r}")
 
 
 def all_finite(x: np.ndarray, lo: float = -sys.float_info.max) -> bool:

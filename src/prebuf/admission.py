@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._checks import MAX_COUNT, check_int
+from ._checks import MAX_COUNT, POSITIVE, check_int, check_real
 from .link import ChannelTrace
 from .planner import AllocationPlan, plan_anticipatory, plan_baseline
 from .playout import VideoSpec, simulate_playback
@@ -42,11 +42,8 @@ class AdmissionConfig:
 
     def __post_init__(self) -> None:
         check_int(self.total_requests, "total_requests", 1, MAX_COUNT)
-        if not math.isfinite(self.mean_interarrival_s) \
-                or self.mean_interarrival_s <= 0:
-            raise ValueError("mean_interarrival_s must be positive and finite")
-        if not math.isfinite(self.available_prbs) or self.available_prbs < 0:
-            raise ValueError("available_prbs must be finite and >= 0")
+        check_real(self.mean_interarrival_s, "mean_interarrival_s", POSITIVE)
+        check_real(self.available_prbs, "available_prbs", 0.0)
         check_int(self.seed, "seed", 0)
 
 

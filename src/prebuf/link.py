@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import all_finite, check_int
+from ._checks import POSITIVE, all_finite, check_int, check_real
 from .playout import VideoSpec
 
 
@@ -30,7 +30,14 @@ def db_to_linear(db: float) -> float:
 
 @dataclass(frozen=True)
 class LinkBudget:
-    """Radio constants of the downlink (defaults: 10 MHz LTE macro cell)."""
+    """Radio constants of the downlink (defaults: 10 MHz LTE macro cell).
+
+    Construction also sets three derived attributes, which are not fields:
+    per_prb_power_w (the total power split over every PRB the system
+    owns, even when the experiment schedules fewer of them),
+    noise_plus_interference_w (over one PRB's bandwidth) and
+    snr_gap_linear.
+    """
 
     total_power_dbm: float = 46.0
     num_system_prbs: int = 50
@@ -43,58 +50,49 @@ class LinkBudget:
 
     def __post_init__(self) -> None:
         check_int(self.num_system_prbs, "num_system_prbs", 1)
-        if self.prb_bandwidth_hz <= 0:
-            raise ValueError("prb_bandwidth_hz must be positive")
-        if self.snr_gap_db < 0:
-            raise ValueError("snr_gap_db must be >= 0")
-        for name in ("total_power_dbm", "prb_bandwidth_hz",
-                     "noise_psd_dbm_hz", "noise_figure_db",
-                     "interference_psd_dbm_hz", "snr_gap_db",
-                     "min_bs_distance_m"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.min_bs_distance_m <= 0:
-            raise ValueError("min_bs_distance_m must be positive")
-        # Finite dB values can still overflow in linear units or round to
-        # 0, and build_trace scales by the power and divides by the rest.
-        for name, source in (
-                ("per_prb_power_w", "total_power_dbm"),
-                ("noise_plus_interference_w", "noise_psd_dbm_hz, "
-                 "noise_figure_db, interference_psd_dbm_hz"),
-                ("snr_gap_linear", "snr_gap_db")):
+        for name in ("total_power_dbm", "noise_psd_dbm_hz", "noise_figure_db",
+                     "interference_psd_dbm_hz"):
+            check_real(getattr(self, name), name)
+        check_real(self.prb_bandwidth_hz, "prb_bandwidth_hz", POSITIVE)
+        check_real(self.snr_gap_db, "snr_gap_db", 0.0)
+        check_real(self.min_bs_distance_m, "min_bs_distance_m", POSITIVE)
+        # build_trace scales by the power and divides by the rest.  Finite
+        # dB values can still overflow in linear units (float ** raises,
+        # as does dividing by a huge int) or round to 0.
+        noise_dbm = self.noise_psd_dbm_hz + self.noise_figure_db
+        for name, source, linear in (
+            ("per_prb_power_w", "total_power_dbm, num_system_prbs",
+             lambda: dbm_to_watts(self.total_power_dbm)
+             / self.num_system_prbs),
+            ("noise_plus_interference_w",
+             "noise_psd_dbm_hz, noise_figure_db, interference_psd_dbm_hz",
+             lambda: (dbm_to_watts(noise_dbm) + dbm_to_watts(
+                 self.interference_psd_dbm_hz)) * self.prb_bandwidth_hz),
+            ("snr_gap_linear", "snr_gap_db",
+             lambda: db_to_linear(self.snr_gap_db)),
+        ):
             try:
-                value = getattr(self, name)
+                value = linear()
             except OverflowError:
                 value = math.inf
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} (from {source}) must be finite and "
-                                 f"positive, got {value!r}")
-
-    @property
-    def per_prb_power_w(self) -> float:
-        # Total power split over every PRB the system owns, even when the
-        # experiment schedules fewer of them.
-        return dbm_to_watts(self.total_power_dbm) / self.num_system_prbs
-
-    @property
-    def noise_plus_interference_w(self) -> float:
-        noise = dbm_to_watts(self.noise_psd_dbm_hz + self.noise_figure_db)
-        interference = dbm_to_watts(self.interference_psd_dbm_hz)
-        return (noise + interference) * self.prb_bandwidth_hz
-
-    @property
-    def snr_gap_linear(self) -> float:
-        return db_to_linear(self.snr_gap_db)
+            check_real(value, f"{name} (from {source})", POSITIVE)
+            object.__setattr__(self, name, value)
 
 
 # Largest shadowing sigma_db whose square, the field's variance, is finite.
 MAX_SIGMA_DB = math.sqrt(sys.float_info.max)
 
 
+def check_shadowing(sigma_db: float, decorrelation_m: float) -> None:
+    """Reject a sigma_db outside [0, MAX_SIGMA_DB] or a decorrelation_m
+    below 0 (inf is a fully correlated field); NaN fails both."""
+    check_real(sigma_db, "sigma_db", 0.0, MAX_SIGMA_DB)
+    check_real(decorrelation_m, "decorrelation_m", 0.0, math.inf)
+
+
 def path_loss_db(distance_km: float) -> float:
     """Outdoor macro path loss, distance in kilometers."""
-    if distance_km <= 0:
-        raise ValueError(f"distance must be positive, got {distance_km} km")
+    check_real(distance_km, "distance_km", POSITIVE)
     return 128.1 + 37.6 * math.log10(distance_km)
 
 
@@ -110,11 +108,7 @@ class ShadowingField:
 
     def __init__(self, sigma_db: float, decorrelation_m: float,
                  rng: np.random.Generator):
-        if not 0 <= sigma_db <= MAX_SIGMA_DB:      # NaN fails too
-            raise ValueError(f"sigma_db must be in [0, {MAX_SIGMA_DB:.6g}], "
-                             f"got {sigma_db!r}")
-        if not decorrelation_m >= 0:                # NaN fails too
-            raise ValueError("decorrelation_m must be >= 0")
+        check_shadowing(sigma_db, decorrelation_m)
         self.sigma_db = sigma_db
         self.decorrelation_m = decorrelation_m
         self._rng = rng
@@ -162,7 +156,7 @@ def _ar1_steps(positions_bytes: bytes, decorrelation_m: float,
     and for no correlation) and sqrt(max(var * (1 - rho_k**2), 0)).
     """
     positions = np.frombuffer(positions_bytes)
-    if not np.all(np.isfinite(positions)):
+    if positions.size and not all_finite(positions):
         raise ValueError("shadowing positions must be finite")
     unique, inverse = np.unique(positions, return_inverse=True)
     inverse.setflags(write=False)
@@ -192,8 +186,11 @@ def _geometry(trajectory_bytes: bytes, bs_bytes: bytes,
         raise ValueError("trajectory positions must be finite")
     if not all_finite(bs):
         raise ValueError("BS positions must be finite")
-    xs = trajectory.tolist()
-    distances = [[max(abs(x - bx), min_bs_distance_m) for x in xs]
+    # A distance that overflows is clamped to the largest float: its
+    # capacity rounds to 0, which build_trace reports with the inputs
+    # that set it.
+    xs, far = trajectory.tolist(), sys.float_info.max
+    distances = [[min(max(abs(x - bx), min_bs_distance_m), far) for x in xs]
                  for bx in bs.tolist()]
     path = [[-path_loss_db(d_m / 1000.0) for d_m in row]
             for row in distances]
@@ -206,8 +203,8 @@ def _geometry(trajectory_bytes: bytes, bs_bytes: bytes,
 def per_prb_bits(gain_db: float, budget: LinkBudget,
                  slot_duration_s: float) -> float:
     """Bits one PRB carries in one slot at the given average channel gain."""
-    if slot_duration_s <= 0:
-        raise ValueError("slot_duration_s must be positive")
+    check_real(gain_db, "gain_db")
+    check_real(slot_duration_s, "slot_duration_s", POSITIVE)
     sinr = (budget.per_prb_power_w * db_to_linear(gain_db)
             / (budget.snr_gap_linear * budget.noise_plus_interference_w))
     return slot_duration_s * budget.prb_bandwidth_hz * math.log2(1.0 + sinr)
@@ -238,8 +235,7 @@ class ChannelTrace:
         for name in ("serving_bs", "gain_db", "bits_per_prb"):
             if len(getattr(self, name)) != n:
                 raise ValueError(f"{name} length mismatch")
-        # >= the least positive float is > 0
-        if not all_finite(self.bits_per_prb, math.ulp(0.0)):
+        if not all_finite(self.bits_per_prb, POSITIVE):
             raise ValueError("bits_per_prb must be finite and positive")
 
     @property
@@ -268,12 +264,18 @@ def build_trace(trajectory_m, bs_positions_m, budget: LinkBudget,
     draws are per trace.  The memo also checks that the positions are
     finite, so a geometry is checked when first seen, before any draw;
     a call that raises caches nothing, so bad positions raise on every
-    call.  The memo evaluates the scalar path loss with
-    `math` as before, numpy then only adds the shadowing (one IEEE
-    addition per element, the same bits as in Python) and takes the
-    argmax (the first of equals wins, as a strict `>` scan does), and the
-    capacities keep the scalar `math` `10 **` and `log2` of
-    `per_prb_bits`: numpy's versions differ from them by ulps.
+    call.
+
+    Traces are byte-identical to build_trace_loop in tests/oracles.py, a
+    slot-by-slot loop, and unshadowed ones to a rebuild from path_loss_db
+    and per_prb_bits.  The memo evaluates the path loss with scalar
+    `math.log10`, numpy only adds the shadowing (one IEEE addition per
+    element, the same bits as in Python) and takes the argmax (the first
+    of equals wins, as a strict `>` scan does), and the capacities use the
+    scalar `**` and `math.log2` of per_prb_bits: numpy's array versions
+    differ from them by ulps.  A capacity that overflows, rounds to 0 or
+    is not finite is a ValueError naming gain_db and the inputs that set
+    it.
     """
     trajectory_m = np.asarray(trajectory_m, dtype=float).ravel()
     if trajectory_m.size == 0:
@@ -312,11 +314,19 @@ def build_trace(trajectory_m, bs_positions_m, budget: LinkBudget,
     denom = budget.snr_gap_linear * budget.noise_plus_interference_w
     slot_hz = spec.slot_duration_s * budget.prb_bandwidth_hz
     log2 = math.log2
+    # A capacity that overflows raises here; one that rounds to 0 or is
+    # not finite fails ChannelTrace's check, the only one that can fail.
     try:
         bits = [slot_hz * log2(1.0 + power_w * 10.0 ** (x / 10.0) / denom)
                 for x in gain.tolist()]
-    except OverflowError:
-        raise ValueError(f"gain_db up to {gain.max():.6g} dB overflows the "
-                         "per-PRB capacity") from None
-    return ChannelTrace(spec.slot_duration_s, distance[serving, slots],
-                        serving, gain, np.array(bits))
+        return ChannelTrace(spec.slot_duration_s, distance[serving, slots],
+                            serving, gain, np.array(bits))
+    except (OverflowError, ValueError):
+        raise ValueError(
+            f"gain_db in [{gain.min():.6g}, {gain.max():.6g}] dB gives a "
+            "per-PRB capacity that overflows, rounds to 0 or is not finite; "
+            "it is set by [link] total_power_dbm, num_system_prbs, "
+            "prb_bandwidth_hz, noise_psd_dbm_hz, noise_figure_db, "
+            "interference_psd_dbm_hz, snr_gap_db and min_bs_distance_m, "
+            "[video] slot_duration_s, [shadowing] sigma_db and [scenario] "
+            "bs_positions_m, user_start_m and user_speed_mps") from None

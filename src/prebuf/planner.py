@@ -83,8 +83,8 @@ def plan_anticipatory(spec: VideoSpec, trace: ChannelTrace,
     <= tol exactly tells that the update saturated an arc.  Only the
     front's supply changes, so only the front can run out; the queue is
     then rebuilt from the window's live slots.  amount, supply, carry and
-    received take the float operations of the earlier numpy form in the
-    same order, so plans are byte-identical to it.
+    received take the float operations of plan_anticipatory_numpy in
+    tests/oracles.py in the same order, so plans are byte-identical to it.
     """
     supply = _supply_bits(spec, trace, residual_prbs).tolist()
     T, V = spec.num_slots, spec.bits_per_slot

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import MAX_COUNT, all_finite, check_int
+from ._checks import MAX_COUNT, POSITIVE, all_finite, check_int, check_real
 
 
 @dataclass(frozen=True)
@@ -27,15 +27,11 @@ class VideoSpec:
     max_carryover_bits: float
 
     def __post_init__(self) -> None:
-        for name in ("bits_per_slot", "slot_duration_s"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value <= 0:
-                raise ValueError(f"{name} must be positive and finite")
+        check_real(self.bits_per_slot, "bits_per_slot", POSITIVE)
+        check_real(self.slot_duration_s, "slot_duration_s", POSITIVE)
         check_int(self.num_slots, "num_slots", 1, MAX_COUNT)
         # an infinite cap is legal and means an unbounded buffer
-        if math.isnan(self.max_carryover_bits) \
-                or self.max_carryover_bits < 0:
-            raise ValueError("max_carryover_bits must be >= 0")
+        check_real(self.max_carryover_bits, "max_carryover_bits", 0, math.inf)
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from ._checks import all_finite, check_int
+from ._checks import POSITIVE, all_finite, check_int, check_real
 from .admission import AdmissionConfig, service_curve, summarize_curve
-from .link import MAX_SIGMA_DB, ChannelTrace, LinkBudget, build_trace
+from .link import ChannelTrace, LinkBudget, build_trace, check_shadowing
 # plan_baseline is unused here but kept as a module attribute: the
 # benchmark tracer patches prebuf.scenario.plan_baseline by name.
 from .planner import plan_anticipatory, plan_baseline  # noqa: F401
@@ -38,13 +38,10 @@ class ShadowingConfig:
     decorrelation_m: float = 50.0
 
     def __post_init__(self) -> None:
-        if not 0 <= self.sigma_db <= MAX_SIGMA_DB:    # NaN fails too
-            raise ConfigError(
-                f"shadowing.sigma_db must be in [0, {MAX_SIGMA_DB:.6g}], "
-                f"got {self.sigma_db!r}")
-        # an infinite decorrelation distance is a fully correlated field
-        if math.isnan(self.decorrelation_m) or self.decorrelation_m < 0:
-            raise ConfigError("shadowing.decorrelation_m must be >= 0")
+        try:
+            check_shadowing(self.sigma_db, self.decorrelation_m)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 def default_video_spec() -> VideoSpec:
@@ -65,14 +62,12 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.user_start_m, self.user_speed_mps,
-                                       *self.bs_positions_m))):
-            raise ConfigError("positions and speed must be finite")
-        if self.user_speed_mps <= 0:
-            raise ConfigError("user_speed_mps must be positive")
-        if not self.bs_positions_m:
-            raise ConfigError("bs_positions_m must list at least one BS")
         try:
+            check_int(len(self.bs_positions_m), "len(bs_positions_m)", 1)
+            for i, x in enumerate(self.bs_positions_m):
+                check_real(x, f"bs_positions_m[{i}]")
+            check_real(self.user_start_m, "user_start_m")
+            check_real(self.user_speed_mps, "user_speed_mps", POSITIVE)
             check_int(self.seed, "seed", 0)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
@@ -225,8 +220,12 @@ def run_buffer_sweep(config: ScenarioConfig, z_values_bits, out_dir) -> dict:
     the CSV layout.
     """
     z_values = list(z_values_bits)
-    if not z_values or any(not z >= 0 for z in z_values):   # NaN fails
-        raise ConfigError("z_values must be non-empty and >= 0")
+    try:
+        check_int(len(z_values), "len(z_values)", 1)
+        for i, z in enumerate(z_values):
+            check_real(z, f"z_values[{i}]", 0.0, math.inf)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
     trace = config.make_trace()
     video = config.video

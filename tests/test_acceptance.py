@@ -13,8 +13,9 @@ import pytest
 from prebuf import (AdmissionConfig, LinkBudget, ScenarioConfig,
                     ShadowingConfig, build_trace, per_prb_bits,
                     plan_anticipatory, run_single_user, service_curve,
-                    simulate_playback, solve, summarize_curve)
+                    simulate_playback, summarize_curve)
 from prebuf.scenario import default_video_spec
+from prebuf.simplex import solve
 
 from oracles import vertex_enum_objective
 from test_simplex import random_bounded_lp

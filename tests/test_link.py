@@ -279,6 +279,12 @@ class TestBuildTrace:
                 build_trace(np.roll(traj, shift), np.roll(bss, shift),
                             LinkBudget(), small_video(3), seed=0)
 
+    def test_overflowing_distance_rejected(self):
+        # finite positions whose difference overflows to an inf distance
+        with pytest.raises(ValueError, match="bs_positions_m"):
+            build_trace([1e308] * 3, [0.0, -1e308], LinkBudget(),
+                        small_video(3), seed=0)
+
     def test_empty_trajectory_rejected(self):
         with pytest.raises(ValueError):
             build_trace([], [0.0], LinkBudget(), small_video(1), seed=0)

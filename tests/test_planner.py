@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prebuf import (ChannelTrace, LinkBudget, LpProblem, VideoSpec,
-                    build_trace, plan_anticipatory, plan_baseline,
-                    simulate_playback, solve)
+from prebuf import (ChannelTrace, LinkBudget, VideoSpec, build_trace,
+                    plan_anticipatory, plan_baseline, simulate_playback)
+from prebuf.simplex import LpProblem, solve
 
 from oracles import (build_buffer_matrix, plan_anticipatory_numpy,
                      two_slot_plan_objective)

@@ -471,8 +471,14 @@ class TestCli:
         ("[link]\nnoise_psd_dbm_hz = -4000\n"
          "interference_psd_dbm_hz = -4000\n", [], "noise_psd_dbm_hz"),
         ("", ["--sigma-db", "1e4"], "gain_db"),
+        # every capacity rounds to 0: the message names the input, not
+        # the derived bits_per_prb
+        ("[link]\nmin_bs_distance_m = 1e308\n", [], "min_bs_distance_m"),
+        ("[scenario]\nbs_positions_m = 1e308\n", [], "bs_positions_m"),
+        ("[link]\nprb_bandwidth_hz = 1e308\n", [], "prb_bandwidth_hz"),
     ], ids=["power-overflow", "power-underflow", "snr-gap-overflow",
-            "zero-noise", "sigma-1e4"])
+            "zero-noise", "sigma-1e4", "capacity-0-min-distance",
+            "capacity-0-bs-position", "capacity-0-bandwidth"])
     def test_extreme_link_budget_exit_code(self, tmp_path, capsys, text,
                                            flags, named):
         ini = tmp_path / "link.ini"
@@ -523,7 +529,7 @@ class TestCli:
         rc = main(command + ["--sigma-db", "1e200", "--out", str(out)])
         err = capsys.readouterr().err
         assert rc == 1
-        assert err.startswith("config error: shadowing.sigma_db must be")
+        assert err.startswith("config error: sigma_db must be")
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, named", [

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from prebuf import LpProblem, solve
+from prebuf.simplex import LpProblem, solve
 
 from oracles import vertex_enum_objective
 
