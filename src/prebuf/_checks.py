@@ -44,11 +44,15 @@ def check_real(value, name: str, lo: float = -_MAX, hi: float = _MAX
     """
     if type(value) is float and lo <= value <= hi:
         return
+    # Other reals are compared as Python floats (ints exactly): against a
+    # float32, lo and hi would be cast and round (the least positive float
+    # to 0).
     if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-            or not lo <= value <= hi:
+            or not lo <= (value if isinstance(value, int)
+                          else float(value)) <= hi:
         kind = "finite real" if -_MAX <= lo and hi <= _MAX else "real"
         low = {POSITIVE: " > 0", -_MAX: ""}.get(lo, f" >= {lo:.6g}")
-        high = {_MAX: "", math.inf: " or inf"}.get(hi, f" <= {hi:.6g}")
+        high = {_MAX: "", math.inf: " or inf"}.get(hi, f" up to {hi:.6g}")
         raise ValueError(f"{name} must be a {kind} number{low}{high}, "
                          f"got {value!r}")
 

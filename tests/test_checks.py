@@ -96,6 +96,14 @@ def test_inf_accepted_where_legal(name, build):
     assert getattr(build(math.inf), name) == math.inf
 
 
+def test_narrow_numpy_float_compared_as_float():
+    # cast to float32, the least positive float would round to 0 (with a
+    # numpy warning) and 0 would pass as > 0
+    with pytest.raises(ValueError, match="bits_per_slot"):
+        video(bits_per_slot=np.float32(0.0))
+    assert video(bits_per_slot=np.float32(1.0)).bits_per_slot == 1.0
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_scalar_link_functions_reject_nonfinite(bad):
     with pytest.raises(ValueError, match="distance_km"):
