@@ -3,7 +3,7 @@
 from .admission import (AdmissionConfig, AdmissionLog, RequestRecord,
                         run_admission, service_curve, summarize_curve)
 from .link import (ChannelTrace, LinkBudget, ShadowingField, build_trace,
-                   path_loss_db, per_prb_bits)
+                   build_traces, path_loss_db, per_prb_bits)
 from .planner import AllocationPlan, plan_anticipatory, plan_baseline
 from .playout import BufferTimeline, VideoSpec, simulate_playback
 from .scenario import (ConfigError, ScenarioConfig, ShadowingConfig,
@@ -14,8 +14,8 @@ __all__ = [
     "AdmissionConfig", "AdmissionLog", "AllocationPlan", "BufferTimeline",
     "ChannelTrace", "ConfigError", "LinkBudget", "RequestRecord",
     "ScenarioConfig", "ShadowingConfig", "ShadowingField", "VideoSpec",
-    "build_trace", "default_video_spec", "load_config", "path_loss_db",
-    "per_prb_bits", "plan_anticipatory", "plan_baseline", "run_admission",
-    "run_buffer_sweep", "run_multiuser", "run_single_user", "service_curve",
-    "simulate_playback", "summarize_curve",
+    "build_trace", "build_traces", "default_video_spec", "load_config",
+    "path_loss_db", "per_prb_bits", "plan_anticipatory", "plan_baseline",
+    "run_admission", "run_buffer_sweep", "run_multiuser", "run_single_user",
+    "service_curve", "simulate_playback", "summarize_curve",
 ]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -20,9 +20,15 @@ from .link import ChannelTrace
 from .planner import AllocationPlan, plan_anticipatory, plan_baseline
 from .playout import VideoSpec, simulate_playback
 
-TraceFactory = Callable[[np.random.SeedSequence], ChannelTrace]
+# Builds the channel traces of a block of user seeds, one per seed.
+TraceFactory = Callable[[Sequence[np.random.SeedSequence]],
+                        list[ChannelTrace]]
 
 PLANNER_KINDS = ("anticipatory", "baseline")
+
+# Most users whose traces one TraceFactory call builds; it bounds the
+# traces held at once in a long run.
+TRACE_BLOCK = 256
 
 # Longest spectrum ledger a run may allocate: 2**20 slots of float64 is
 # 8 MiB, about 48 hours of arrivals in 1/6 s slots.
@@ -75,13 +81,16 @@ class AdmissionLog:
 
 
 def run_admission(config: AdmissionConfig, video: VideoSpec,
-                  make_trace: TraceFactory,
+                  make_traces: TraceFactory,
                   planner_kind: str = "anticipatory") -> AdmissionLog:
     """Process all requests in arrival order against one spectrum ledger.
 
-    `make_trace` builds a fresh channel trace for each arriving user from
-    a spawned seed, so shadowing streams are per-user independent while
-    the whole run stays reproducible from config.seed.
+    `make_traces` builds a fresh channel trace for each user from a
+    spawned seed, so shadowing streams are per-user independent while the
+    whole run stays reproducible from config.seed.  A trace does not
+    depend on the ledger, so once the arrival horizon is checked the
+    traces are built ahead of planning, in one call per block of at most
+    TRACE_BLOCK users.
     """
     if planner_kind not in PLANNER_KINDS:
         raise ValueError(f"unknown planner kind {planner_kind!r}")
@@ -109,8 +118,14 @@ def run_admission(config: AdmissionConfig, video: VideoSpec,
 
     log = AdmissionLog()
     for k in range(config.total_requests):
+        if k % TRACE_BLOCK == 0:
+            block = user_seeds[k:k + TRACE_BLOCK]
+            traces = make_traces(block)
+            if len(traces) != len(block):
+                raise ValueError(f"make_traces returned {len(traces)} "
+                                 f"traces for {len(block)} seeds")
+        trace = traces[k % TRACE_BLOCK]
         a = int(arrival_slots[k])
-        trace = make_trace(user_seeds[k])
         window = ledger[a:a + T]
         if planner_kind == "anticipatory":
             plan = plan_anticipatory(video, trace, window)
@@ -135,20 +150,21 @@ def run_admission(config: AdmissionConfig, video: VideoSpec,
     return log
 
 
-def _shared(make_trace: TraceFactory) -> TraceFactory:
-    """`make_trace` memoized on the user seed's spawn key.
+def _shared(make_traces: TraceFactory) -> TraceFactory:
+    """`make_traces` memoized on the spawn keys of the block's seeds.
 
-    Every run with one config.seed spawns the same user seeds, so runs of
-    the two planners on one seed get the same (read-only) trace objects.
+    Every run with one config.seed spawns the same user seeds in the same
+    blocks, so runs of the two planners on one seed get the same
+    (read-only) trace objects.
     """
-    traces = {}
+    blocks = {}
 
-    def trace(user_seed: np.random.SeedSequence) -> ChannelTrace:
-        key = user_seed.spawn_key
-        if key not in traces:
-            traces[key] = make_trace(user_seed)
-        return traces[key]
-    return trace
+    def traces(seeds) -> list[ChannelTrace]:
+        key = tuple(seed.spawn_key for seed in seeds)
+        if key not in blocks:
+            blocks[key] = make_traces(seeds)
+        return blocks[key]
+    return traces
 
 
 def check_kv_values(kv_values) -> list:
@@ -161,7 +177,7 @@ def check_kv_values(kv_values) -> list:
     return kv_values
 
 
-def service_curve(kv_values, video: VideoSpec, make_trace: TraceFactory,
+def service_curve(kv_values, video: VideoSpec, make_traces: TraceFactory,
                   base_config: AdmissionConfig, num_seeds: int = 10,
                   planner_kinds=PLANNER_KINDS) -> list[dict]:
     """Served counts per request volume, planner and seed (paired seeds).
@@ -183,9 +199,9 @@ def service_curve(kv_values, video: VideoSpec, make_trace: TraceFactory,
     outcomes = {}                   # (planner, seed) -> [(admitted, served)]
     for seed in seeds:
         cfg = replace(base_config, total_requests=max(kv_values), seed=seed)
-        shared_trace = _shared(make_trace)
+        shared_traces = _shared(make_traces)
         for kind in planner_kinds:
-            log = run_admission(cfg, video, shared_trace, kind)
+            log = run_admission(cfg, video, shared_traces, kind)
             outcomes[kind, seed] = [(r.admitted, r.served)
                                     for r in log.records]
     rows = []

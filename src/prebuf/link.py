@@ -10,13 +10,14 @@ plain bits.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import POSITIVE, all_finite, check_int, check_real
+from ._checks import MAX_COUNT, POSITIVE, all_finite, check_int, check_real
 from .playout import VideoSpec
 
 
@@ -49,7 +50,7 @@ class LinkBudget:
     min_bs_distance_m: float = 35.0
 
     def __post_init__(self) -> None:
-        check_int(self.num_system_prbs, "num_system_prbs", 1)
+        check_int(self.num_system_prbs, "num_system_prbs", 1, MAX_COUNT)
         for name in ("total_power_dbm", "noise_psd_dbm_hz", "noise_figure_db",
                      "interference_psd_dbm_hz"):
             check_real(getattr(self, name), name)
@@ -133,11 +134,18 @@ class ShadowingField:
                                          self.decorrelation_m, self.sigma_db)
         if self.sigma_db == 0.0:
             return np.zeros(positions.shape)
-        z = self._rng.standard_normal(len(rho))
-        v = 0.0
-        values = [v := rho_k * v + scale_k * z_k
-                  for rho_k, scale_k, z_k in zip(rho, scale, z.tolist())]
+        values = _ar1_path(rho, scale, self._rng)
         return np.array(values)[inverse].reshape(positions.shape)
+
+
+def _ar1_path(rho: tuple, scale: tuple, rng: np.random.Generator) -> list:
+    """One realisation of the field along the sorted unique positions:
+    standard_normal(len(rho)) from `rng`, then v = rho*v + scale*z over
+    Python floats."""
+    z = rng.standard_normal(len(rho))
+    v = 0.0
+    return [v := rho_k * v + scale_k * z_k
+            for rho_k, scale_k, z_k in zip(rho, scale, z.tolist())]
 
 
 # Entries kept by each memo below.  All users of a scenario share one
@@ -200,14 +208,38 @@ def _geometry(trajectory_bytes: bytes, bs_bytes: bytes,
     return distances, path
 
 
+def _capacities(gains_db, budget: LinkBudget,
+                slot_duration_s: float) -> list:
+    """Bits one PRB carries in one slot at each gain (dB), as a list.
+
+    Scalar `**` and `math.log2`, whose rounding numpy's array versions do
+    not always match; a gain whose linear value overflows raises
+    OverflowError.
+    """
+    power_w = budget.per_prb_power_w
+    denom = budget.snr_gap_linear * budget.noise_plus_interference_w
+    slot_hz = slot_duration_s * budget.prb_bandwidth_hz
+    log2 = math.log2
+    return [slot_hz * log2(1.0 + power_w * 10.0 ** (x / 10.0) / denom)
+            for x in gains_db]
+
+
 def per_prb_bits(gain_db: float, budget: LinkBudget,
                  slot_duration_s: float) -> float:
-    """Bits one PRB carries in one slot at the given average channel gain."""
+    """Bits one PRB carries in one slot at the given average channel gain.
+
+    A gain whose capacity overflows is a ValueError naming gain_db.
+    """
     check_real(gain_db, "gain_db")
     check_real(slot_duration_s, "slot_duration_s", POSITIVE)
-    sinr = (budget.per_prb_power_w * db_to_linear(gain_db)
-            / (budget.snr_gap_linear * budget.noise_plus_interference_w))
-    return slot_duration_s * budget.prb_bandwidth_hz * math.log2(1.0 + sinr)
+    try:
+        (bits,) = _capacities((gain_db,), budget, slot_duration_s)
+    except OverflowError:
+        bits = math.inf
+    if bits == math.inf:
+        raise ValueError(f"gain_db {gain_db!r} dB gives a per-PRB capacity "
+                         "that overflows")
+    return bits
 
 
 @dataclass(frozen=True)
@@ -218,7 +250,6 @@ class ChannelTrace:
     planners without one of them changing what another sees.
     """
 
-    slot_duration_s: float
     distances_m: np.ndarray
     serving_bs: np.ndarray
     gain_db: np.ndarray
@@ -247,15 +278,26 @@ def build_trace(trajectory_m, bs_positions_m, budget: LinkBudget,
                 spec: VideoSpec, *, sigma_db: float = 10.0,
                 decorrelation_m: float = 50.0,
                 seed=0) -> ChannelTrace:
-    """Build the per-slot channel trace for one user trajectory.
+    """The channel trace of one user: build_traces with one seed."""
+    return build_traces(trajectory_m, bs_positions_m, budget, spec,
+                        sigma_db=sigma_db, decorrelation_m=decorrelation_m,
+                        seeds=[seed])[0]
+
+
+def build_traces(trajectory_m, bs_positions_m, budget: LinkBudget,
+                 spec: VideoSpec, *, sigma_db: float = 10.0,
+                 decorrelation_m: float = 50.0,
+                 seeds) -> list[ChannelTrace]:
+    """Build the per-slot channel trace of one user per seed, in one batch.
 
     Each slot attaches to the BS with the highest average received power
     (path loss plus shadowing).  Each BS has its own shadowing stream,
     drawn once jointly over the whole trajectory.
-    `seed` may be an int or a numpy SeedSequence; identical seeds reproduce
-    the trace bit for bit.  The per-BS streams are the children of a first
-    spawn of `seed`, built without spawning from it, so a SeedSequence
-    passed twice gives the same trace and is left unchanged.
+    Each seed may be an int or a numpy SeedSequence; identical seeds
+    reproduce the trace bit for bit, whatever block they are built in.
+    The per-BS streams are the children of a first spawn of the seed,
+    built without spawning from it, so a SeedSequence passed twice gives
+    the same trace and is left unchanged.
 
     Every user of a scenario shares its trajectory and BS layout, so the
     clamped distances and path gains of every (BS, slot) pair are
@@ -264,18 +306,19 @@ def build_trace(trajectory_m, bs_positions_m, budget: LinkBudget,
     draws are per trace.  The memo also checks that the positions are
     finite, so a geometry is checked when first seen, before any draw;
     a call that raises caches nothing, so bad positions raise on every
-    call.
+    call.  The input checks and the memo lookups run once per call; per
+    stream only the seeding, the draws and the AR(1) recursion do.
 
     Traces are byte-identical to build_trace_loop in tests/oracles.py, a
     slot-by-slot loop, and unshadowed ones to a rebuild from path_loss_db
     and per_prb_bits.  The memo evaluates the path loss with scalar
     `math.log10`, numpy only adds the shadowing (one IEEE addition per
     element, the same bits as in Python) and takes the argmax (the first
-    of equals wins, as a strict `>` scan does), and the capacities use the
-    scalar `**` and `math.log2` of per_prb_bits: numpy's array versions
-    differ from them by ulps.  A capacity that overflows, rounds to 0 or
-    is not finite is a ValueError naming gain_db and the inputs that set
-    it.
+    of equals wins, as a strict `>` scan does) on one (seed, BS, slot)
+    array, and the capacities use the scalar `**` and `math.log2` of
+    per_prb_bits over every slot of the batch.  A capacity that
+    overflows, rounds to 0 or is not finite is a ValueError naming gain_db
+    and the inputs that set it.
     """
     trajectory_m = np.asarray(trajectory_m, dtype=float).ravel()
     if trajectory_m.size == 0:
@@ -287,40 +330,46 @@ def build_trace(trajectory_m, bs_positions_m, budget: LinkBudget,
     bs_positions_m = np.asarray(bs_positions_m, dtype=float)
     if bs_positions_m.size == 0:
         raise ValueError("need at least one BS position")
-    # Before the draws, so a non-finite position is reported as such and
-    # not by the shadowing sampler.
-    distance, path = _geometry(trajectory_m.tobytes(),
-                               bs_positions_m.tobytes(),
+    # Before the AR(1) memo, so a non-finite position is reported as a
+    # trajectory or BS position and not as a shadowing one.
+    trajectory_bytes = trajectory_m.tobytes()
+    distance, path = _geometry(trajectory_bytes, bs_positions_m.tobytes(),
                                budget.min_bs_distance_m)
+    check_shadowing(sigma_db, decorrelation_m)
+    inverse, rho, scale = _ar1_steps(trajectory_bytes, decorrelation_m,
+                                     sigma_db)
 
-    ss = seed if isinstance(seed, np.random.SeedSequence) \
-        else np.random.SeedSequence(seed)
-    children = [np.random.SeedSequence(ss.entropy,
-                                       spawn_key=ss.spawn_key + (i,),
-                                       pool_size=ss.pool_size)
-                for i in range(bs_positions_m.size)]
-    # the generator np.random.default_rng(child) builds, without its checks
-    shadowing = [ShadowingField(sigma_db, decorrelation_m,
-                                np.random.Generator(np.random.PCG64(child))
-                                ).sample(trajectory_m)
-                 for child in children]
-    bs_gain = path + np.array(shadowing)
-    serving = bs_gain.argmax(axis=0)       # the first of equals wins
-    slots = np.arange(trajectory_m.size)
-    gain = bs_gain[serving, slots]
+    SeedSequence = np.random.SeedSequence
+    seeds = [s if isinstance(s, SeedSequence) else SeedSequence(s)
+             for s in seeds]
+    if not seeds:
+        return []
+    n, (num_bs, T) = len(seeds), path.shape
+    if sigma_db == 0.0:
+        shadowing = np.zeros((n, num_bs, T))
+    else:
+        # the generator np.random.default_rng(child) builds, without its
+        # checks, for each child of a first spawn of each seed
+        draws = [_ar1_path(rho, scale, np.random.Generator(np.random.PCG64(
+                     SeedSequence(ss.entropy, spawn_key=ss.spawn_key + (i,),
+                                  pool_size=ss.pool_size))))
+                 for ss in seeds for i in range(num_bs)]
+        values = np.fromiter(itertools.chain.from_iterable(draws), float,
+                             n * num_bs * len(rho))
+        shadowing = values.reshape(n, num_bs, -1).take(inverse, axis=2)
+    bs_gain = path + shadowing
+    serving = bs_gain.argmax(axis=1)       # the first of equals wins
+    slots = np.arange(T)
+    gain = bs_gain[np.arange(n)[:, None], serving, slots]
+    distances = distance[serving, slots]
 
-    # Link-budget invariants, evaluated in per_prb_bits's operation order.
-    power_w = budget.per_prb_power_w
-    denom = budget.snr_gap_linear * budget.noise_plus_interference_w
-    slot_hz = spec.slot_duration_s * budget.prb_bandwidth_hz
-    log2 = math.log2
     # A capacity that overflows raises here; one that rounds to 0 or is
     # not finite fails ChannelTrace's check, the only one that can fail.
     try:
-        bits = [slot_hz * log2(1.0 + power_w * 10.0 ** (x / 10.0) / denom)
-                for x in gain.tolist()]
-        return ChannelTrace(spec.slot_duration_s, distance[serving, slots],
-                            serving, gain, np.array(bits))
+        bits = np.array(_capacities(gain.ravel().tolist(), budget,
+                                    spec.slot_duration_s)).reshape(n, T)
+        return [ChannelTrace(distances[k], serving[k], gain[k], bits[k])
+                for k in range(n)]
     except (OverflowError, ValueError):
         raise ValueError(
             f"gain_db in [{gain.min():.6g}, {gain.max():.6g}] dB gives a "

@@ -19,7 +19,8 @@ import numpy as np
 
 from ._checks import POSITIVE, all_finite, check_int, check_real
 from .admission import AdmissionConfig, service_curve, summarize_curve
-from .link import ChannelTrace, LinkBudget, build_trace, check_shadowing
+from .link import (ChannelTrace, LinkBudget, build_trace, build_traces,
+                   check_shadowing)
 # plan_baseline is unused here but kept as a module attribute: the
 # benchmark tracer patches prebuf.scenario.plan_baseline by name.
 from .planner import plan_anticipatory, plan_baseline  # noqa: F401
@@ -88,14 +89,29 @@ class ScenarioConfig:
         """User position at the start of each slot (a fresh array)."""
         return self._trajectory.copy()
 
-    def make_trace(self, seed=None) -> ChannelTrace:
-        if seed is None:
-            seed = self.seed
+    def make_trace(self, seed=None):
+        """The trace of one seed (config.seed if None).
+
+        A list of seeds gives their list of traces, as make_traces does,
+        so a bound make_trace also serves as an admission TraceFactory
+        (bench/workloads.py passes one).
+        """
+        if isinstance(seed, list):
+            return self.make_traces(seed)
         return build_trace(self._trajectory, self.bs_positions_m,
                            self.link, self.video,
                            sigma_db=self.shadowing.sigma_db,
                            decorrelation_m=self.shadowing.decorrelation_m,
-                           seed=seed)
+                           seed=self.seed if seed is None else seed)
+
+    def make_traces(self, seeds) -> list[ChannelTrace]:
+        """The traces of `seeds`, built in one batch (an admission
+        TraceFactory)."""
+        return build_traces(self._trajectory, self.bs_positions_m,
+                            self.link, self.video,
+                            sigma_db=self.shadowing.sigma_db,
+                            decorrelation_m=self.shadowing.decorrelation_m,
+                            seeds=seeds)
 
 
 # INI value parser per field type; every config module uses postponed
@@ -252,7 +268,7 @@ def run_buffer_sweep(config: ScenarioConfig, z_values_bits, out_dir) -> dict:
 def run_multiuser(config: ScenarioConfig, admission: AdmissionConfig,
                   kv_range, out_dir, num_seeds: int = 10) -> list[dict]:
     """Admission experiment over request volumes; writes service_curve.csv."""
-    rows = service_curve(kv_range, config.video, config.make_trace,
+    rows = service_curve(kv_range, config.video, config.make_traces,
                          admission, num_seeds=num_seeds)
     means = summarize_curve(rows)
 

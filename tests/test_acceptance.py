@@ -158,7 +158,7 @@ def test_criterion_7_service_dominance():
     cfg = ScenarioConfig()
     base = AdmissionConfig(total_requests=5, available_prbs=15,
                            mean_interarrival_s=0.58, seed=0)
-    rows = service_curve([5, 10, 20, 30, 40], cfg.video, cfg.make_trace,
+    rows = service_curve([5, 10, 20, 30, 40], cfg.video, cfg.make_traces,
                          base, num_seeds=10)
     means = {(r["kv"], r["planner"]): r["mean_served"]
              for r in summarize_curve(rows)}

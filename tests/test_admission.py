@@ -33,13 +33,13 @@ def shadowed_scenario():
 class TestRunAdmission:
     def test_zero_capacity_admits_nobody(self, scenario):
         cfg = AdmissionConfig(total_requests=5, available_prbs=0, seed=0)
-        log = run_admission(cfg, scenario.video, scenario.make_trace)
+        log = run_admission(cfg, scenario.video, scenario.make_traces)
         assert log.admitted_count == 0
         assert log.served_count == 0
 
     def test_single_request_bookkeeping(self, scenario):
         cfg = AdmissionConfig(total_requests=1, available_prbs=50, seed=0)
-        log = run_admission(cfg, scenario.video, scenario.make_trace)
+        log = run_admission(cfg, scenario.video, scenario.make_traces)
         rec = log.records[0]
         assert rec.admitted and rec.served
         ledger = log.residual_prbs_timeline
@@ -55,7 +55,7 @@ class TestRunAdmission:
         for seed in range(4):
             cfg = AdmissionConfig(total_requests=25, available_prbs=15,
                                   seed=seed)
-            log = run_admission(cfg, video, shadowed_scenario.make_trace,
+            log = run_admission(cfg, video, shadowed_scenario.make_traces,
                                 "anticipatory")
             assert log.served_count == log.admitted_count
 
@@ -63,7 +63,7 @@ class TestRunAdmission:
         video = shadowed_scenario.video
         cfg = AdmissionConfig(total_requests=25, available_prbs=15, seed=1)
         for kind in ("anticipatory", "baseline"):
-            log = run_admission(cfg, video, shadowed_scenario.make_trace,
+            log = run_admission(cfg, video, shadowed_scenario.make_traces,
                                 kind)
             total = np.zeros(log.residual_prbs_timeline.size)
             for rec in log.records:
@@ -79,9 +79,9 @@ class TestRunAdmission:
             for seed in range(3):
                 cfg = AdmissionConfig(total_requests=kv, available_prbs=15,
                                       seed=seed)
-                a = run_admission(cfg, video, shadowed_scenario.make_trace,
+                a = run_admission(cfg, video, shadowed_scenario.make_traces,
                                   "anticipatory")
-                b = run_admission(cfg, video, shadowed_scenario.make_trace,
+                b = run_admission(cfg, video, shadowed_scenario.make_traces,
                                   "baseline")
                 assert a.served_count >= b.served_count
                 strict += a.served_count > b.served_count
@@ -90,8 +90,8 @@ class TestRunAdmission:
     def test_deterministic_per_seed(self, shadowed_scenario):
         video = shadowed_scenario.video
         cfg = AdmissionConfig(total_requests=12, available_prbs=15, seed=9)
-        a = run_admission(cfg, video, shadowed_scenario.make_trace)
-        b = run_admission(cfg, video, shadowed_scenario.make_trace)
+        a = run_admission(cfg, video, shadowed_scenario.make_traces)
+        b = run_admission(cfg, video, shadowed_scenario.make_traces)
         assert [r.admitted for r in a.records] \
             == [r.admitted for r in b.records]
         assert np.array_equal(a.residual_prbs_timeline,
@@ -101,16 +101,16 @@ class TestRunAdmission:
             self, shadowed_scenario):
         video = shadowed_scenario.video
         t1 = run_admission(AdmissionConfig(total_requests=6, seed=1),
-                           video, shadowed_scenario.make_trace)
+                           video, shadowed_scenario.make_traces)
         t2 = run_admission(AdmissionConfig(total_requests=6, seed=2),
-                           video, shadowed_scenario.make_trace)
+                           video, shadowed_scenario.make_traces)
         assert [r.arrival_time_s for r in t1.records] \
             != [r.arrival_time_s for r in t2.records]
 
     def test_unknown_planner_rejected(self, scenario):
         with pytest.raises(ValueError):
             run_admission(AdmissionConfig(total_requests=1),
-                          scenario.video, scenario.make_trace, "psychic")
+                          scenario.video, scenario.make_traces, "psychic")
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -177,7 +177,7 @@ class TestRunAdmission:
         monkeypatch.setattr(np.random, "SeedSequence", Recording)
         cfg = AdmissionConfig(total_requests=1000, mean_interarrival_s=1e6)
         with pytest.raises(LedgerHorizonError):
-            run_admission(cfg, scenario.video, scenario.make_trace)
+            run_admission(cfg, scenario.video, scenario.make_traces)
         assert spawned == [1]
 
     def test_long_horizon_within_limit_runs(self, scenario):
@@ -186,7 +186,7 @@ class TestRunAdmission:
         mean_s = MAX_LEDGER_SLOTS * scenario.video.slot_duration_s / 16
         cfg = AdmissionConfig(total_requests=1, mean_interarrival_s=mean_s,
                               available_prbs=50, seed=0)
-        log = run_admission(cfg, scenario.video, scenario.make_trace)
+        log = run_admission(cfg, scenario.video, scenario.make_traces)
         assert log.records[0].arrival_slot > 10_000
         assert log.served_count == 1
         assert log.residual_prbs_timeline.size <= MAX_LEDGER_SLOTS
@@ -202,7 +202,7 @@ class TestRunAdmission:
         def records(total):
             cfg = AdmissionConfig(total_requests=total, available_prbs=15,
                                   seed=seed)
-            log = run_admission(cfg, video, shadowed_scenario.make_trace,
+            log = run_admission(cfg, video, shadowed_scenario.make_traces,
                                 planner_kind)
             return [(r.arrival_slot, r.admitted, r.outage_count)
                     for r in log.records]
@@ -212,9 +212,65 @@ class TestRunAdmission:
             assert records(k) == full[:k]
 
 
+class TestTraceFactory:
+    """run_admission builds its traces ahead of planning, one factory call
+    per block of at most TRACE_BLOCK users, with unchanged records."""
+
+    @staticmethod
+    def run(cfg, video, make_traces, kind):
+        log = run_admission(cfg, video, make_traces, kind)
+        return ([(r.arrival_slot, r.admitted, r.outage_count)
+                 for r in log.records], log.residual_prbs_timeline)
+
+    @pytest.mark.parametrize("kind", PLANNER_KINDS)
+    @pytest.mark.parametrize("block", [1, 3, 4])
+    def test_one_call_per_block(self, shadowed_scenario, monkeypatch, kind,
+                                block):
+        video = shadowed_scenario.video
+        cfg = AdmissionConfig(total_requests=10, available_prbs=15, seed=2)
+        want_records, want_ledger = self.run(
+            cfg, video, shadowed_scenario.make_traces, kind)
+        calls = []
+
+        def recording_traces(seeds):
+            calls.append([seed.spawn_key for seed in seeds])
+            return shadowed_scenario.make_traces(seeds)
+
+        monkeypatch.setattr(prebuf.admission, "TRACE_BLOCK", block)
+        records, ledger = self.run(cfg, video, recording_traces, kind)
+        keys = [(k,) for k in range(1, 11)]   # spawn(1) went to arrivals
+        assert calls == [keys[i:i + block] for i in range(0, 10, block)]
+        assert records == want_records
+        assert np.array_equal(ledger, want_ledger)
+
+    def test_crosses_default_block(self, scenario):
+        calls = []
+
+        def recording_traces(seeds):
+            calls.append(len(seeds))
+            return scenario.make_traces(seeds)
+
+        block = prebuf.admission.TRACE_BLOCK
+        cfg = AdmissionConfig(total_requests=block + 2, available_prbs=15)
+        log = run_admission(cfg, scenario.video, recording_traces,
+                            "baseline")
+        assert calls == [block, 2]
+        assert len(log.records) == block + 2
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_wrong_count_rejected(self, scenario, extra):
+        def wrong_count(seeds):
+            return scenario.make_traces(seeds + seeds[:1])[:len(seeds)
+                                                           + extra]
+
+        with pytest.raises(ValueError, match="make_traces returned"):
+            run_admission(AdmissionConfig(total_requests=3), scenario.video,
+                          wrong_count)
+
+
 class TestServiceCurve:
     def test_uncontended_single_user(self, scenario):
-        rows = service_curve([1], scenario.video, scenario.make_trace,
+        rows = service_curve([1], scenario.video, scenario.make_traces,
                              AdmissionConfig(total_requests=1,
                                              available_prbs=50),
                              num_seeds=2)
@@ -226,13 +282,13 @@ class TestServiceCurve:
         for prbs in (5, 15, 50):
             cfg = AdmissionConfig(total_requests=15, available_prbs=prbs,
                                   seed=3)
-            log = run_admission(cfg, video, shadowed_scenario.make_trace)
+            log = run_admission(cfg, video, shadowed_scenario.make_traces)
             served.append(log.served_count)
         assert served == sorted(served)
 
     def test_pointwise_dominance_per_seed(self, shadowed_scenario):
         rows = service_curve([5, 10], shadowed_scenario.video,
-                             shadowed_scenario.make_trace,
+                             shadowed_scenario.make_traces,
                              AdmissionConfig(total_requests=5,
                                              available_prbs=15),
                              num_seeds=3)
@@ -256,12 +312,12 @@ class TestServiceCurve:
 
     def test_empty_range_rejected(self, scenario):
         with pytest.raises(ValueError):
-            service_curve([], scenario.video, scenario.make_trace,
+            service_curve([], scenario.video, scenario.make_traces,
                           AdmissionConfig(total_requests=1))
 
     def test_no_seeds_rejected(self, scenario):
         with pytest.raises(ValueError):
-            service_curve([1], scenario.video, scenario.make_trace,
+            service_curve([1], scenario.video, scenario.make_traces,
                           AdmissionConfig(total_requests=1), num_seeds=0)
 
     def test_too_many_seeds_rejected_before_any_run(self, scenario,
@@ -271,7 +327,7 @@ class TestServiceCurve:
 
         monkeypatch.setattr(prebuf.admission, "run_admission", unreachable)
         with pytest.raises(ValueError, match="num_seeds"):
-            service_curve([1], scenario.video, scenario.make_trace,
+            service_curve([1], scenario.video, scenario.make_traces,
                           AdmissionConfig(total_requests=1),
                           num_seeds=MAX_COUNT + 1)
 
@@ -298,12 +354,12 @@ class TestServiceCurve:
                     cfg = AdmissionConfig(total_requests=kv,
                                           available_prbs=15, seed=seed)
                     log = run_admission(cfg, video,
-                                        shadowed_scenario.make_trace, kind)
+                                        shadowed_scenario.make_traces, kind)
                     want.append({"kv": kv, "planner": kind, "seed": seed,
                                  "admitted": log.admitted_count,
                                  "served": log.served_count,
                                  "service_rate": log.served_count / kv})
-        rows = service_curve(kv_values, video, shadowed_scenario.make_trace,
+        rows = service_curve(kv_values, video, shadowed_scenario.make_traces,
                              AdmissionConfig(total_requests=1,
                                              available_prbs=15),
                              num_seeds=3)
@@ -312,11 +368,11 @@ class TestServiceCurve:
     def test_each_trace_built_once_per_seed(self, shadowed_scenario):
         calls = []
 
-        def counting_trace(seed):
-            calls.append(seed.spawn_key)
-            return shadowed_scenario.make_trace(seed)
+        def counting_traces(seeds):
+            calls.extend(seed.spawn_key for seed in seeds)
+            return shadowed_scenario.make_traces(seeds)
 
-        service_curve([3, 7, 5], shadowed_scenario.video, counting_trace,
+        service_curve([3, 7, 5], shadowed_scenario.video, counting_traces,
                       AdmissionConfig(total_requests=1, available_prbs=15),
                       num_seeds=2)
         assert len(calls) == 7 * 2

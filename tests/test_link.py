@@ -7,8 +7,9 @@ from hypothesis import given, strategies as st
 from oracles import build_trace_loop
 
 from prebuf import (ChannelTrace, LinkBudget, ScenarioConfig, ShadowingConfig,
-                    ShadowingField, VideoSpec, build_trace, link,
-                    path_loss_db, per_prb_bits, scenario)
+                    ShadowingField, VideoSpec, admission, build_trace,
+                    build_traces, link, path_loss_db, per_prb_bits, scenario)
+from prebuf._checks import MAX_COUNT
 
 
 def small_video(T=8):
@@ -168,6 +169,12 @@ class TestPerPrbBits:
         assert per_prb_bits(-95.0, budget, 2 / 6) == pytest.approx(
             2 * one, rel=1e-14)
 
+    @pytest.mark.parametrize("gain_db", [1e4, 3000.0, 1e308])
+    def test_overflowing_capacity_names_gain(self, gain_db):
+        # 1e4 overflows 10 ** (gain / 10); 3000 overflows the SINR to inf
+        with pytest.raises(ValueError, match="gain_db"):
+            per_prb_bits(gain_db, LinkBudget(), 1 / 6)
+
 
 class TestBuildTrace:
     def test_receding_user_single_bs(self):
@@ -241,13 +248,13 @@ class TestBuildTrace:
 
     def test_one_joint_draw_per_bs(self, monkeypatch):
         sizes = []
-        sample = ShadowingField.sample
+        draw = link._ar1_path
 
-        def counted(field, positions_m):
-            sizes.append(len(positions_m))
-            return sample(field, positions_m)
+        def counted(rho, scale, rng):
+            sizes.append(len(rho))
+            return draw(rho, scale, rng)
 
-        monkeypatch.setattr(ShadowingField, "sample", counted)
+        monkeypatch.setattr(link, "_ar1_path", counted)
         build_trace(35.0 + 30.0 * np.arange(12), [0.0, 550.0, 900.0],
                     LinkBudget(), small_video(12), seed=0)
         assert sizes == [12, 12, 12]
@@ -437,6 +444,67 @@ class TestBuildTraceAgainstLoop:
             assert info.currsize <= info.maxsize
 
 
+def mixed_seeds(n):
+    """n fresh seeds, ints and SeedSequences alternating."""
+    return [k if k % 2 == 0 else np.random.SeedSequence(100 + k)
+            for k in range(n)]
+
+
+class TestBuildTraces:
+    """A batch gives, per seed, the trace of the slot-by-slot loop and of
+    a block of one."""
+
+    # turns around, so positions repeat and are unsorted
+    TRAJ = np.concatenate([np.linspace(40.0, 400.0, 12),
+                           np.linspace(400.0, 40.0, 12)])
+
+    @pytest.mark.parametrize("bss", [
+        [0.0, 550.0],
+        [0.0, 300.0, 650.0],
+        [250.0, 250.0, 600.0],      # co-located: at sigma 0 the first wins
+    ], ids=["2-bs", "3-bs", "tied"])
+    @pytest.mark.parametrize("sigma_db, decorrelation_m", [
+        (10.0, 50.0), (0.0, 50.0), (8.0, 0.0), (6.0, math.inf),
+    ], ids=["default", "sigma-0", "uncorrelated", "constant"])
+    @pytest.mark.parametrize("n", [1, 2, 40, admission.TRACE_BLOCK + 1])
+    def test_matches_loop_and_block_of_one(self, n, sigma_db,
+                                           decorrelation_m, bss):
+        spec, budget = small_video(self.TRAJ.size), LinkBudget()
+        kwargs = dict(sigma_db=sigma_db, decorrelation_m=decorrelation_m)
+        traces = build_traces(self.TRAJ, bss, budget, spec,
+                              seeds=mixed_seeds(n), **kwargs)
+        assert len(traces) == n
+        for trace, seed, again in zip(traces, mixed_seeds(n),
+                                      mixed_seeds(n), strict=True):
+            assert_matches_loop(trace, self.TRAJ, bss, budget, spec,
+                                seed=seed, **kwargs)
+            (one,) = build_traces(self.TRAJ, bss, budget, spec,
+                                  seeds=[again], **kwargs)
+            for name, a, b in zip(TRACE_FIELDS, trace_fields(trace),
+                                  trace_fields(one)):
+                assert a.dtype == b.dtype, name
+                assert a.tobytes() == b.tobytes(), name
+                assert not a.flags.writeable, name
+
+    def test_seed_sequence_twice_unchanged(self):
+        ss = np.random.SeedSequence(9).spawn(3)[2]
+        key, state = ss.spawn_key, ss.generate_state(4)
+        first, _, again = build_traces(self.TRAJ, [0.0, 300.0, 650.0],
+                                       LinkBudget(), small_video(24),
+                                       seeds=[ss, 4, ss])
+        for name, a, b in zip(TRACE_FIELDS, trace_fields(first),
+                              trace_fields(again)):
+            assert a.tobytes() == b.tobytes(), name
+        assert ss.n_children_spawned == 0 and ss.spawn_key == key
+        assert np.array_equal(ss.generate_state(4), state)
+
+    def test_no_seeds_still_checked(self):
+        args = (self.TRAJ, [0.0, 550.0], LinkBudget(), small_video(24))
+        assert build_traces(*args, seeds=[]) == []
+        with pytest.raises(ValueError, match="sigma_db"):
+            build_traces(*args, sigma_db=-1.0, seeds=[])
+
+
 class TestChannelTraceValidation:
     @pytest.mark.parametrize("name", ["distances_m", "serving_bs", "gain_db",
                                       "bits_per_prb"])
@@ -448,8 +516,7 @@ class TestChannelTraceValidation:
 
     def test_callers_arrays_stay_writable(self):
         bits = np.array([3e5, 3e5])
-        trace = ChannelTrace(slot_duration_s=1 / 6,
-                             distances_m=np.full(2, 100.0),
+        trace = ChannelTrace(distances_m=np.full(2, 100.0),
                              serving_bs=np.zeros(2, dtype=int),
                              gain_db=np.zeros(2), bits_per_prb=bits)
         bits[0] = 1e5
@@ -461,8 +528,7 @@ class TestChannelTraceValidation:
             bits = np.full(3, 3e5)
             bits[slot] = bad
             with pytest.raises(ValueError, match="bits_per_prb"):
-                ChannelTrace(slot_duration_s=1 / 6,
-                             distances_m=np.full(3, 100.0),
+                ChannelTrace(distances_m=np.full(3, 100.0),
                              serving_bs=np.zeros(3, dtype=int),
                              gain_db=np.zeros(3), bits_per_prb=bits)
 
@@ -471,6 +537,14 @@ class TestLinkBudgetValidation:
     def test_rejects_zero_prbs(self):
         with pytest.raises(ValueError):
             LinkBudget(num_system_prbs=0)
+
+    @pytest.mark.parametrize("bad", [MAX_COUNT + 1, 10 ** 400],
+                             ids=["max-count-plus-1", "1e400"])
+    def test_num_system_prbs_bounded(self, bad):
+        with pytest.raises(ValueError, match=r"num_system_prbs must be an "
+                                             r"integer in \[1, 1048576\]"):
+            LinkBudget(num_system_prbs=bad)
+        LinkBudget(num_system_prbs=MAX_COUNT)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 2.5, True])
     def test_num_system_prbs_must_be_int(self, bad):
@@ -524,6 +598,15 @@ class TestSharedTrajectory:
             for name, a, b in zip(TRACE_FIELDS, trace_fields(got),
                                   trace_fields(want)):
                 assert a.dtype == b.dtype, name
+                assert a.tobytes() == b.tobytes(), name
+
+    def test_make_trace_of_a_list_is_make_traces(self):
+        cfg = ScenarioConfig(bs_positions_m=(0.0, 300.0, 650.0))
+        seeds = np.random.SeedSequence(4).spawn(3)
+        for got, want in zip(cfg.make_trace(seeds), cfg.make_traces(seeds),
+                             strict=True):
+            for name, a, b in zip(TRACE_FIELDS, trace_fields(got),
+                                  trace_fields(want)):
                 assert a.tobytes() == b.tobytes(), name
 
     def test_cached_trajectory_read_only(self, monkeypatch):

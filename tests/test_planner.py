@@ -21,8 +21,7 @@ def trace_from_capacity(bits_per_prb):
     """Trace with prescribed per-PRB capacities (geometry irrelevant)."""
     bits = np.asarray(bits_per_prb, dtype=float)
     T = bits.size
-    return ChannelTrace(slot_duration_s=1 / 6,
-                        distances_m=np.full(T, 100.0),
+    return ChannelTrace(distances_m=np.full(T, 100.0),
                         serving_bs=np.zeros(T, dtype=int),
                         gain_db=np.zeros(T),
                         bits_per_prb=bits)

@@ -493,6 +493,25 @@ class TestCli:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("prbs", [MAX_COUNT + 1, 10 ** 400],
+                             ids=["max-count-plus-1", "1e400"])
+    @pytest.mark.parametrize("command", [
+        ["single-user"],
+        ["buffer-sweep", "--z-max-multiple", "1"],
+        ["multi-user", "--kv", "2", "--num-seeds", "1"],
+    ])
+    def test_num_system_prbs_bounded_exit_code(self, tmp_path, capsys, prbs,
+                                               command):
+        ini = tmp_path / "prbs.ini"
+        ini.write_text(f"[link]\nnum_system_prbs = {prbs}\n")
+        out = tmp_path / "out"
+        rc = main(command + ["--config", str(ini), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("config error: [link]: num_system_prbs must "
+                              f"be an integer in [1, {MAX_COUNT}]")
+        assert not out.exists()
+
     @pytest.mark.parametrize("text", [
         "[video]\nslot_duration_s = 1e308\n",
         "[scenario]\nuser_speed_mps = 1e308\n",
