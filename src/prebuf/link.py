@@ -22,11 +22,11 @@ from .playout import VideoSpec
 
 
 def dbm_to_watts(dbm: float) -> float:
-    return 10.0 ** (dbm / 10.0) * 1e-3
+    return 10.0 ** (float(dbm) / 10.0) * 1e-3
 
 
 def db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+    return 10.0 ** (float(db) / 10.0)
 
 
 @dataclass(frozen=True)
@@ -58,17 +58,20 @@ class LinkBudget:
         check_real(self.snr_gap_db, "snr_gap_db", 0.0)
         check_real(self.min_bs_distance_m, "min_bs_distance_m", POSITIVE)
         # build_trace scales by the power and divides by the rest.  Finite
-        # dB values can still overflow in linear units (float ** raises,
-        # as does dividing by a huge int) or round to 0.
-        noise_dbm = self.noise_psd_dbm_hz + self.noise_figure_db
+        # dB values can still overflow in linear units (float ** raises)
+        # or round to 0.  All of it is in Python floats, whatever real
+        # types the fields hold, so numpy scalars cannot overflow with a
+        # warning instead.
+        noise_dbm = float(self.noise_psd_dbm_hz) + float(self.noise_figure_db)
         for name, source, linear in (
             ("per_prb_power_w", "total_power_dbm, num_system_prbs",
              lambda: dbm_to_watts(self.total_power_dbm)
-             / self.num_system_prbs),
+             / int(self.num_system_prbs)),
             ("noise_plus_interference_w",
              "noise_psd_dbm_hz, noise_figure_db, interference_psd_dbm_hz",
              lambda: (dbm_to_watts(noise_dbm) + dbm_to_watts(
-                 self.interference_psd_dbm_hz)) * self.prb_bandwidth_hz),
+                 self.interference_psd_dbm_hz))
+             * float(self.prb_bandwidth_hz)),
             ("snr_gap_linear", "snr_gap_db",
              lambda: db_to_linear(self.snr_gap_db)),
         ):
@@ -168,8 +171,8 @@ def _ar1_steps(positions_bytes: bytes, decorrelation_m: float,
         raise ValueError("shadowing positions must be finite")
     unique, inverse = np.unique(positions, return_inverse=True)
     inverse.setflags(write=False)
-    xs, d_c = unique.tolist(), decorrelation_m
-    var = sigma_db ** 2
+    xs, d_c = unique.tolist(), float(decorrelation_m)
+    var = float(sigma_db) ** 2
     rho, scale = [], []
     for k in range(len(xs)):
         r = (math.exp(-(xs[k] - xs[k - 1]) / d_c)
@@ -191,9 +194,9 @@ def _geometry(trajectory_bytes: bytes, bs_bytes: bytes,
     """
     trajectory, bs = np.frombuffer(trajectory_bytes), np.frombuffer(bs_bytes)
     if not all_finite(trajectory):
-        raise ValueError("trajectory positions must be finite")
+        raise ValueError("trajectory positions (trajectory_m) must be finite")
     if not all_finite(bs):
-        raise ValueError("BS positions must be finite")
+        raise ValueError("BS positions (bs_positions_m) must be finite")
     # A distance that overflows is clamped to the largest float: its
     # capacity rounds to 0, which build_trace reports with the inputs
     # that set it.
@@ -209,36 +212,46 @@ def _geometry(trajectory_bytes: bytes, bs_bytes: bytes,
 
 
 def _capacities(gains_db, budget: LinkBudget,
-                slot_duration_s: float) -> list:
-    """Bits one PRB carries in one slot at each gain (dB), as a list.
+                slot_duration_s: float) -> np.ndarray:
+    """Bits one PRB carries in one slot at each gain (dB), as an array.
 
-    Scalar `**` and `math.log2`, whose rounding numpy's array versions do
-    not always match; a gain whose linear value overflows raises
-    OverflowError.
+    numpy does the IEEE arithmetic, which rounds as Python's does, and
+    scalar `math.pow` and `math.log2` the rest, since numpy's array
+    versions do not always round as they do.  A gain whose linear value
+    overflows raises OverflowError; an SINR or a capacity that overflows
+    is inf, and an inf slot bandwidth times a zero rate is NaN, both
+    without a numpy warning.
     """
     power_w = budget.per_prb_power_w
     denom = budget.snr_gap_linear * budget.noise_plus_interference_w
-    slot_hz = slot_duration_s * budget.prb_bandwidth_hz
-    log2 = math.log2
-    return [slot_hz * log2(1.0 + power_w * 10.0 ** (x / 10.0) / denom)
-            for x in gains_db]
+    slot_hz = float(slot_duration_s) * float(budget.prb_bandwidth_hz)
+    tenths = np.asarray(gains_db, dtype=float) / 10.0
+    n = tenths.size
+    linear = np.fromiter(map(math.pow, itertools.repeat(10.0, n),
+                             tenths.tolist()), float, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sinr = power_w * linear / denom
+        return slot_hz * np.fromiter(map(math.log2, (1.0 + sinr).tolist()),
+                                     float, n)
 
 
 def per_prb_bits(gain_db: float, budget: LinkBudget,
                  slot_duration_s: float) -> float:
     """Bits one PRB carries in one slot at the given average channel gain.
 
-    A gain whose capacity overflows is a ValueError naming gain_db.
+    A capacity that overflows or is NaN (an inf slot bandwidth times a
+    zero rate) is a ValueError naming gain_db and slot_duration_s.
     """
     check_real(gain_db, "gain_db")
     check_real(slot_duration_s, "slot_duration_s", POSITIVE)
     try:
-        (bits,) = _capacities((gain_db,), budget, slot_duration_s)
+        bits = float(_capacities((gain_db,), budget, slot_duration_s)[0])
     except OverflowError:
         bits = math.inf
-    if bits == math.inf:
-        raise ValueError(f"gain_db {gain_db!r} dB gives a per-PRB capacity "
-                         "that overflows")
+    if not bits < math.inf:
+        raise ValueError(f"gain_db {gain_db!r} dB with slot_duration_s "
+                         f"{slot_duration_s!r} s gives a per-PRB capacity "
+                         "that overflows or is not a number")
     return bits
 
 
@@ -274,6 +287,181 @@ class ChannelTrace:
         return len(self.distances_m)
 
 
+# Blocks with at least this many shadowing streams, one per (seed, BS),
+# seed, draw and recur them as arrays; smaller ones go stream by stream.
+# The array path pays a few numpy calls per position and per hash step
+# whatever the stream count.  Measured in process at the default 96
+# positions, a stream costs about 28 us on its own, and the array path
+# about 320 us per block plus 5.5 us per stream; they break even at 14
+# streams.
+_ARRAY_STREAMS = 16
+
+# numpy's SeedSequence hash constants, and PCG64's 128-bit multiplier.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = 2 ** 32 - 1, 2 ** 128 - 1
+
+
+def _words(x) -> list:
+    """The uint32 words numpy's SeedSequence makes of an entropy or a
+    spawn key it has accepted: an int little-endian (0 is one word), a
+    string as its int, a sequence word by word."""
+    if type(x) is int and 0 <= x <= _MASK32:   # the usual case, one word
+        return [x]
+    if isinstance(x, str):
+        x = int(x, 16) if x.startswith("0x") else int(x)
+    if isinstance(x, (int, np.integer)):
+        x = int(x)
+        return [x >> shift & _MASK32
+                for shift in range(0, max(x.bit_length(), 1), 32)]
+    return [word for item in x for word in _words(item)]
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """The first count + 1 values of a SeedSequence hash constant, as a
+    (count + 1, 1) uint32 column."""
+    values = [init]
+    for _ in range(count):
+        values.append(values[-1] * mult & _MASK32)
+    return np.array(values, dtype=np.uint32)[:, None]
+
+
+def _pcg64_states(words: np.ndarray, pool_size: int) -> list:
+    """PCG64 (state, inc) of SeedSequences of equal pool size and equal
+    entropy length, one per column of the (words, streams) uint32 array.
+
+    numpy's SeedSequence mixing and generate_state(4, uint64) in uint32
+    arithmetic: the hash constants do not depend on the data, so every
+    column takes the same steps and each step acts on whole rows.  Then
+    PCG64's seeding step over Python ints.
+    """
+    length, streams = words.shape
+    # one constant per hash, and one after the last
+    consts = _hash_constants(_INIT_A, _MULT_A,
+                             pool_size * max(pool_size, length))
+    used = 0
+
+    def hashmix(values):
+        nonlocal used
+        rows = len(values)
+        values = (values ^ consts[used:used + rows]) \
+            * consts[used + 1:used + rows + 1]
+        used += rows
+        return values ^ values >> 16
+
+    def mix(x, y):
+        x = _MIX_L * x - _MIX_R * y
+        return x ^ x >> 16
+
+    fill = np.zeros((pool_size, streams), dtype=np.uint32)
+    fill[:length] = words[:pool_size]
+    pool = hashmix(fill)
+    for src in range(pool_size):
+        dst = [d for d in range(pool_size) if d != src]
+        pool[dst] = mix(pool[dst], hashmix(
+            np.broadcast_to(pool[src], (pool_size - 1, streams))))
+    for src in range(pool_size, length):
+        pool = mix(pool, hashmix(
+            np.broadcast_to(words[src], (pool_size, streams))))
+    consts_b = _hash_constants(_INIT_B, _MULT_B, 8)
+    state = pool[[j % pool_size for j in range(8)]] ^ consts_b[:8]
+    state *= consts_b[1:]
+    state ^= state >> 16
+    seeded = []
+    for s_hi, s_lo, i_hi, i_lo in (
+            state.T.astype("<u4", order="C").view("<u8").tolist()):
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        seeded.append((((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc
+                       & _MASK128, inc))
+    return seeded
+
+
+def _stream_states(seeds: list, num_bs: int) -> list:
+    """PCG64 (state, inc) of child i < num_bs of a first spawn of each
+    seed, seed-major: those of PCG64(SeedSequence(ss.entropy,
+    spawn_key=ss.spawn_key + (i,), pool_size=ss.pool_size))."""
+    # Seeds grouped by pool size and entropy length.  A spawned key
+    # always pads the run entropy to the pool size; a stream's words are
+    # its seed's and then the BS index, one word since num_bs < 2**32.
+    groups = {}
+    for k, ss in enumerate(seeds):
+        run = _words(ss.entropy)
+        run += [0] * (ss.pool_size - len(run)) + _words(ss.spawn_key)
+        groups.setdefault((ss.pool_size, len(run)), []).append((k, run))
+    states = [None] * (len(seeds) * num_bs)
+    bs = np.arange(num_bs, dtype=np.uint32)
+    for (pool_size, length), members in groups.items():
+        ks, runs = zip(*members)
+        words = np.empty((length + 1, len(ks) * num_bs), dtype=np.uint32)
+        words[:length] = np.repeat(np.array(runs, dtype=np.uint32).T,
+                                   num_bs, axis=1)
+        words[length] = np.tile(bs, len(ks))
+        index = [k * num_bs + i for k in ks for i in range(num_bs)]
+        for k, state in zip(index, _pcg64_states(words, pool_size)):
+            states[k] = state
+    return states
+
+
+def _shadowing_streams(seeds: list, num_bs: int, rho: tuple,
+                       scale: tuple) -> np.ndarray:
+    """The AR(1) values of every (seed, BS) stream along the sorted
+    unique positions: a (seeds * num_bs, len(rho)) array, seed-major.
+
+    Stream (seed, i) draws from the generator np.random.default_rng(child)
+    builds for child i of a first spawn of the seed, without spawning
+    from it.  Below _ARRAY_STREAMS streams each stream is seeded, drawn
+    and recurred on its own (_ar1_path).  Otherwise the streams' PCG64
+    states are derived as arrays, grouped by pool size and entropy
+    length; each stream's standard_normal is drawn from one generator set
+    to its state; and the recursion runs once per position over all
+    streams, multiplying and then adding as _ar1_path does, so every
+    value has the same bits.
+    """
+    SeedSequence = np.random.SeedSequence
+    count, positions = len(seeds) * num_bs, len(rho)
+    if count < _ARRAY_STREAMS:
+        # the generator np.random.default_rng(child) builds, without its
+        # checks
+        draws = [_ar1_path(rho, scale, np.random.Generator(np.random.PCG64(
+                     SeedSequence(ss.entropy, spawn_key=ss.spawn_key + (i,),
+                                  pool_size=ss.pool_size))))
+                 for ss in seeds for i in range(num_bs)]
+        return np.fromiter(itertools.chain.from_iterable(draws), float,
+                           count * positions).reshape(count, positions)
+
+    rng = np.random.Generator(np.random.PCG64(0))
+    bit_generator = rng.bit_generator
+    z = np.empty((count, positions))
+    for row, (state, inc) in zip(z, _stream_states(seeds, num_bs)):
+        bit_generator.state = {"bit_generator": "PCG64",
+                               "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+        rng.standard_normal(out=row)
+    # Row 0 is the field before the first position; row k + 1 starts as
+    # scale_k * z_k and gains rho_k * (row k).
+    values = np.zeros((positions + 1, count))
+    np.multiply(z.T, np.array(scale)[:, None], out=values[1:])
+    step = np.empty(count)
+    for k, rho_k in enumerate(rho):
+        np.multiply(values[k], rho_k, out=step)
+        values[k + 1] += step
+    return values[1:].T
+
+
+def _seed_sequence(seed) -> np.random.SeedSequence:
+    """seed itself if a SeedSequence, else numpy's SeedSequence(seed); a
+    seed numpy refuses (a float, a negative int) is a ValueError."""
+    if isinstance(seed, np.random.SeedSequence):
+        return seed
+    try:
+        return np.random.SeedSequence(seed)
+    except (TypeError, ValueError):
+        raise ValueError("seeds: each seed must be an int >= 0 or a numpy "
+                         f"SeedSequence, got {seed!r}") from None
+
+
 def build_trace(trajectory_m, bs_positions_m, budget: LinkBudget,
                 spec: VideoSpec, *, sigma_db: float = 10.0,
                 decorrelation_m: float = 50.0,
@@ -306,30 +494,39 @@ def build_traces(trajectory_m, bs_positions_m, budget: LinkBudget,
     draws are per trace.  The memo also checks that the positions are
     finite, so a geometry is checked when first seen, before any draw;
     a call that raises caches nothing, so bad positions raise on every
-    call.  The input checks and the memo lookups run once per call; per
-    stream only the seeding, the draws and the AR(1) recursion do.
+    call.  The input checks and the memo lookups run once per call.
+    The shadowing streams, one per (seed, BS), are seeded, drawn and
+    recurred as arrays once a block has _ARRAY_STREAMS of them: their
+    PCG64 states in one pass of numpy's SeedSequence hashing, their
+    standard_normal draws into one array from one generator, and the
+    AR(1) step once per position over all of them.  Smaller blocks, such
+    as a single trace, take each stream on its own, which costs less
+    there.  A seed that numpy's SeedSequence refuses is a ValueError
+    naming seeds.
 
     Traces are byte-identical to build_trace_loop in tests/oracles.py, a
-    slot-by-slot loop, and unshadowed ones to a rebuild from path_loss_db
-    and per_prb_bits.  The memo evaluates the path loss with scalar
-    `math.log10`, numpy only adds the shadowing (one IEEE addition per
-    element, the same bits as in Python) and takes the argmax (the first
-    of equals wins, as a strict `>` scan does) on one (seed, BS, slot)
-    array, and the capacities use the scalar `**` and `math.log2` of
-    per_prb_bits over every slot of the batch.  A capacity that
-    overflows, rounds to 0 or is not finite is a ValueError naming gain_db
-    and the inputs that set it.
+    slot-by-slot loop that seeds through numpy's own spawn and
+    default_rng, on both sides of _ARRAY_STREAMS, and unshadowed ones to
+    a rebuild from path_loss_db and per_prb_bits.  The memo evaluates the
+    path loss with scalar `math.log10`; numpy only does IEEE arithmetic,
+    which rounds as Python's does: the AR(1) step (a multiply and then an
+    add per element), the addition of the shadowing and the argmax (the
+    first of equals wins, as a strict `>` scan does) on one (seed, BS,
+    slot) array, and the capacities' products, quotient and sum, whose
+    `**` and `log2` stay scalar `math` calls.  A capacity that overflows,
+    rounds to 0 or is not finite is a ValueError naming gain_db and the
+    inputs that set it.
     """
     trajectory_m = np.asarray(trajectory_m, dtype=float).ravel()
     if trajectory_m.size == 0:
-        raise ValueError("trajectory must not be empty")
+        raise ValueError("trajectory (trajectory_m) must not be empty")
     if trajectory_m.size != spec.num_slots:
         raise ValueError(
-            f"trajectory has {trajectory_m.size} slots, video needs "
-            f"{spec.num_slots}")
+            f"trajectory (trajectory_m) has {trajectory_m.size} slots, "
+            f"video needs {spec.num_slots}")
     bs_positions_m = np.asarray(bs_positions_m, dtype=float)
     if bs_positions_m.size == 0:
-        raise ValueError("need at least one BS position")
+        raise ValueError("need at least one BS position (bs_positions_m)")
     # Before the AR(1) memo, so a non-finite position is reported as a
     # trajectory or BS position and not as a shadowing one.
     trajectory_bytes = trajectory_m.tobytes()
@@ -339,24 +536,15 @@ def build_traces(trajectory_m, bs_positions_m, budget: LinkBudget,
     inverse, rho, scale = _ar1_steps(trajectory_bytes, decorrelation_m,
                                      sigma_db)
 
-    SeedSequence = np.random.SeedSequence
-    seeds = [s if isinstance(s, SeedSequence) else SeedSequence(s)
-             for s in seeds]
+    seeds = [_seed_sequence(s) for s in seeds]
     if not seeds:
         return []
     n, (num_bs, T) = len(seeds), path.shape
     if sigma_db == 0.0:
         shadowing = np.zeros((n, num_bs, T))
     else:
-        # the generator np.random.default_rng(child) builds, without its
-        # checks, for each child of a first spawn of each seed
-        draws = [_ar1_path(rho, scale, np.random.Generator(np.random.PCG64(
-                     SeedSequence(ss.entropy, spawn_key=ss.spawn_key + (i,),
-                                  pool_size=ss.pool_size))))
-                 for ss in seeds for i in range(num_bs)]
-        values = np.fromiter(itertools.chain.from_iterable(draws), float,
-                             n * num_bs * len(rho))
-        shadowing = values.reshape(n, num_bs, -1).take(inverse, axis=2)
+        shadowing = _shadowing_streams(seeds, num_bs, rho, scale).reshape(
+            n, num_bs, -1).take(inverse, axis=2)
     bs_gain = path + shadowing
     serving = bs_gain.argmax(axis=1)       # the first of equals wins
     slots = np.arange(T)
@@ -366,8 +554,8 @@ def build_traces(trajectory_m, bs_positions_m, budget: LinkBudget,
     # A capacity that overflows raises here; one that rounds to 0 or is
     # not finite fails ChannelTrace's check, the only one that can fail.
     try:
-        bits = np.array(_capacities(gain.ravel().tolist(), budget,
-                                    spec.slot_duration_s)).reshape(n, T)
+        bits = _capacities(gain.ravel(), budget,
+                           spec.slot_duration_s).reshape(n, T)
         return [ChannelTrace(distances[k], serving[k], gain[k], bits[k])
                 for k in range(n)]
     except (OverflowError, ValueError):

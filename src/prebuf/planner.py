@@ -46,10 +46,15 @@ def _supply_bits(spec: VideoSpec, trace: ChannelTrace,
         raise ValueError("residual_prbs length mismatch")
     if not all_finite(residual, 0.0):
         raise ValueError("residual_prbs must be finite and non-negative")
-    # Both factors are finite and >= 0, so a product is inf only where
-    # it overflowed; that is reported here rather than warned by numpy.
+    # Both factors are finite and >= 0, so no slot's product overflows if
+    # the product of the maxima, in Python floats, is finite; otherwise
+    # a product is inf only where it overflowed, which is reported here
+    # rather than warned by numpy.
+    c = trace.bits_per_prb
+    if float(c.max()) * float(residual.max()) < inf:
+        return c * residual
     with np.errstate(over="ignore"):
-        supply = trace.bits_per_prb * residual
+        supply = c * residual
     if supply.max() == inf:
         raise ValueError("residual_prbs too large: its supply "
                          "residual_prbs * bits_per_prb overflows")

@@ -1,10 +1,13 @@
+import itertools
 import math
-from dataclasses import replace
+import warnings
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from oracles import build_trace_loop
+from test_scenario import EXTREME_FLOATS, EXTREME_INTS
 
 from prebuf import (ChannelTrace, LinkBudget, ScenarioConfig, ShadowingConfig,
                     ShadowingField, VideoSpec, admission, build_trace,
@@ -175,6 +178,11 @@ class TestPerPrbBits:
         with pytest.raises(ValueError, match="gain_db"):
             per_prb_bits(gain_db, LinkBudget(), 1 / 6)
 
+    def test_nan_capacity_rejected(self):
+        # an inf slot bandwidth (1e308 s at 180 kHz) times a zero rate
+        with pytest.raises(ValueError, match="slot_duration_s"):
+            per_prb_bits(-1e308, LinkBudget(), 1e308)
+
 
 class TestBuildTrace:
     def test_receding_user_single_bs(self):
@@ -247,17 +255,22 @@ class TestBuildTrace:
         assert np.array_equal(np.array(redo), trace.bits_per_prb)
 
     def test_one_joint_draw_per_bs(self, monkeypatch):
+        # one standard_normal over every position per (seed, BS) stream,
+        # below the array crossover and at it
         sizes = []
-        draw = link._ar1_path
 
-        def counted(rho, scale, rng):
-            sizes.append(len(rho))
-            return draw(rho, scale, rng)
+        class Counted(np.random.Generator):
+            def standard_normal(self, *args, **kwargs):
+                z = super().standard_normal(*args, **kwargs)
+                sizes.append(z.size)
+                return z
 
-        monkeypatch.setattr(link, "_ar1_path", counted)
-        build_trace(35.0 + 30.0 * np.arange(12), [0.0, 550.0, 900.0],
-                    LinkBudget(), small_video(12), seed=0)
-        assert sizes == [12, 12, 12]
+        monkeypatch.setattr(np.random, "Generator", Counted)
+        for n in (1, link._ARRAY_STREAMS):
+            sizes.clear()
+            build_traces(35.0 + 30.0 * np.arange(12), [0.0, 550.0, 900.0],
+                         LinkBudget(), small_video(12), seeds=range(n))
+            assert sizes == [12] * (3 * n)
 
     def test_turnaround_revisits_same_shadowing(self):
         traj = np.array([40.0, 60.0, 80.0, 100.0, 80.0, 60.0, 40.0])
@@ -503,6 +516,200 @@ class TestBuildTraces:
         assert build_traces(*args, seeds=[]) == []
         with pytest.raises(ValueError, match="sigma_db"):
             build_traces(*args, sigma_db=-1.0, seeds=[])
+
+
+def numpy_stream_state(ss, i):
+    """PCG64 (state, inc) of child i of a first spawn of ss, by numpy."""
+    child = np.random.SeedSequence(ss.entropy, spawn_key=ss.spawn_key + (i,),
+                                   pool_size=ss.pool_size)
+    state = np.random.PCG64(child).state["state"]
+    return state["state"], state["inc"]
+
+
+class TestStreamSeeding:
+    """The array seeding gives numpy's own PCG64 state for every stream,
+    so a change to numpy's SeedSequence fails here before any trace
+    moves."""
+
+    @pytest.mark.parametrize("entropy", [
+        0, 7, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3, 2 ** 127 + 5, None,
+        [1, 2 ** 40, 0], [], np.array([3, 2 ** 32 - 1], dtype=np.uint32),
+        ["0x1f", "12"], np.int64(9),
+    ], ids=["0", "small", "2**32-1", "2**32", "2**64+3", "128-bit",
+            "fresh", "list", "empty-list", "uint32-array", "strings",
+            "int64"])
+    @pytest.mark.parametrize("pool_size", [4, 8])
+    @pytest.mark.parametrize("spawn_key", [(), (3,), (2 ** 32, 5), (2 ** 70,)],
+                             ids=["unspawned", "spawned", "2**32", "2**70"])
+    def test_matches_numpy(self, entropy, pool_size, spawn_key):
+        ss = np.random.SeedSequence(entropy, spawn_key=spawn_key,
+                                    pool_size=pool_size)
+        assert link._stream_states([ss], 3) \
+            == [numpy_stream_state(ss, i) for i in range(3)]
+
+    def test_mixed_block_matches_numpy(self):
+        # pool sizes and entropy lengths differ within the block
+        seeds = [np.random.SeedSequence(e, spawn_key=key, pool_size=pool)
+                 for e in (0, 2 ** 33, [5, 6, 7, 8, 9])
+                 for key in ((), (1,), (2 ** 40, 2))
+                 for pool in (4, 8)]
+        want = [numpy_stream_state(ss, i) for ss in seeds for i in range(2)]
+        assert link._stream_states(seeds, 2) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(entropy=st.one_of(
+               st.integers(0, 2 ** 140),
+               st.lists(st.integers(0, 2 ** 70), max_size=9)),
+           spawn_key=st.lists(st.integers(0, 2 ** 70), max_size=4),
+           pool_size=st.sampled_from([4, 5, 8]),
+           num_bs=st.integers(1, 3))
+    def test_property_matches_numpy(self, entropy, spawn_key, pool_size,
+                                    num_bs):
+        ss = np.random.SeedSequence(entropy, spawn_key=tuple(spawn_key),
+                                    pool_size=pool_size)
+        assert link._stream_states([ss, ss], num_bs) \
+            == [numpy_stream_state(ss, i) for i in range(num_bs)] * 2
+
+
+def varied_seeds(n):
+    """n fresh seeds whose entropy word counts differ: ints, unspawned
+    and spawned SeedSequences, a wide entropy and a larger pool."""
+    kinds = (lambda k: k,
+             lambda k: np.random.SeedSequence(100 + k),
+             lambda k: np.random.SeedSequence(7).spawn(k + 1)[k],
+             lambda k: np.random.SeedSequence(2 ** 64 + k),
+             lambda k: np.random.SeedSequence([k, 1, 2, 3, 4, 5]),
+             lambda k: np.random.SeedSequence(k, spawn_key=(2 ** 40,),
+                                              pool_size=8))
+    return [kinds[k % len(kinds)](k) for k in range(n)]
+
+
+class TestArrayCrossover:
+    """Blocks on either side of _ARRAY_STREAMS give, per seed, the trace
+    of the slot-by-slot loop and of a block of one."""
+
+    TRAJ = TestBuildTraces.TRAJ
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1],
+                             ids=["below", "at", "above"])
+    @pytest.mark.parametrize("bss", [[0.0], [0.0, 550.0], [0.0, 300.0, 650.0]],
+                             ids=["1-bs", "2-bs", "3-bs"])
+    @pytest.mark.parametrize("make_seeds", [mixed_seeds, varied_seeds],
+                             ids=["mixed", "varied"])
+    def test_matches_loop_and_block_of_one(self, monkeypatch, make_seeds,
+                                           bss, offset):
+        n = -(-link._ARRAY_STREAMS // len(bss)) + offset
+        spec, budget = small_video(self.TRAJ.size), LinkBudget()
+        per_stream = []
+        draw = link._ar1_path
+
+        def counted(rho, scale, rng):
+            per_stream.append(len(rho))
+            return draw(rho, scale, rng)
+
+        monkeypatch.setattr(link, "_ar1_path", counted)
+        traces = build_traces(self.TRAJ, bss, budget, spec,
+                              seeds=make_seeds(n))
+        streams = n * len(bss)
+        assert len(per_stream) \
+            == (streams if streams < link._ARRAY_STREAMS else 0)
+        for trace, seed, again in zip(traces, make_seeds(n), make_seeds(n),
+                                      strict=True):
+            assert_matches_loop(trace, self.TRAJ, bss, budget, spec,
+                                seed=seed)
+            (one,) = build_traces(self.TRAJ, bss, budget, spec,
+                                  seeds=[again])
+            for name, a, b in zip(TRACE_FIELDS, trace_fields(trace),
+                                  trace_fields(one)):
+                assert a.dtype == b.dtype, name
+                assert a.tobytes() == b.tobytes(), name
+
+
+with np.errstate(over="ignore"):
+    LINK_EXTREMES = [
+        *EXTREME_INTS, *EXTREME_FLOATS, True, False,
+        *map(np.float32, EXTREME_FLOATS), np.finfo(np.float32).max,
+        *(np.int64(v) for v in EXTREME_INTS if v < 2 ** 63),
+        np.iinfo(np.int64).max]
+
+
+LAYOUTS = [[0.0], [0.0, 550.0], [0.0, 300.0, 650.0]]
+CONTRACT_SLOTS = 4
+
+
+def contract_cases():
+    """Each link-layer callable with arguments it accepts, by parameter
+    name: the trace builders on 1, 2 and 3 BSs, and build_traces on
+    blocks on both sides of the array crossover."""
+    yield path_loss_db, {"distance_km": 0.5}
+    yield per_prb_bits, {"gain_db": -90.0, "slot_duration_s": 1 / 6}
+    yield LinkBudget, {f.name: getattr(LinkBudget(), f.name)
+                       for f in fields(LinkBudget)}
+    for bss in LAYOUTS:
+        args = {"trajectory_m": [35.0 + 30.0 * t
+                                 for t in range(CONTRACT_SLOTS)],
+                "bs_positions_m": bss, "sigma_db": 10.0,
+                "decorrelation_m": 50.0}
+        yield build_trace, {**args, "seed": 0}
+        for n in (1, -(-link._ARRAY_STREAMS // len(bss))):
+            yield build_traces, {**args, "seeds": list(range(n))}
+
+
+def with_extreme(args, name, value, slot=0):
+    """args with one parameter, or one element of a list, set to value."""
+    args = dict(args)
+    if isinstance(args[name], list):
+        args[name] = list(args[name])
+        args[name][slot % len(args[name])] = value
+    else:
+        args[name] = value
+    return args
+
+
+def check_link_contract(fn, args):
+    """The call returns or raises a ValueError naming a parameter; any
+    other error or a warning fails."""
+    kwargs = dict(args)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            if fn is per_prb_bits:
+                fn(args["gain_db"], LinkBudget(), args["slot_duration_s"])
+            elif fn in (build_trace, build_traces):
+                fn(kwargs.pop("trajectory_m"), kwargs.pop("bs_positions_m"),
+                   LinkBudget(), small_video(CONTRACT_SLOTS), **kwargs)
+            else:
+                fn(**args)
+        except ValueError as e:
+            assert any(name in str(e) for name in args), (fn, args, str(e))
+
+
+@st.composite
+def link_calls(draw):
+    """A contract case with one to three of its arguments (or of their
+    elements) extreme."""
+    fn, args = draw(st.sampled_from(list(contract_cases())))
+    for name in draw(st.lists(st.sampled_from(sorted(args)), min_size=1,
+                              max_size=3, unique=True)):
+        args = with_extreme(args, name, draw(st.sampled_from(LINK_EXTREMES)),
+                            draw(st.integers(0, CONTRACT_SLOTS - 1)))
+    return fn, args
+
+
+class TestLinkContract:
+    """Whatever the values, a link-layer call returns or raises a
+    ValueError that names a parameter; no other error, no warning."""
+
+    def test_each_extreme_alone(self):
+        for fn, args in contract_cases():
+            for name, value, slot in itertools.product(
+                    args, LINK_EXTREMES, (0, -1)):
+                check_link_contract(fn, with_extreme(args, name, value, slot))
+
+    @settings(max_examples=200, deadline=None)
+    @given(call=link_calls())
+    def test_extreme_arguments(self, call):
+        check_link_contract(*call)
 
 
 class TestChannelTraceValidation:

@@ -164,6 +164,25 @@ class TestPlanAnticipatory:
             plan(make_spec(3, V), trace, [50.0, 1e308, 50.0])
 
     @pytest.mark.parametrize("plan", [plan_anticipatory, plan_baseline])
+    def test_errstate_only_when_supply_may_overflow(self, plan, monkeypatch):
+        # the product of the maxima is finite on the common path, so no
+        # slot's product can overflow and numpy's errstate is not entered
+        entered = []
+        errstate = np.errstate
+
+        def counted(**kwargs):
+            entered.append(kwargs)
+            return errstate(**kwargs)
+
+        monkeypatch.setattr(np, "errstate", counted)
+        plan(make_spec(3, V), trace_from_capacity([8e5, 1e3, 8e5]),
+             [50.0, 1e300, 50.0])
+        assert entered == []
+        plan(make_spec(2, 0.0), trace_from_capacity([1.0, 1e6]),
+             [1e308, 1.0])
+        assert entered == [{"over": "ignore"}]
+
+    @pytest.mark.parametrize("plan", [plan_anticipatory, plan_baseline])
     def test_large_factors_in_different_slots_planned(self, plan):
         # max(residual) * max(capacity) overflows, yet every slot's own
         # supply (1e308 and 1e6 bits) is finite, so the plan goes ahead
