@@ -113,8 +113,10 @@ def run_admission(config: AdmissionConfig, video: VideoSpec,
     # Spawned only once the horizon is legal; the keys continue from the
     # arrival child's, as one spawn(total_requests + 1) would give them.
     user_seeds = ss.spawn(config.total_requests)
-    arrival_slots = np.floor(arrival_times / video.slot_duration_s).astype(int)
-    ledger = np.full(int(arrival_slots[-1]) + T, float(config.available_prbs))
+    arrival_slots = np.floor(arrival_times / video.slot_duration_s).astype(
+        int).tolist()
+    arrival_times = arrival_times.tolist()
+    ledger = np.full(arrival_slots[-1] + T, float(config.available_prbs))
 
     log = AdmissionLog()
     for k in range(config.total_requests):
@@ -125,7 +127,7 @@ def run_admission(config: AdmissionConfig, video: VideoSpec,
                 raise ValueError(f"make_traces returned {len(traces)} "
                                  f"traces for {len(block)} seeds")
         trace = traces[k % TRACE_BLOCK]
-        a = int(arrival_slots[k])
+        a = arrival_slots[k]
         window = ledger[a:a + T]
         if planner_kind == "anticipatory":
             plan = plan_anticipatory(video, trace, window)
@@ -136,16 +138,16 @@ def run_admission(config: AdmissionConfig, video: VideoSpec,
             admitted = needed_now <= window[0] + 1e-9
             plan = plan_baseline(video, trace, window) if admitted else None
         if not admitted:
-            log.records.append(RequestRecord(float(arrival_times[k]), a,
-                                             False, None, 0))
+            log.records.append(RequestRecord(arrival_times[k], a, False,
+                                             None, 0))
             continue
         window -= plan.prbs
         if window.min() < -1e-7:
             raise RuntimeError("spectrum ledger driven negative")
         np.maximum(window, 0.0, out=window)      # drop rounding dust
         timeline = simulate_playback(plan.received_bits, video)
-        log.records.append(RequestRecord(float(arrival_times[k]), a, True,
-                                         plan, timeline.num_outages))
+        log.records.append(RequestRecord(arrival_times[k], a, True, plan,
+                                         timeline.num_outages))
     log.residual_prbs_timeline = ledger
     return log
 

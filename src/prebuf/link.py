@@ -260,7 +260,9 @@ class ChannelTrace:
     """Per-slot serving-cell geometry, average gain and PRB capacity.
 
     The arrays are read-only views, so one trace can be shared by several
-    planners without one of them changing what another sees.
+    planners without one of them changing what another sees.  A direct
+    construction checks the lengths and that every capacity is finite and
+    positive; build_traces checks a whole block at once instead.
     """
 
     distances_m: np.ndarray
@@ -281,6 +283,16 @@ class ChannelTrace:
                 raise ValueError(f"{name} length mismatch")
         if not all_finite(self.bits_per_prb, POSITIVE):
             raise ValueError("bits_per_prb must be finite and positive")
+
+    @classmethod
+    def _of_block_rows(cls, distances_m, serving_bs, gain_db,
+                       bits_per_prb) -> "ChannelTrace":
+        """A trace of one row of each of four read-only block arrays whose
+        capacities the caller has checked, made without __post_init__."""
+        trace = object.__new__(cls)
+        trace.__dict__.update(distances_m=distances_m, serving_bs=serving_bs,
+                              gain_db=gain_db, bits_per_prb=bits_per_prb)
+        return trace
 
     @property
     def num_slots(self) -> int:
@@ -515,7 +527,9 @@ def build_traces(trajectory_m, bs_positions_m, budget: LinkBudget,
     slot) array, and the capacities' products, quotient and sum, whose
     `**` and `log2` stay scalar `math` calls.  A capacity that overflows,
     rounds to 0 or is not finite is a ValueError naming gain_db and the
-    inputs that set it.
+    inputs that set it.  The capacities are checked once per block, as
+    one (seeds, slots) array; each trace is a row of four block arrays
+    made read-only, and does not run ChannelTrace's checks again.
     """
     trajectory_m = np.asarray(trajectory_m, dtype=float).ravel()
     if trajectory_m.size == 0:
@@ -552,18 +566,24 @@ def build_traces(trajectory_m, bs_positions_m, budget: LinkBudget,
     distances = distance[serving, slots]
 
     # A capacity that overflows raises here; one that rounds to 0 or is
-    # not finite fails ChannelTrace's check, the only one that can fail.
+    # not finite fails the block's check.  The lengths hold by
+    # construction, so this is every check ChannelTrace would run.
     try:
         bits = _capacities(gain.ravel(), budget,
                            spec.slot_duration_s).reshape(n, T)
-        return [ChannelTrace(distances[k], serving[k], gain[k], bits[k])
-                for k in range(n)]
-    except (OverflowError, ValueError):
-        raise ValueError(
-            f"gain_db in [{gain.min():.6g}, {gain.max():.6g}] dB gives a "
-            "per-PRB capacity that overflows, rounds to 0 or is not finite; "
-            "it is set by [link] total_power_dbm, num_system_prbs, "
-            "prb_bandwidth_hz, noise_psd_dbm_hz, noise_figure_db, "
-            "interference_psd_dbm_hz, snr_gap_db and min_bs_distance_m, "
-            "[video] slot_duration_s, [shadowing] sigma_db and [scenario] "
-            "bs_positions_m, user_start_m and user_speed_mps") from None
+        valid = all_finite(bits, POSITIVE)
+    except OverflowError:
+        valid = False
+    if valid:
+        blocks = (distances, serving, gain, bits)
+        for block in blocks:
+            block.setflags(write=False)     # so are the row views
+        return [ChannelTrace._of_block_rows(*rows) for rows in zip(*blocks)]
+    raise ValueError(
+        f"gain_db in [{gain.min():.6g}, {gain.max():.6g}] dB gives a "
+        "per-PRB capacity that overflows, rounds to 0 or is not finite; "
+        "it is set by [link] total_power_dbm, num_system_prbs, "
+        "prb_bandwidth_hz, noise_psd_dbm_hz, noise_figure_db, "
+        "interference_psd_dbm_hz, snr_gap_db and min_bs_distance_m, "
+        "[video] slot_duration_s, [shadowing] sigma_db and [scenario] "
+        "bs_positions_m, user_start_m and user_speed_mps")

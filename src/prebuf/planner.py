@@ -18,7 +18,6 @@ from math import inf
 
 import numpy as np
 
-from ._checks import all_finite
 from .link import ChannelTrace
 from .playout import VideoSpec
 
@@ -44,14 +43,17 @@ def _supply_bits(spec: VideoSpec, trace: ChannelTrace,
             f"{spec.num_slots}")
     if residual.shape != (spec.num_slots,):
         raise ValueError("residual_prbs length mismatch")
-    if not all_finite(residual, 0.0):
+    # all_finite(residual, 0.0), keeping the max for the overflow test: a
+    # NaN fails both comparisons, -inf the first and inf the second.
+    top = float(residual.max())
+    if not (residual.min() >= 0.0 and top < inf):
         raise ValueError("residual_prbs must be finite and non-negative")
     # Both factors are finite and >= 0, so no slot's product overflows if
     # the product of the maxima, in Python floats, is finite; otherwise
     # a product is inf only where it overflowed, which is reported here
     # rather than warned by numpy.
     c = trace.bits_per_prb
-    if float(c.max()) * float(residual.max()) < inf:
+    if float(c.max()) * top < inf:
         return c * residual
     with np.errstate(over="ignore"):
         supply = c * residual

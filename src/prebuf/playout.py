@@ -64,16 +64,19 @@ def simulate_playback(plan_received, spec: VideoSpec) -> BufferTimeline:
     received = np.asarray(plan_received, dtype=float)
     if received.shape != (spec.num_slots,):
         raise ValueError(
-            f"plan has {received.size} slots, expected {spec.num_slots}")
+            f"plan (plan_received) has {received.size} slots, expected "
+            f"{spec.num_slots}")
     if not all_finite(received, 0.0):
-        raise ValueError("received bits must be finite and non-negative")
+        raise ValueError("received bits (plan_received) must be finite and "
+                         "non-negative")
 
     # One pass of the buffer recursion (kept slot by slot as step_buffer
     # in tests/oracles.py); the inputs are checked above.  The outage test
     # has a 1e-9 relative slack so that plans meeting the no-outage
     # equalities up to rounding do not stall on sub-microbit shortfalls.
     # The pass keeps only the carry and the stalled slots: a slot plays v
-    # unless it stalls, so played bits and outage flags follow from those.
+    # unless it stalls, so played bits and outage flags follow from those,
+    # and the cap test from the carry list.
     v = spec.bits_per_slot
     need = v * (1.0 - 1e-9)
     carry = [0.0] * spec.num_slots
@@ -90,10 +93,10 @@ def simulate_playback(plan_received, spec: VideoSpec) -> BufferTimeline:
         else:
             z = total
             stalls.append(t)
-    carry = np.array(carry)
-    outage = np.zeros(spec.num_slots, dtype=bool)
-    outage[stalls] = True
     limit = spec.max_carryover_bits + 1e-6 * v
-    exceeded = bool(carry.max() > limit) or z > limit
-    return BufferTimeline(received, carry, np.where(outage, 0.0, v),
-                          outage, exceeded)
+    exceeded = bool(max(carry) > limit) or z > limit
+    outage = np.zeros(spec.num_slots, dtype=bool)
+    if stalls:
+        outage[stalls] = True
+    return BufferTimeline(received, np.array(carry),
+                          np.where(outage, 0.0, v), outage, exceeded)

@@ -17,6 +17,17 @@ DEFAULT_CURVE_CSV_SHA256 = \
     "bf8164bb00a5069b33d45c470c77c17568b6584517f9e83bdab41e9dd80289f3"
 DEFAULT_CURVE_STDOUT_SHA256 = \
     "140e1a02f90b37f6cbe0e0d64013dee36533e4077180e076b66224006db56319"
+# sha256 of `prebuf single-user` (trace.csv, which holds the trace, the
+# plans and the playback timeline) and of `prebuf buffer-sweep`
+# (sweep.csv), each with its stdout, with every default
+DEFAULT_SINGLE_USER_CSV_SHA256 = \
+    "d5d01d9b00b6486824d0f2c8da0870eefb94ad2bbd87b2653d42faf656a14b5e"
+DEFAULT_SINGLE_USER_STDOUT_SHA256 = \
+    "2f4cf7b0066bfed125a555abccd760d19bc44d55751578cd13b18715fd2c3dbf"
+DEFAULT_SWEEP_CSV_SHA256 = \
+    "3ad504551e9d3e23f2408ec333040fd49e47cacaf8cafabedecceef6e1d4e816"
+DEFAULT_SWEEP_STDOUT_SHA256 = \
+    "1d0a6e4519a2787b30fb8d1de2069b5187d795477235b7cb3af7ecb85bec5527"
 BAD_COUNTS = [0, -1, 2.5, 3.0, True, "3", None]
 
 
@@ -385,3 +396,18 @@ class TestServiceCurve:
             == DEFAULT_CURVE_CSV_SHA256
         assert hashlib.sha256(stdout).hexdigest() \
             == DEFAULT_CURVE_STDOUT_SHA256
+
+    @pytest.mark.parametrize("command, csv_name, csv_sha256, stdout_sha256", [
+        ("single-user", "trace.csv", DEFAULT_SINGLE_USER_CSV_SHA256,
+         DEFAULT_SINGLE_USER_STDOUT_SHA256),
+        ("buffer-sweep", "sweep.csv", DEFAULT_SWEEP_CSV_SHA256,
+         DEFAULT_SWEEP_STDOUT_SHA256),
+    ], ids=["single-user", "buffer-sweep"])
+    def test_default_single_user_commands_pinned(self, tmp_path, capsys,
+                                                 command, csv_name,
+                                                 csv_sha256, stdout_sha256):
+        assert main([command, "--out", str(tmp_path)]) == 0
+        csv_bytes = (tmp_path / csv_name).read_bytes()
+        stdout = capsys.readouterr().out.encode()
+        assert hashlib.sha256(csv_bytes).hexdigest() == csv_sha256
+        assert hashlib.sha256(stdout).hexdigest() == stdout_sha256

@@ -518,6 +518,112 @@ class TestBuildTraces:
             build_traces(*args, sigma_db=-1.0, seeds=[])
 
 
+# build_traces' error for a block with a capacity that overflows, rounds
+# to 0 or is not finite, given the block's least and largest gain.
+CAPACITY_ERROR = (
+    "gain_db in [{:.6g}, {:.6g}] dB gives a per-PRB capacity that "
+    "overflows, rounds to 0 or is not finite; it is set by [link] "
+    "total_power_dbm, num_system_prbs, prb_bandwidth_hz, "
+    "noise_psd_dbm_hz, noise_figure_db, interference_psd_dbm_hz, "
+    "snr_gap_db and min_bs_distance_m, [video] slot_duration_s, "
+    "[shadowing] sigma_db and [scenario] bs_positions_m, user_start_m "
+    "and user_speed_mps")
+
+
+def capacity_fails(gain_db, budget, slot_duration_s):
+    """True iff the capacity at gain_db overflows or rounds to 0."""
+    try:
+        return per_prb_bits(gain_db, budget, slot_duration_s) == 0.0
+    except ValueError:
+        return True
+
+
+def budget_on_edge(gain_db, slot_duration_s, good_dbm, bad_dbm, **fields):
+    """A LinkBudget with the given fields whose total_power_dbm, bisected
+    between good_dbm and bad_dbm, is the float next to the edge on
+    bad_dbm's side: there the capacity at gain_db just fails."""
+    def budget(dbm):
+        return LinkBudget(total_power_dbm=dbm, **fields)
+
+    assert not capacity_fails(gain_db, budget(good_dbm), slot_duration_s)
+    assert capacity_fails(gain_db, budget(bad_dbm), slot_duration_s)
+    while (mid := (good_dbm + bad_dbm) / 2) not in (good_dbm, bad_dbm):
+        if capacity_fails(gain_db, budget(mid), slot_duration_s):
+            bad_dbm = mid
+        else:
+            good_dbm = mid
+    return budget(bad_dbm)
+
+
+class TestBlockCheck:
+    """build_traces checks a block's capacities once, as one array, and
+    gives out read-only rows without ChannelTrace's checks."""
+
+    TRAJ = TestBuildTraces.TRAJ
+    BSS = [0.0, 550.0]
+
+    def test_capacities_checked_once(self, monkeypatch):
+        spec, budget = small_video(self.TRAJ.size), LinkBudget()
+        build_traces(self.TRAJ, self.BSS, budget, spec, seeds=[0])
+        shapes = []
+        check = link.all_finite
+
+        def counted(x, *args):
+            shapes.append(x.shape)
+            return check(x, *args)
+
+        monkeypatch.setattr(link, "all_finite", counted)
+        traces = build_traces(self.TRAJ, self.BSS, budget, spec,
+                              seeds=range(40))
+        assert shapes == [(40, self.TRAJ.size)]
+        for trace in traces:
+            for name, a in zip(TRACE_FIELDS, trace_fields(trace)):
+                assert not a.flags.writeable, name
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = a[-1]
+
+    @pytest.mark.parametrize("where", [0, 4, 8], ids=["first", "middle",
+                                                      "last"])
+    @pytest.mark.parametrize("failure", ["overflow", "zero"])
+    def test_one_failing_trace_fails_the_block(self, failure, where):
+        spec = small_video(self.TRAJ.size)
+        slot_s = spec.slot_duration_s
+        seeds = list(range(9))
+        assert len(seeds) * len(self.BSS) >= link._ARRAY_STREAMS
+        # Gains do not depend on power or noise: the trace with the most
+        # extreme one fails alone once the power puts the capacity's
+        # edge halfway to the next trace's extreme gain.
+        gains = [t.gain_db for t in build_traces(
+            self.TRAJ, self.BSS, LinkBudget(), spec, seeds=seeds)]
+        if failure == "overflow":
+            extreme = [float(g.max()) for g in gains]
+            order = sorted(seeds, key=lambda k: -extreme[k])
+            fields = {"noise_psd_dbm_hz": -600.0,
+                      "interference_psd_dbm_hz": -600.0}
+            good_dbm, bad_dbm = 46.0, 3000.0
+        else:
+            extreme = [float(g.min()) for g in gains]
+            order = sorted(seeds, key=lambda k: extreme[k])
+            fields = {}
+            good_dbm, bad_dbm = 46.0, -3000.0
+        target, runner_up = order[:2]
+        budget = budget_on_edge(
+            (extreme[target] + extreme[runner_up]) / 2, slot_s, good_dbm,
+            bad_dbm, **fields)
+        assert capacity_fails(extreme[target], budget, slot_s)
+        assert not capacity_fails(extreme[runner_up], budget, slot_s)
+
+        rest = [k for k in seeds if k != target]
+        assert len(build_traces(self.TRAJ, self.BSS, budget, spec,
+                                seeds=rest)) == len(rest)
+        block = rest[:where] + [target] + rest[where:]
+        with pytest.raises(ValueError) as error:
+            build_traces(self.TRAJ, self.BSS, budget, spec, seeds=block)
+        every = np.concatenate(gains)
+        assert str(error.value) == CAPACITY_ERROR.format(every.min(),
+                                                         every.max())
+
+
 def numpy_stream_state(ss, i):
     """PCG64 (state, inc) of child i of a first spawn of ss, by numpy."""
     child = np.random.SeedSequence(ss.entropy, spawn_key=ss.spawn_key + (i,),
@@ -685,10 +791,10 @@ def check_link_contract(fn, args):
 
 
 @st.composite
-def link_calls(draw):
-    """A contract case with one to three of its arguments (or of their
-    elements) extreme."""
-    fn, args = draw(st.sampled_from(list(contract_cases())))
+def extreme_calls(draw, cases):
+    """One of the contract cases with one to three of its arguments (or
+    of their elements) extreme."""
+    fn, args = draw(st.sampled_from(cases))
     for name in draw(st.lists(st.sampled_from(sorted(args)), min_size=1,
                               max_size=3, unique=True)):
         args = with_extreme(args, name, draw(st.sampled_from(LINK_EXTREMES)),
@@ -707,7 +813,7 @@ class TestLinkContract:
                 check_link_contract(fn, with_extreme(args, name, value, slot))
 
     @settings(max_examples=200, deadline=None)
-    @given(call=link_calls())
+    @given(call=extreme_calls(list(contract_cases())))
     def test_extreme_arguments(self, call):
         check_link_contract(*call)
 

@@ -1,3 +1,7 @@
+import inspect
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +12,8 @@ from prebuf.simplex import LpProblem, solve
 
 from oracles import (build_buffer_matrix, plan_anticipatory_numpy,
                      two_slot_plan_objective)
+from test_link import (CONTRACT_SLOTS, LINK_EXTREMES, extreme_calls,
+                       with_extreme)
 
 V = 250_000.0
 
@@ -459,3 +465,57 @@ class TestPlanBaseline:
             if base.feasible and anticip.feasible:
                 assert anticip.total_prb_slots \
                     <= base.total_prb_slots + 1e-9
+
+
+CONTRACT_VIDEO = {"bits_per_slot": V, "slot_duration_s": 1 / 6,
+                  "num_slots": CONTRACT_SLOTS, "max_carryover_bits": 2 * V}
+
+
+def plan_contract_cases():
+    """VideoSpec, both planners and simulate_playback with arguments they
+    accept, by name; the VideoSpec fields and the trace's capacities
+    count as arguments of the callables built on them."""
+    yield VideoSpec, dict(CONTRACT_VIDEO)
+    for planner in (plan_anticipatory, plan_baseline):
+        yield planner, {**CONTRACT_VIDEO,
+                        "bits_per_prb": [3e5, 1e5, 6e5, 2e5],
+                        "residual_prbs": [15.0] * CONTRACT_SLOTS}
+    yield simulate_playback, {**CONTRACT_VIDEO,
+                              "plan_received": [2 * V, 0.0, V, V]}
+
+
+def check_plan_contract(fn, args):
+    """The call returns or raises a ValueError naming an argument or a
+    parameter of fn; any other error or a warning fails."""
+    names = [*args, *inspect.signature(fn).parameters]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            if fn is VideoSpec:
+                fn(**args)
+                return
+            spec = VideoSpec(**{name: args[name] for name in CONTRACT_VIDEO})
+            if fn is simulate_playback:
+                fn(args["plan_received"], spec)
+            else:
+                fn(spec, trace_from_capacity(args["bits_per_prb"]),
+                   args["residual_prbs"])
+        except ValueError as e:
+            assert any(name in str(e) for name in names), (fn, args, str(e))
+
+
+class TestPlanContract:
+    """Whatever the values, a video, planner or playback call returns or
+    raises a ValueError that names an argument; no other error, no
+    warning."""
+
+    def test_each_extreme_alone(self):
+        for fn, args in plan_contract_cases():
+            for name, value, slot in itertools.product(
+                    args, LINK_EXTREMES, (0, -1)):
+                check_plan_contract(fn, with_extreme(args, name, value, slot))
+
+    @settings(max_examples=200, deadline=None)
+    @given(call=extreme_calls(list(plan_contract_cases())))
+    def test_extreme_arguments(self, call):
+        check_plan_contract(*call)

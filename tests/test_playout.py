@@ -125,6 +125,12 @@ def fold_step_buffer(received, spec):
     return carry, np.array(played), np.array(outage), exceeded
 
 
+def assert_same_bytes(got, want):
+    """Equal dtype and bytes: unlike np.array_equal, -0.0 != 0.0."""
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
 class TestPlaybackAgainstStepBuffer:
     def test_planned_timelines_bit_identical(self):
         rng = np.random.default_rng(5)
@@ -142,12 +148,11 @@ class TestPlaybackAgainstStepBuffer:
                 timeline = simulate_playback(received, spec)
                 carry, played, outage, exceeded = fold_step_buffer(
                     received, spec)
-                assert np.array_equal(timeline.received_bits, received)
+                assert_same_bytes(timeline.received_bits, received)
                 for got, want in ((timeline.carryover_bits, carry),
                                   (timeline.played_bits, played),
                                   (timeline.outage_flags, outage)):
-                    assert got.dtype == want.dtype
-                    assert np.array_equal(got, want)
+                    assert_same_bytes(got, want)
                 assert timeline.carryover_limit_exceeded == exceeded
                 outages += timeline.num_outages
         assert outages > 0
@@ -158,6 +163,12 @@ class TestPlaybackAgainstStepBuffer:
     @example([V * (1.0 - 1e-9), 0.0, 2.5 * V], V)   # exactly at the slack
     @example([4 * V, 4 * V, 0.0, 4 * V], np.inf)    # unbounded buffer
     @example([1.5 * V, 0.5 * V, 0.0], V)      # slot 2's total is exactly V
+    # a 2.5V cap passed only by the final carry, or only mid-run; each
+    # with and without a stall
+    @example([V, V, 4.6 * V], 2.5 * V)
+    @example([0.0, V, 4.6 * V], 2.5 * V)
+    @example([4.6 * V, 0.0, 0.0, 0.0, V], 2.5 * V)
+    @example([4.6 * V, 0.0, 0.0, 0.0, 0.0, V], 2.5 * V)
     def test_hand_made_plans_bit_identical(self, received, z_cap):
         spec = spec_for(received, z_cap=z_cap)
         timeline = simulate_playback(received, spec)
@@ -165,8 +176,7 @@ class TestPlaybackAgainstStepBuffer:
         for got, want in ((timeline.carryover_bits, carry),
                           (timeline.played_bits, played),
                           (timeline.outage_flags, outage)):
-            assert got.dtype == want.dtype
-            assert np.array_equal(got, want)
+            assert_same_bytes(got, want)
         assert timeline.carryover_limit_exceeded == exceeded
 
 
