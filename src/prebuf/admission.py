@@ -49,7 +49,8 @@ class AdmissionConfig:
     def __post_init__(self) -> None:
         check_int(self.total_requests, "total_requests", 1, MAX_COUNT)
         check_real(self.mean_interarrival_s, "mean_interarrival_s", POSITIVE)
-        check_real(self.available_prbs, "available_prbs", 0.0)
+        # a PRB count, bounded as LinkBudget.num_system_prbs is
+        check_real(self.available_prbs, "available_prbs", 0.0, MAX_COUNT)
         check_int(self.seed, "seed", 0)
 
 
@@ -92,8 +93,21 @@ def run_admission(config: AdmissionConfig, video: VideoSpec,
     traces are built ahead of planning, in one call per block of at most
     TRACE_BLOCK users.
     """
-    if planner_kind not in PLANNER_KINDS:
-        raise ValueError(f"unknown planner kind {planner_kind!r}")
+    return _run_admission(config, video, make_traces, (planner_kind,))[0]
+
+
+def _run_admission(config: AdmissionConfig, video: VideoSpec,
+                   make_traces: TraceFactory, planner_kinds) -> list:
+    """run_admission for each planner kind in one pass, one log per kind.
+
+    The arrivals are drawn and each block of traces is built once; every
+    planner then runs over the block's users against its own ledger, and
+    the block is dropped when the next one replaces it.  Every kind is
+    checked before anything is drawn.
+    """
+    for kind in planner_kinds:
+        if kind not in PLANNER_KINDS:
+            raise ValueError(f"unknown planner kind (planner_kind) {kind!r}")
 
     ss = np.random.SeedSequence(config.seed)
     arrival_rng = np.random.default_rng(ss.spawn(1)[0])
@@ -116,57 +130,43 @@ def run_admission(config: AdmissionConfig, video: VideoSpec,
     arrival_slots = np.floor(arrival_times / video.slot_duration_s).astype(
         int).tolist()
     arrival_times = arrival_times.tolist()
-    ledger = np.full(arrival_slots[-1] + T, float(config.available_prbs))
+    # each planner's ledger, filled in place
+    logs = [AdmissionLog(residual_prbs_timeline=np.full(
+                arrival_slots[-1] + T, float(config.available_prbs)))
+            for _ in planner_kinds]
 
-    log = AdmissionLog()
-    for k in range(config.total_requests):
-        if k % TRACE_BLOCK == 0:
-            block = user_seeds[k:k + TRACE_BLOCK]
-            traces = make_traces(block)
-            if len(traces) != len(block):
-                raise ValueError(f"make_traces returned {len(traces)} "
-                                 f"traces for {len(block)} seeds")
-        trace = traces[k % TRACE_BLOCK]
-        a = arrival_slots[k]
-        window = ledger[a:a + T]
-        if planner_kind == "anticipatory":
-            plan = plan_anticipatory(video, trace, window)
-            admitted = plan.feasible
-        else:
-            # first-slot test only: no knowledge of the window ahead
-            needed_now = video.bits_per_slot / trace.bits_per_prb[0]
-            admitted = needed_now <= window[0] + 1e-9
-            plan = plan_baseline(video, trace, window) if admitted else None
-        if not admitted:
-            log.records.append(RequestRecord(arrival_times[k], a, False,
-                                             None, 0))
-            continue
-        window -= plan.prbs
-        if window.min() < -1e-7:
-            raise RuntimeError("spectrum ledger driven negative")
-        np.maximum(window, 0.0, out=window)      # drop rounding dust
-        timeline = simulate_playback(plan.received_bits, video)
-        log.records.append(RequestRecord(arrival_times[k], a, True, plan,
-                                         timeline.num_outages))
-    log.residual_prbs_timeline = ledger
-    return log
-
-
-def _shared(make_traces: TraceFactory) -> TraceFactory:
-    """`make_traces` memoized on the spawn keys of the block's seeds.
-
-    Every run with one config.seed spawns the same user seeds in the same
-    blocks, so runs of the two planners on one seed get the same
-    (read-only) trace objects.
-    """
-    blocks = {}
-
-    def traces(seeds) -> list[ChannelTrace]:
-        key = tuple(seed.spawn_key for seed in seeds)
-        if key not in blocks:
-            blocks[key] = make_traces(seeds)
-        return blocks[key]
-    return traces
+    for start in range(0, config.total_requests, TRACE_BLOCK):
+        block = user_seeds[start:start + TRACE_BLOCK]
+        traces = make_traces(block)
+        if len(traces) != len(block):
+            raise ValueError(f"make_traces returned {len(traces)} "
+                             f"traces for {len(block)} seeds")
+        for kind, log in zip(planner_kinds, logs):
+            ledger = log.residual_prbs_timeline
+            for k, trace in enumerate(traces, start):
+                a = arrival_slots[k]
+                window = ledger[a:a + T]
+                if kind == "anticipatory":
+                    plan = plan_anticipatory(video, trace, window)
+                    admitted = plan.feasible
+                else:
+                    # first-slot test only: no knowledge of the window ahead
+                    needed_now = video.bits_per_slot / trace.bits_per_prb[0]
+                    admitted = needed_now <= window[0] + 1e-9
+                    plan = (plan_baseline(video, trace, window) if admitted
+                            else None)
+                if not admitted:
+                    log.records.append(RequestRecord(arrival_times[k], a,
+                                                     False, None, 0))
+                    continue
+                window -= plan.prbs
+                if window.min() < -1e-7:
+                    raise RuntimeError("spectrum ledger driven negative")
+                np.maximum(window, 0.0, out=window)      # drop rounding dust
+                timeline = simulate_playback(plan.received_bits, video)
+                log.records.append(RequestRecord(arrival_times[k], a, True,
+                                                 plan, timeline.num_outages))
+    return logs
 
 
 def check_kv_values(kv_values) -> list:
@@ -184,26 +184,26 @@ def service_curve(kv_values, video: VideoSpec, make_traces: TraceFactory,
                   planner_kinds=PLANNER_KINDS) -> list[dict]:
     """Served counts per request volume, planner and seed (paired seeds).
 
-    Seeds are derived as base_config.seed + i so the two planners see
-    identical arrival processes and shadowing per (kv, seed) pair.
-    base_config.total_requests is ignored: each run has max(kv_values).
+    Seeds are derived as int(base_config.seed) + i, Python ints, so the
+    planners see identical arrival processes and shadowing per (kv, seed)
+    pair.  base_config.total_requests is ignored: each run has
+    max(kv_values).
 
     Admission records are prefix-consistent: the first kv records of a
-    run equal a run of kv requests with the same seed.  So each (seed,
-    planner) pair runs once, at max(kv_values), and the row for each kv
-    counts the first kv records of that run.  Each user's trace is built
-    once per seed and shared by the planners.  Rows are ordered by kv (as
-    given, duplicates kept), then planner, then seed.
+    run equal a run of kv requests with the same seed.  So each seed runs
+    once, at max(kv_values), in one pass that builds each block of traces
+    once and runs every planner over it, and the row for each kv counts
+    the first kv records of that planner's run.  Rows are ordered by kv
+    (as given, duplicates kept), then planner, then seed.
     """
     kv_values = check_kv_values(kv_values)
     check_int(num_seeds, "num_seeds", 1, MAX_COUNT)
-    seeds = [base_config.seed + i for i in range(num_seeds)]
+    seeds = [int(base_config.seed) + i for i in range(num_seeds)]
     outcomes = {}                   # (planner, seed) -> [(admitted, served)]
     for seed in seeds:
         cfg = replace(base_config, total_requests=max(kv_values), seed=seed)
-        shared_traces = _shared(make_traces)
-        for kind in planner_kinds:
-            log = run_admission(cfg, video, shared_traces, kind)
+        logs = _run_admission(cfg, video, make_traces, planner_kinds)
+        for kind, log in zip(planner_kinds, logs):
             outcomes[kind, seed] = [(r.admitted, r.served)
                                     for r in log.records]
     rows = []

@@ -301,19 +301,22 @@ class ChannelTrace:
 
 # Blocks with at least this many shadowing streams, one per (seed, BS),
 # seed, draw and recur them as arrays; smaller ones go stream by stream.
-# The array path pays a few numpy calls per position and per hash step
-# whatever the stream count.  Measured in process at the default 96
-# positions, a stream costs about 28 us on its own, and the array path
-# about 320 us per block plus 5.5 us per stream; they break even at 14
-# streams.
-_ARRAY_STREAMS = 16
+# The array path pays a few numpy calls per position whatever the stream
+# count.  Measured in process at the default 96 positions, in alternating
+# rounds over 2 to 32 streams, a stream costs about 30 us on its own, and
+# the array path about 230 us per block plus 7 us per stream; they break
+# even at 10 streams.
+_ARRAY_STREAMS = 10
 
 # numpy's SeedSequence hash constants, and PCG64's 128-bit multiplier.
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32, _MASK128 = 2 ** 32 - 1, 2 ** 128 - 1
+# The nine hash constants of generate_state(4, uint64), INIT_B times
+# MULT_B**j, as a (9, 1) uint32 column.
+_HASH_B = np.array([0x8B51F9DD * pow(0x58F38DED, j, 2 ** 32) & _MASK32
+                    for j in range(9)], dtype=np.uint32)[:, None]
 
 
 def _words(x) -> list:
@@ -331,88 +334,53 @@ def _words(x) -> list:
     return [word for item in x for word in _words(item)]
 
 
-def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
-    """The first count + 1 values of a SeedSequence hash constant, as a
-    (count + 1, 1) uint32 column."""
-    values = [init]
-    for _ in range(count):
-        values.append(values[-1] * mult & _MASK32)
-    return np.array(values, dtype=np.uint32)[:, None]
-
-
-def _pcg64_states(words: np.ndarray, pool_size: int) -> list:
-    """PCG64 (state, inc) of SeedSequences of equal pool size and equal
-    entropy length, one per column of the (words, streams) uint32 array.
-
-    numpy's SeedSequence mixing and generate_state(4, uint64) in uint32
-    arithmetic: the hash constants do not depend on the data, so every
-    column takes the same steps and each step acts on whole rows.  Then
-    PCG64's seeding step over Python ints.
-    """
-    length, streams = words.shape
-    # one constant per hash, and one after the last
-    consts = _hash_constants(_INIT_A, _MULT_A,
-                             pool_size * max(pool_size, length))
-    used = 0
-
-    def hashmix(values):
-        nonlocal used
-        rows = len(values)
-        values = (values ^ consts[used:used + rows]) \
-            * consts[used + 1:used + rows + 1]
-        used += rows
-        return values ^ values >> 16
-
-    def mix(x, y):
-        x = _MIX_L * x - _MIX_R * y
-        return x ^ x >> 16
-
-    fill = np.zeros((pool_size, streams), dtype=np.uint32)
-    fill[:length] = words[:pool_size]
-    pool = hashmix(fill)
-    for src in range(pool_size):
-        dst = [d for d in range(pool_size) if d != src]
-        pool[dst] = mix(pool[dst], hashmix(
-            np.broadcast_to(pool[src], (pool_size - 1, streams))))
-    for src in range(pool_size, length):
-        pool = mix(pool, hashmix(
-            np.broadcast_to(words[src], (pool_size, streams))))
-    consts_b = _hash_constants(_INIT_B, _MULT_B, 8)
-    state = pool[[j % pool_size for j in range(8)]] ^ consts_b[:8]
-    state *= consts_b[1:]
-    state ^= state >> 16
-    seeded = []
-    for s_hi, s_lo, i_hi, i_lo in (
-            state.T.astype("<u4", order="C").view("<u8").tolist()):
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        seeded.append((((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc
-                       & _MASK128, inc))
-    return seeded
-
-
 def _stream_states(seeds: list, num_bs: int) -> list:
     """PCG64 (state, inc) of child i < num_bs of a first spawn of each
     seed, seed-major: those of PCG64(SeedSequence(ss.entropy,
-    spawn_key=ss.spawn_key + (i,), pool_size=ss.pool_size))."""
-    # Seeds grouped by pool size and entropy length.  A spawned key
-    # always pads the run entropy to the pool size; a stream's words are
-    # its seed's and then the BS index, one word since num_bs < 2**32.
+    spawn_key=ss.spawn_key + (i,), pool_size=ss.pool_size)).
+
+    A child's entropy words are its seed's, zero-padded to the pool size
+    p, and then i (one word, since num_bs < 2**32).  numpy fills a short
+    entropy with the same hashes of 0 that zero padding gives, so once
+    the seed's words are mixed the child's pool is the seed's own `pool`,
+    after n = p * (p + max(E - p, 0) + K) hashes for E entropy and K
+    spawn-key words.  The child then mixes i into each pool word with
+    the hash constants INIT_A * MULT_A**(n + j), j <= p.  Seeds are
+    grouped by pool size, and each step acts on a (pool word, stream)
+    uint32 array; generate_state(4, uint64) follows, and then PCG64's
+    seeding step over Python ints.
+    """
     groups = {}
     for k, ss in enumerate(seeds):
-        run = _words(ss.entropy)
-        run += [0] * (ss.pool_size - len(run)) + _words(ss.spawn_key)
-        groups.setdefault((ss.pool_size, len(run)), []).append((k, run))
+        groups.setdefault(ss.pool_size, []).append(k)
     states = [None] * (len(seeds) * num_bs)
-    bs = np.arange(num_bs, dtype=np.uint32)
-    for (pool_size, length), members in groups.items():
-        ks, runs = zip(*members)
-        words = np.empty((length + 1, len(ks) * num_bs), dtype=np.uint32)
-        words[:length] = np.repeat(np.array(runs, dtype=np.uint32).T,
-                                   num_bs, axis=1)
-        words[length] = np.tile(bs, len(ks))
-        index = [k * num_bs + i for k in ks for i in range(num_bs)]
-        for k, state in zip(index, _pcg64_states(words, pool_size)):
-            states[k] = state
+    for p, ks in groups.items():
+        # n of each seed, and the hash constant after its n hashes
+        hashes = [p * (p + max(len(_words(seeds[k].entropy)) - p, 0)
+                       + len(_words(seeds[k].spawn_key))) for k in ks]
+        first = np.array([_INIT_A * pow(_MULT_A, n, 2 ** 32) & _MASK32
+                          for n in hashes], dtype=np.uint32)
+        powers = np.array([pow(_MULT_A, j, 2 ** 32) for j in range(p + 1)],
+                          dtype=np.uint32)[:, None]
+        consts = np.repeat(powers * first, num_bs, axis=1)
+        pool = np.repeat(np.array([seeds[k].pool for k in ks]).T, num_bs,
+                         axis=1)
+        # pool word j = mix(pool word j, hashmix(i)), hashmix(i) taking
+        # constants j and j + 1
+        hashed = (np.tile(np.arange(num_bs, dtype=np.uint32), len(ks))
+                  ^ consts[:-1]) * consts[1:]
+        hashed ^= hashed >> 16
+        pool = _MIX_L * pool - _MIX_R * hashed
+        pool ^= pool >> 16
+        state = pool[[j % p for j in range(8)]] ^ _HASH_B[:8]
+        state *= _HASH_B[1:]
+        state ^= state >> 16
+        index = (k * num_bs + i for k in ks for i in range(num_bs))
+        for k, (s_hi, s_lo, i_hi, i_lo) in zip(
+                index, state.T.astype("<u4", order="C").view("<u8").tolist()):
+            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+            states[k] = (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc
+                         & _MASK128, inc)
     return states
 
 
@@ -425,11 +393,11 @@ def _shadowing_streams(seeds: list, num_bs: int, rho: tuple,
     builds for child i of a first spawn of the seed, without spawning
     from it.  Below _ARRAY_STREAMS streams each stream is seeded, drawn
     and recurred on its own (_ar1_path).  Otherwise the streams' PCG64
-    states are derived as arrays, grouped by pool size and entropy
-    length; each stream's standard_normal is drawn from one generator set
-    to its state; and the recursion runs once per position over all
-    streams, multiplying and then adding as _ar1_path does, so every
-    value has the same bits.
+    states are derived as arrays from their seeds' pools
+    (_stream_states); each stream's standard_normal is drawn from one
+    generator set to its state; and the recursion runs once per position
+    over all streams, multiplying and then adding as _ar1_path does, so
+    every value has the same bits.
     """
     SeedSequence = np.random.SeedSequence
     count, positions = len(seeds) * num_bs, len(rho)
@@ -509,12 +477,12 @@ def build_traces(trajectory_m, bs_positions_m, budget: LinkBudget,
     call.  The input checks and the memo lookups run once per call.
     The shadowing streams, one per (seed, BS), are seeded, drawn and
     recurred as arrays once a block has _ARRAY_STREAMS of them: their
-    PCG64 states in one pass of numpy's SeedSequence hashing, their
-    standard_normal draws into one array from one generator, and the
-    AR(1) step once per position over all of them.  Smaller blocks, such
-    as a single trace, take each stream on its own, which costs less
-    there.  A seed that numpy's SeedSequence refuses is a ValueError
-    naming seeds.
+    PCG64 states from each seed's numpy SeedSequence pool and one more
+    mixing round, their standard_normal draws into one array from one
+    generator, and the AR(1) step once per position over all of them.
+    Smaller blocks, such as a single trace, take each stream on its own,
+    which costs less there.  A seed that numpy's SeedSequence refuses is
+    a ValueError naming seeds.
 
     Traces are byte-identical to build_trace_loop in tests/oracles.py, a
     slot-by-slot loop that seeds through numpy's own spawn and

@@ -1,15 +1,23 @@
 import hashlib
+import itertools
 import math
+import warnings
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import prebuf.admission
-from prebuf import (AdmissionConfig, ScenarioConfig, ShadowingConfig,
-                    run_admission, service_curve, summarize_curve)
+from prebuf import (AdmissionConfig, LinkBudget, ScenarioConfig,
+                    ShadowingConfig, VideoSpec, build_traces, run_admission,
+                    service_curve, summarize_curve)
 from prebuf.admission import (MAX_COUNT, MAX_LEDGER_SLOTS, PLANNER_KINDS,
                               LedgerHorizonError)
 from prebuf.cli import main
+
+from test_link import (CONTRACT_SLOTS, LINK_EXTREMES, extreme_calls,
+                       with_extreme)
 
 # sha256 of `prebuf multi-user` with every default: service_curve.csv and
 # stdout, as written when each kv was a separate run
@@ -119,7 +127,7 @@ class TestRunAdmission:
             != [r.arrival_time_s for r in t2.records]
 
     def test_unknown_planner_rejected(self, scenario):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="planner_kind"):
             run_admission(AdmissionConfig(total_requests=1),
                           scenario.video, scenario.make_traces, "psychic")
 
@@ -338,9 +346,41 @@ class TestServiceCurve:
 
         monkeypatch.setattr(prebuf.admission, "run_admission", unreachable)
         with pytest.raises(ValueError, match="num_seeds"):
-            service_curve([1], scenario.video, scenario.make_traces,
+            service_curve([1], scenario.video, unreachable,
                           AdmissionConfig(total_requests=1),
                           num_seeds=MAX_COUNT + 1)
+
+    def test_unknown_planner_rejected_before_any_trace(self, scenario):
+        def no_trace(seeds):
+            pytest.fail("a trace was built for an unknown planner kind")
+
+        with pytest.raises(ValueError, match="planner_kind"):
+            service_curve([3], scenario.video, no_trace,
+                          AdmissionConfig(total_requests=1),
+                          planner_kinds=("anticipatory", "psychic"))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("seed", [np.uint64(2 ** 64 - 1),
+                                      np.int64(2 ** 63 - 1)],
+                             ids=["uint64", "int64"])
+    def test_numpy_integer_seeds_do_not_wrap(self, scenario, seed):
+        # The seeds after a numpy integer base are Python ints, so they
+        # neither wrap to 0 nor overflow.
+        s = int(seed)
+        rows = service_curve([3], scenario.video, scenario.make_traces,
+                             AdmissionConfig(total_requests=1, seed=seed,
+                                             available_prbs=5),
+                             num_seeds=2)
+        assert [(r["planner"], r["seed"]) for r in rows] \
+            == [(kind, t) for kind in PLANNER_KINDS for t in (s, s + 1)]
+        for row in rows:
+            assert type(row["seed"]) is int
+            cfg = AdmissionConfig(total_requests=3, seed=row["seed"],
+                                  available_prbs=5)
+            log = run_admission(cfg, scenario.video, scenario.make_traces,
+                                row["planner"])
+            assert (row["admitted"], row["served"]) \
+                == (log.admitted_count, log.served_count)
 
     @pytest.mark.parametrize("kv_values", [[5, 0], [2.5], [5, 5.0], [True],
                                            [-3], ["4"], [None],
@@ -388,6 +428,26 @@ class TestServiceCurve:
                       num_seeds=2)
         assert len(calls) == 7 * 2
 
+    def test_each_block_dropped_before_the_next_but_one(
+            self, shadowed_scenario, monkeypatch):
+        # One pass runs both planners over each block of traces, so no
+        # block is held past the next one's build.
+        monkeypatch.setattr(prebuf.admission, "TRACE_BLOCK", 3)
+        blocks = []                     # per factory call, its traces
+
+        def tracked_traces(seeds):
+            for b, refs in enumerate(blocks[:-1]):
+                assert all(ref() is None for ref in refs), \
+                    f"block {b} alive when block {len(blocks)} is built"
+            traces = shadowed_scenario.make_traces(seeds)
+            blocks.append([weakref.ref(trace) for trace in traces])
+            return traces
+
+        service_curve([10], shadowed_scenario.video, tracked_traces,
+                      AdmissionConfig(total_requests=1, available_prbs=15),
+                      num_seeds=1)
+        assert [len(refs) for refs in blocks] == [3, 3, 3, 1]
+
     def test_default_multi_user_output_pinned(self, tmp_path, capsys):
         assert main(["multi-user", "--out", str(tmp_path)]) == 0
         csv_bytes = (tmp_path / "service_curve.csv").read_bytes()
@@ -411,3 +471,61 @@ class TestServiceCurve:
         stdout = capsys.readouterr().out.encode()
         assert hashlib.sha256(csv_bytes).hexdigest() == csv_sha256
         assert hashlib.sha256(stdout).hexdigest() == stdout_sha256
+
+
+CONTRACT_CONFIG = {"total_requests": 3, "mean_interarrival_s": 0.58,
+                   "available_prbs": 15.0, "seed": 0}
+CONTRACT_VIDEO = VideoSpec(bits_per_slot=250_000.0, slot_duration_s=1 / 6,
+                           num_slots=CONTRACT_SLOTS,
+                           max_carryover_bits=500_000.0)
+
+
+def contract_traces(seeds):
+    return build_traces([35.0 + 5.0 * t for t in range(CONTRACT_SLOTS)],
+                        [0.0, 550.0], LinkBudget(), CONTRACT_VIDEO,
+                        seeds=seeds)
+
+
+def admission_contract_cases():
+    """AdmissionConfig and run_admission, for each planner kind, with
+    arguments they accept, by name; the config's fields count as
+    arguments of run_admission.
+
+    The base run has 3 requests, and no value of LINK_EXTREMES is a legal
+    total_requests above 2, so every legal run stays that short.  A count
+    near MAX_COUNT with a tiny mean_interarrival_s would be a legal run of
+    a million requests, far past the test's budget, so none is drawn.
+    """
+    yield AdmissionConfig, dict(CONTRACT_CONFIG)
+    for kind in PLANNER_KINDS:
+        yield run_admission, {**CONTRACT_CONFIG, "planner_kind": kind}
+
+
+def check_admission_contract(fn, args):
+    """The call returns or raises a ValueError naming an argument; any
+    other error or a warning fails."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            config = AdmissionConfig(**{name: args[name]
+                                        for name in CONTRACT_CONFIG})
+            if fn is run_admission:
+                fn(config, CONTRACT_VIDEO, contract_traces,
+                   args["planner_kind"])
+        except ValueError as e:
+            assert any(name in str(e) for name in args), (fn, args, str(e))
+
+
+class TestAdmissionContract:
+    """Whatever the values, an admission config or run returns or raises
+    a ValueError that names an argument; no other error, no warning."""
+
+    def test_each_extreme_alone(self):
+        for fn, args in admission_contract_cases():
+            for name, value in itertools.product(args, LINK_EXTREMES):
+                check_admission_contract(fn, with_extreme(args, name, value))
+
+    @settings(max_examples=200, deadline=None)
+    @given(call=extreme_calls(list(admission_contract_cases())))
+    def test_extreme_arguments(self, call):
+        check_admission_contract(*call)

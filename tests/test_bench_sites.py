@@ -56,3 +56,16 @@ def test_install_restores_every_attribute(name, site_only):
     module, attr = PLAN_SITES[name]
     assert (module.__name__, attr) in patched
     assert len(patched) == (1 if site_only else len(before))
+
+
+@pytest.mark.parametrize("name", sorted(PLAN_SITES))
+def test_tiny_unit_calls_its_plan_site(name, tmp_path):
+    # A unit that no longer looks its planner up through the traced
+    # attribute (a captured reference, say) keeps no calls, and
+    # buffer_sweep's output check reads the kept plans.
+    workload = workloads.WORKLOADS[name]
+    inputs = workload.setup(0, workloads.SIZES[name]["tiny"])
+    tracer = tracing.Tracer(workload.plan_site, site_only=True)
+    with tracer.install():
+        workload.run_unit(inputs, inputs["units"][0], tmp_path, tracer.kept)
+    assert tracer.kept

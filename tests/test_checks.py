@@ -11,6 +11,7 @@ import pytest
 from prebuf import (AdmissionConfig, ConfigError, LinkBudget, ScenarioConfig,
                     ShadowingConfig, default_video_spec, path_loss_db,
                     per_prb_bits)
+from prebuf._checks import MAX_COUNT
 from prebuf.link import MAX_SIGMA_DB
 
 
@@ -70,7 +71,7 @@ FLOAT_FIELDS = [
      ValueError, [0.0, -1.0], False),
     ("available_prbs",
      lambda v: AdmissionConfig(total_requests=1, available_prbs=v),
-     ValueError, [-1.0], False),
+     ValueError, [-1.0, 2.0 * MAX_COUNT, 1e308], False),
 ]
 
 

@@ -422,14 +422,15 @@ class TestCli:
         assert not out.exists()
 
     def test_huge_available_prbs_exit_code(self, tmp_path, capsys):
-        # the supply bits_per_prb * 1e308 overflows; rejected, not warned
+        # past MAX_COUNT PRBs, where the supply bits_per_prb * 1e308
+        # would overflow; rejected, not warned
         out = tmp_path / "out"
         rc = main(["multi-user", "--available-prbs", "1e308", "--kv", "2",
                    "--num-seeds", "1", "--out", str(out)])
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith("config error: ")
-        assert "residual_prbs" in err
+        assert "available_prbs" in err
         assert "Warning" not in err
         assert not out.exists()
 
