@@ -35,10 +35,6 @@ TRACE_BLOCK = 256
 MAX_LEDGER_SLOTS = 2 ** 20
 
 
-class LedgerHorizonError(ValueError):
-    """The arrival process reaches past MAX_LEDGER_SLOTS."""
-
-
 @dataclass(frozen=True)
 class AdmissionConfig:
     total_requests: int
@@ -120,7 +116,7 @@ def _run_admission(config: AdmissionConfig, video: VideoSpec,
         arrival_times = np.cumsum(interarrivals)
         span = arrival_times[-1] / video.slot_duration_s + T
     if not span <= MAX_LEDGER_SLOTS:            # inf fails too
-        raise LedgerHorizonError(
+        raise ValueError(
             f"arrivals span {span:.3g} slots, past the "
             f"{MAX_LEDGER_SLOTS}-slot ledger limit; lower "
             f"mean_interarrival_s or total_requests")
@@ -198,6 +194,10 @@ def service_curve(kv_values, video: VideoSpec, make_traces: TraceFactory,
     """
     kv_values = check_kv_values(kv_values)
     check_int(num_seeds, "num_seeds", 1, MAX_COUNT)
+    # read twice, by each seed's pass and by the rows loop
+    planner_kinds = tuple(planner_kinds)
+    if not planner_kinds:
+        raise ValueError("planner_kinds must be non-empty")
     seeds = [int(base_config.seed) + i for i in range(num_seeds)]
     outcomes = {}                   # (planner, seed) -> [(admitted, served)]
     for seed in seeds:

@@ -124,10 +124,11 @@ def _load_scenario(args) -> ScenarioConfig:
 
 
 def main(argv=None) -> int:
-    # The one error boundary.  Bad input raises a ValueError (ConfigError
-    # and LedgerHorizonError are ones) before any output is written; an
-    # OSError names the path (--out is a file, or is not writable).  A
-    # RuntimeError is a broken invariant and keeps its traceback.
+    # The one error boundary.  Bad input raises a ValueError before any
+    # output is written: a ConfigError from the argument parser or the INI
+    # loader, a plain ValueError from the library.  An OSError names the
+    # path (--out is a file, or is not writable).  A RuntimeError is a
+    # broken invariant and keeps its traceback.
     try:
         args = build_parser().parse_args(argv)
         return args.run(_load_scenario(args), args)

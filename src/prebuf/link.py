@@ -261,8 +261,9 @@ class ChannelTrace:
 
     The arrays are read-only views, so one trace can be shared by several
     planners without one of them changing what another sees.  A direct
-    construction checks the lengths and that every capacity is finite and
-    positive; build_traces checks a whole block at once instead.
+    construction checks that the arrays are 1-D and of one length and
+    that every capacity is finite and positive; build_traces checks a
+    whole block at once instead.
     """
 
     distances_m: np.ndarray
@@ -273,6 +274,8 @@ class ChannelTrace:
     def __post_init__(self) -> None:
         for name in ("distances_m", "serving_bs", "gain_db", "bits_per_prb"):
             view = np.asarray(getattr(self, name)).view()
+            if view.ndim != 1:
+                raise ValueError(f"{name} must be 1-D, got {view.shape}")
             view.setflags(write=False)
             object.__setattr__(self, name, view)
         n = len(self.distances_m)

@@ -30,7 +30,11 @@ FLOAT_FMT = "%.9g"
 
 
 class ConfigError(ValueError):
-    """Bad or unknown key in a scenario config file."""
+    """Bad INI config file or command-line flag.
+
+    Only the INI loader and the CLI's argument parser raise it; a library
+    call raises a plain ValueError that names the argument or field.
+    """
 
 
 @dataclass(frozen=True)
@@ -39,10 +43,7 @@ class ShadowingConfig:
     decorrelation_m: float = 50.0
 
     def __post_init__(self) -> None:
-        try:
-            check_shadowing(self.sigma_db, self.decorrelation_m)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        check_shadowing(self.sigma_db, self.decorrelation_m)
 
 
 def default_video_spec() -> VideoSpec:
@@ -63,22 +64,19 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        try:
-            check_int(len(self.bs_positions_m), "len(bs_positions_m)", 1)
-            for i, x in enumerate(self.bs_positions_m):
-                check_real(x, f"bs_positions_m[{i}]")
-            check_real(self.user_start_m, "user_start_m")
-            check_real(self.user_speed_mps, "user_speed_mps", POSITIVE)
-            check_int(self.seed, "seed", 0)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        check_int(len(self.bs_positions_m), "len(bs_positions_m)", 1)
+        for i, x in enumerate(self.bs_positions_m):
+            check_real(x, f"bs_positions_m[{i}]")
+        check_real(self.user_start_m, "user_start_m")
+        check_real(self.user_speed_mps, "user_speed_mps", POSITIVE)
+        check_int(self.seed, "seed", 0)
         # Every trace of this config shares one trajectory: computed once,
         # read-only, and not a field, so it is no config key.
         with np.errstate(over="ignore"):
             t = np.arange(self.video.num_slots) * self.video.slot_duration_s
             trajectory = self.user_start_m + self.user_speed_mps * t
         if not all_finite(trajectory):
-            raise ConfigError(
+            raise ValueError(
                 "trajectory positions overflow: user_start_m + "
                 "user_speed_mps * slot_duration_s * slot must be finite "
                 "in every slot")
@@ -164,8 +162,13 @@ def load_config(path) -> ScenarioConfig:
     base = ScenarioConfig()
     subs = {name: _load_section(parser, name, getattr(base, name))
             for name in _SUB_CONFIGS}
-    return _load_section(parser, "scenario", replace(base, **subs),
-                         exclude=subs)
+    # The sub-configs can be valid alone and still overflow the
+    # trajectory together, which no one section names.
+    try:
+        base = replace(base, **subs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return _load_section(parser, "scenario", base, exclude=subs)
 
 
 def _write_csv(out_dir, name, header, rows):
@@ -236,12 +239,9 @@ def run_buffer_sweep(config: ScenarioConfig, z_values_bits, out_dir) -> dict:
     the CSV layout.
     """
     z_values = list(z_values_bits)
-    try:
-        check_int(len(z_values), "len(z_values)", 1)
-        for i, z in enumerate(z_values):
-            check_real(z, f"z_values[{i}]", 0.0, math.inf)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    check_int(len(z_values), "len(z_values)", 1)
+    for i, z in enumerate(z_values):
+        check_real(z, f"z_values[{i}]", 0.0, math.inf)
 
     trace = config.make_trace()
     video = config.video

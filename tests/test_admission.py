@@ -12,8 +12,7 @@ import prebuf.admission
 from prebuf import (AdmissionConfig, LinkBudget, ScenarioConfig,
                     ShadowingConfig, VideoSpec, build_traces, run_admission,
                     service_curve, summarize_curve)
-from prebuf.admission import (MAX_COUNT, MAX_LEDGER_SLOTS, PLANNER_KINDS,
-                              LedgerHorizonError)
+from prebuf.admission import MAX_COUNT, MAX_LEDGER_SLOTS, PLANNER_KINDS
 from prebuf.cli import main
 
 from test_link import (CONTRACT_SLOTS, LINK_EXTREMES, extreme_calls,
@@ -172,8 +171,9 @@ class TestRunAdmission:
             pytest.fail("a trace was built past the ledger limit")
 
         cfg = AdmissionConfig(total_requests=2, mean_interarrival_s=mean_s)
-        with pytest.raises(LedgerHorizonError, match="ledger limit"):
+        with pytest.raises(ValueError, match="ledger limit") as exc:
             run_admission(cfg, scenario.video, no_trace)
+        assert type(exc.value) is ValueError
 
     @pytest.mark.parametrize("seed", [2 ** 63, 10 ** 20])
     def test_overflowing_arrivals_rejected_without_warning(self, scenario,
@@ -181,8 +181,9 @@ class TestRunAdmission:
         # these seeds draw arrivals whose sum or span overflows at 1e308
         cfg = AdmissionConfig(total_requests=2, mean_interarrival_s=1e308,
                               seed=seed)
-        with pytest.raises(LedgerHorizonError, match="inf slots"):
+        with pytest.raises(ValueError, match="inf slots") as exc:
             run_admission(cfg, scenario.video, lambda seed: None)
+        assert type(exc.value) is ValueError
 
     def test_rejected_horizon_spawns_no_user_seed(self, scenario,
                                                   monkeypatch):
@@ -195,8 +196,9 @@ class TestRunAdmission:
 
         monkeypatch.setattr(np.random, "SeedSequence", Recording)
         cfg = AdmissionConfig(total_requests=1000, mean_interarrival_s=1e6)
-        with pytest.raises(LedgerHorizonError):
+        with pytest.raises(ValueError) as exc:
             run_admission(cfg, scenario.video, scenario.make_traces)
+        assert type(exc.value) is ValueError
         assert spawned == [1]
 
     def test_long_horizon_within_limit_runs(self, scenario):
@@ -358,6 +360,27 @@ class TestServiceCurve:
             service_curve([3], scenario.video, no_trace,
                           AdmissionConfig(total_requests=1),
                           planner_kinds=("anticipatory", "psychic"))
+
+    @pytest.mark.parametrize("kinds", [PLANNER_KINDS, ("baseline",)])
+    def test_planner_kinds_iterator_gives_tuple_rows(self, shadowed_scenario,
+                                                     kinds):
+        args = ([5, 10], shadowed_scenario.video,
+                shadowed_scenario.make_traces,
+                AdmissionConfig(total_requests=1, available_prbs=15))
+        rows = service_curve(*args, num_seeds=2, planner_kinds=kinds)
+        assert len(rows) == 2 * len(kinds) * 2
+        assert service_curve(*args, num_seeds=2,
+                             planner_kinds=iter(kinds)) == rows
+
+    def test_no_planner_kinds_rejected_before_any_trace(self, scenario):
+        def no_trace(seeds):
+            pytest.fail("a trace was built with no planner to run")
+
+        with pytest.raises(ValueError, match="planner_kinds") as exc:
+            service_curve([5, 10], scenario.video, no_trace,
+                          AdmissionConfig(total_requests=1), num_seeds=2,
+                          planner_kinds=())
+        assert type(exc.value) is ValueError
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("seed", [np.uint64(2 ** 64 - 1),

@@ -845,6 +845,18 @@ class TestChannelTraceValidation:
                              serving_bs=np.zeros(3, dtype=int),
                              gain_db=np.zeros(3), bits_per_prb=bits)
 
+    @pytest.mark.parametrize("name", ["distances_m", "serving_bs", "gain_db",
+                                      "bits_per_prb"])
+    @pytest.mark.parametrize("shape", [(3, 1), (1, 3), ()])
+    def test_array_not_1d_rejected(self, name, shape):
+        arrays = dict(distances_m=np.full(3, 100.0),
+                      serving_bs=np.zeros(3, dtype=int),
+                      gain_db=np.zeros(3), bits_per_prb=np.full(3, 3e5))
+        arrays[name] = (arrays[name][0] if shape == ()
+                        else arrays[name].reshape(shape))
+        with pytest.raises(ValueError, match=f"{name} must be 1-D"):
+            ChannelTrace(**arrays)
+
 
 class TestLinkBudgetValidation:
     def test_rejects_zero_prbs(self):

@@ -16,6 +16,9 @@ from prebuf.admission import MAX_COUNT
 from prebuf.cli import main
 
 V = 250_000.0
+TRAJECTORY_OVERFLOW = ("trajectory positions overflow: user_start_m + "
+                       "user_speed_mps * slot_duration_s * slot must be "
+                       "finite in every slot")
 
 
 class TestConfig:
@@ -112,13 +115,15 @@ sigma_db = 0
         {"video": replace(default_video_spec(), slot_duration_s=1e308)},
     ])
     def test_scenario_fields_rejected(self, kwargs):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError) as exc:
             ScenarioConfig(**kwargs)
+        assert type(exc.value) is ValueError
 
     @pytest.mark.parametrize("seed", [np.nan, np.inf, 2.5, True])
     def test_seed_must_be_int(self, seed):
-        with pytest.raises(ConfigError, match="seed"):
+        with pytest.raises(ValueError, match="seed") as exc:
             ScenarioConfig(seed=seed)
+        assert type(exc.value) is ValueError
 
     def test_numpy_int_seed_accepted(self):
         trace = ScenarioConfig(seed=np.int64(3)).make_trace()
@@ -134,8 +139,17 @@ sigma_db = 0
         {"decorrelation_m": -1.0},
     ])
     def test_shadowing_fields_rejected(self, kwargs):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError) as exc:
             ShadowingConfig(**kwargs)
+        assert type(exc.value) is ValueError
+
+    def test_sub_configs_overflowing_together_rejected(self, tmp_path):
+        # each section is valid alone; the trajectory they make is not
+        path = tmp_path / "slot.ini"
+        path.write_text("[video]\nslot_duration_s = 1e308\n")
+        with pytest.raises(ConfigError) as exc:
+            load_config(path)
+        assert str(exc.value) == TRAJECTORY_OVERFLOW
 
     def test_unparsable_value_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
@@ -258,14 +272,16 @@ class TestBufferSweep:
                 == row["frac_of_system_prbs"]
 
     def test_empty_z_values_rejected(self, tmp_path):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError) as exc:
             run_buffer_sweep(ScenarioConfig(), [], tmp_path)
+        assert type(exc.value) is ValueError
 
     @pytest.mark.parametrize("z", [float("nan"), -V])
     def test_bad_z_value_rejected_before_output(self, tmp_path, z):
         out = tmp_path / "out"
-        with pytest.raises(ConfigError, match="z_values"):
+        with pytest.raises(ValueError, match="z_values") as exc:
             run_buffer_sweep(ScenarioConfig(), [0.0, z], out)
+        assert type(exc.value) is ValueError
         assert not out.exists()
 
 
@@ -349,6 +365,40 @@ class TestCli:
         assert err.startswith("config error: ")
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, ini, err", [
+        (["single-user", "--seed", "-1"], None,
+         "seed must be an integer >= 0, got -1"),
+        (["single-user", "--sigma-db", "nan"], None,
+         "sigma_db must be a finite real number >= 0 up to 1.34078e+154, "
+         "got nan"),
+        (["single-user"], "[scenario]\nuser_speed_mps = 0\n",
+         "[scenario]: user_speed_mps must be a finite real number > 0, "
+         "got 0.0"),
+        (["single-user"], "[shadowing]\nsigma_db = nan\n",
+         "[shadowing]: sigma_db must be a finite real number >= 0 up to "
+         "1.34078e+154, got nan"),
+        (["single-user"], "[video]\nslot_duration_s = 1e308\n",
+         TRAJECTORY_OVERFLOW),
+        (["single-user"], "[scenario]\nuser_speed_mps = 1e308\n",
+         "[scenario]: " + TRAJECTORY_OVERFLOW),
+        (["multi-user", "--mean-interarrival", "1e300", "--kv", "2"], None,
+         "arrivals span 2.43e+301 slots, past the 1048576-slot ledger "
+         "limit; lower mean_interarrival_s or total_requests"),
+        (["buffer-sweep", "--z-max-multiple", "-1"], None,
+         "--z-max-multiple must be an integer in [0, 1048576], got -1"),
+    ], ids=["seed", "sigma-db", "ini-speed-0", "ini-sigma-nan",
+            "ini-slot-overflow", "ini-speed-overflow", "horizon",
+            "z-max-multiple"])
+    def test_config_error_output_pinned(self, tmp_path, capsys, argv, ini,
+                                        err):
+        if ini is not None:
+            (tmp_path / "c.ini").write_text(ini)
+            argv = argv + ["--config", str(tmp_path / "c.ini")]
+        rc = main(argv + ["--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert (rc, captured.out, captured.err) \
+            == (1, "", f"config error: {err}\n")
 
     def test_infeasible_scenario_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "heavy.ini"
