@@ -190,7 +190,9 @@ def _geometry(trajectory_bytes: bytes, bs_bytes: bytes,
 
     Both position arrays are checked for NaN and inf here, so only on a
     miss; a call that raises caches nothing, so bad positions raise on
-    every call.
+    every call.  The path loss takes path_loss_db's scalar `math.log10`,
+    once per geometry, since numpy's array log10 need not round as it
+    does.
     """
     trajectory, bs = np.frombuffer(trajectory_bytes), np.frombuffer(bs_bytes)
     if not all_finite(trajectory):
@@ -217,10 +219,12 @@ def _capacities(gains_db, budget: LinkBudget,
 
     numpy does the IEEE arithmetic, which rounds as Python's does, and
     scalar `math.pow` and `math.log2` the rest, since numpy's array
-    versions do not always round as they do.  A gain whose linear value
-    overflows raises OverflowError; an SINR or a capacity that overflows
-    is inf, and an inf slot bandwidth times a zero rate is NaN, both
-    without a numpy warning.
+    versions do not always round as they do: over the 307,200 gains of
+    the default scenario's seeds 0-3199 (numpy 2.4.6), np.power and
+    np.log2 in their place change 2,365 capacities, by at most 2 ulp.
+    A gain whose linear value overflows raises OverflowError; an SINR or
+    a capacity that overflows is inf, and an inf slot bandwidth times a
+    zero rate is NaN, both without a numpy warning.
     """
     power_w = budget.per_prb_power_w
     denom = budget.snr_gap_linear * budget.noise_plus_interference_w
@@ -308,7 +312,11 @@ class ChannelTrace:
 # count.  Measured in process at the default 96 positions, in alternating
 # rounds over 2 to 32 streams, a stream costs about 30 us on its own, and
 # the array path about 230 us per block plus 7 us per stream; they break
-# even at 10 streams.
+# even at 10 streams.  Both sides are in use: a single default trace has
+# 2 streams (buffer-sweep and the buffer_sweep benchmark workload), and a
+# default admission block has 40 users and 80 streams (multi-user's
+# largest default kv, and the service_curve and baseline_admission
+# workloads).
 _ARRAY_STREAMS = 10
 
 # numpy's SeedSequence hash constants, and PCG64's 128-bit multiplier.
@@ -470,37 +478,21 @@ def build_traces(trajectory_m, bs_positions_m, budget: LinkBudget,
     built without spawning from it, so a SeedSequence passed twice gives
     the same trace and is left unchanged.
 
-    Every user of a scenario shares its trajectory and BS layout, so the
-    clamped distances and path gains of every (BS, slot) pair are
-    memoized in a bounded cache keyed on the bytes of the trajectory and
-    of the BS positions and on min_bs_distance_m; only the shadowing
-    draws are per trace.  The memo also checks that the positions are
-    finite, so a geometry is checked when first seen, before any draw;
-    a call that raises caches nothing, so bad positions raise on every
-    call.  The input checks and the memo lookups run once per call.
-    The shadowing streams, one per (seed, BS), are seeded, drawn and
-    recurred as arrays once a block has _ARRAY_STREAMS of them: their
-    PCG64 states from each seed's numpy SeedSequence pool and one more
-    mixing round, their standard_normal draws into one array from one
-    generator, and the AR(1) step once per position over all of them.
-    Smaller blocks, such as a single trace, take each stream on its own,
-    which costs less there.  A seed that numpy's SeedSequence refuses is
-    a ValueError naming seeds.
-
     Traces are byte-identical to build_trace_loop in tests/oracles.py, a
     slot-by-slot loop that seeds through numpy's own spawn and
     default_rng, on both sides of _ARRAY_STREAMS, and unshadowed ones to
-    a rebuild from path_loss_db and per_prb_bits.  The memo evaluates the
-    path loss with scalar `math.log10`; numpy only does IEEE arithmetic,
-    which rounds as Python's does: the AR(1) step (a multiply and then an
-    add per element), the addition of the shadowing and the argmax (the
-    first of equals wins, as a strict `>` scan does) on one (seed, BS,
-    slot) array, and the capacities' products, quotient and sum, whose
-    `**` and `log2` stay scalar `math` calls.  A capacity that overflows,
-    rounds to 0 or is not finite is a ValueError naming gain_db and the
-    inputs that set it.  The capacities are checked once per block, as
-    one (seeds, slots) array; each trace is a row of four block arrays
-    made read-only, and does not run ChannelTrace's checks again.
+    a rebuild from path_loss_db and per_prb_bits.  The helpers document
+    how: _geometry and _ar1_steps (the memoized geometry and AR(1)
+    steps), _shadowing_streams and _stream_states (the streams) and
+    _capacities.
+
+    Trajectory and BS positions are checked when their geometry is first
+    seen, before any draw.  The capacities are checked once per block,
+    as one (seeds, slots) array; each trace is a row of four block arrays
+    made read-only, and does not run ChannelTrace's checks again.  A
+    capacity that overflows, rounds to 0 or is not finite is a
+    ValueError naming gain_db and the inputs that set it, and a seed that
+    numpy's SeedSequence refuses is a ValueError naming seeds.
     """
     trajectory_m = np.asarray(trajectory_m, dtype=float).ravel()
     if trajectory_m.size == 0:
@@ -531,7 +523,8 @@ def build_traces(trajectory_m, bs_positions_m, budget: LinkBudget,
         shadowing = _shadowing_streams(seeds, num_bs, rho, scale).reshape(
             n, num_bs, -1).take(inverse, axis=2)
     bs_gain = path + shadowing
-    serving = bs_gain.argmax(axis=1)       # the first of equals wins
+    # the first of equals wins, as build_trace_loop's strict > scan
+    serving = bs_gain.argmax(axis=1)
     slots = np.arange(T)
     gain = bs_gain[np.arange(n)[:, None], serving, slots]
     distances = distance[serving, slots]
