@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._checks import MAX_COUNT, POSITIVE, check_int, check_real
+from ._checks import MAX_COUNT, POSITIVE, check_fields, check_int, check_real
 from .link import ChannelTrace
 from .planner import AllocationPlan, plan_anticipatory, plan_baseline
 from .playout import VideoSpec, simulate_playback
@@ -43,11 +43,12 @@ class AdmissionConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        check_int(self.total_requests, "total_requests", 1, MAX_COUNT)
-        check_real(self.mean_interarrival_s, "mean_interarrival_s", POSITIVE)
-        # a PRB count, bounded as LinkBudget.num_system_prbs is
-        check_real(self.available_prbs, "available_prbs", 0.0, MAX_COUNT)
-        check_int(self.seed, "seed", 0)
+        # available_prbs is a PRB count, bounded as
+        # LinkBudget.num_system_prbs is
+        check_fields(self, total_requests=(check_int, 1, MAX_COUNT),
+                     mean_interarrival_s=(check_real, POSITIVE),
+                     available_prbs=(check_real, 0.0, MAX_COUNT),
+                     seed=(check_int, 0))
 
 
 @dataclass(frozen=True)
@@ -128,7 +129,7 @@ def _run_admission(config: AdmissionConfig, video: VideoSpec,
     arrival_times = arrival_times.tolist()
     # each planner's ledger, filled in place
     logs = [AdmissionLog(residual_prbs_timeline=np.full(
-                arrival_slots[-1] + T, float(config.available_prbs)))
+                arrival_slots[-1] + T, config.available_prbs))
             for _ in planner_kinds]
 
     for start in range(0, config.total_requests, TRACE_BLOCK):
@@ -167,11 +168,9 @@ def _run_admission(config: AdmissionConfig, video: VideoSpec,
 
 def check_kv_values(kv_values) -> list:
     """The request volumes as a list; each an integer in [1, MAX_COUNT]."""
-    kv_values = list(kv_values)
+    kv_values = [check_int(kv, "kv", 1, MAX_COUNT) for kv in kv_values]
     if not kv_values:
         raise ValueError("kv_values must be non-empty")
-    for kv in kv_values:
-        check_int(kv, "kv", 1, MAX_COUNT)
     return kv_values
 
 
@@ -180,10 +179,9 @@ def service_curve(kv_values, video: VideoSpec, make_traces: TraceFactory,
                   planner_kinds=PLANNER_KINDS) -> list[dict]:
     """Served counts per request volume, planner and seed (paired seeds).
 
-    Seeds are derived as int(base_config.seed) + i, Python ints, so the
-    planners see identical arrival processes and shadowing per (kv, seed)
-    pair.  base_config.total_requests is ignored: each run has
-    max(kv_values).
+    Seeds are derived as base_config.seed + i, so the planners see
+    identical arrival processes and shadowing per (kv, seed) pair.
+    base_config.total_requests is ignored: each run has max(kv_values).
 
     Admission records are prefix-consistent: the first kv records of a
     run equal a run of kv requests with the same seed.  So each seed runs
@@ -198,7 +196,7 @@ def service_curve(kv_values, video: VideoSpec, make_traces: TraceFactory,
     planner_kinds = tuple(planner_kinds)
     if not planner_kinds:
         raise ValueError("planner_kinds must be non-empty")
-    seeds = [int(base_config.seed) + i for i in range(num_seeds)]
+    seeds = [base_config.seed + i for i in range(num_seeds)]
     outcomes = {}                   # (planner, seed) -> [(admitted, served)]
     for seed in seeds:
         cfg = replace(base_config, total_requests=max(kv_values), seed=seed)

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import MAX_COUNT, POSITIVE, all_finite, check_int, check_real
+from ._checks import (MAX_COUNT, POSITIVE, all_finite, check_fields,
+                      check_int, check_real, real_array)
 from .playout import VideoSpec
 
 
@@ -50,28 +51,25 @@ class LinkBudget:
     min_bs_distance_m: float = 35.0
 
     def __post_init__(self) -> None:
-        check_int(self.num_system_prbs, "num_system_prbs", 1, MAX_COUNT)
-        for name in ("total_power_dbm", "noise_psd_dbm_hz", "noise_figure_db",
-                     "interference_psd_dbm_hz"):
-            check_real(getattr(self, name), name)
-        check_real(self.prb_bandwidth_hz, "prb_bandwidth_hz", POSITIVE)
-        check_real(self.snr_gap_db, "snr_gap_db", 0.0)
-        check_real(self.min_bs_distance_m, "min_bs_distance_m", POSITIVE)
+        check_fields(self, num_system_prbs=(check_int, 1, MAX_COUNT),
+                     **{name: (check_real,) for name in (
+                         "total_power_dbm", "noise_psd_dbm_hz",
+                         "noise_figure_db", "interference_psd_dbm_hz")},
+                     prb_bandwidth_hz=(check_real, POSITIVE),
+                     snr_gap_db=(check_real, 0.0),
+                     min_bs_distance_m=(check_real, POSITIVE))
         # build_trace scales by the power and divides by the rest.  Finite
         # dB values can still overflow in linear units (float ** raises)
-        # or round to 0.  All of it is in Python floats, whatever real
-        # types the fields hold, so numpy scalars cannot overflow with a
-        # warning instead.
-        noise_dbm = float(self.noise_psd_dbm_hz) + float(self.noise_figure_db)
+        # or round to 0.
+        noise_dbm = self.noise_psd_dbm_hz + self.noise_figure_db
         for name, source, linear in (
             ("per_prb_power_w", "total_power_dbm, num_system_prbs",
              lambda: dbm_to_watts(self.total_power_dbm)
-             / int(self.num_system_prbs)),
+             / self.num_system_prbs),
             ("noise_plus_interference_w",
              "noise_psd_dbm_hz, noise_figure_db, interference_psd_dbm_hz",
              lambda: (dbm_to_watts(noise_dbm) + dbm_to_watts(
-                 self.interference_psd_dbm_hz))
-             * float(self.prb_bandwidth_hz)),
+                 self.interference_psd_dbm_hz)) * self.prb_bandwidth_hz),
             ("snr_gap_linear", "snr_gap_db",
              lambda: db_to_linear(self.snr_gap_db)),
         ):
@@ -87,16 +85,18 @@ class LinkBudget:
 MAX_SIGMA_DB = math.sqrt(sys.float_info.max)
 
 
-def check_shadowing(sigma_db: float, decorrelation_m: float) -> None:
-    """Reject a sigma_db outside [0, MAX_SIGMA_DB] or a decorrelation_m
-    below 0 (inf is a fully correlated field); NaN fails both."""
-    check_real(sigma_db, "sigma_db", 0.0, MAX_SIGMA_DB)
-    check_real(decorrelation_m, "decorrelation_m", 0.0, math.inf)
+def check_shadowing(sigma_db: float, decorrelation_m: float
+                    ) -> tuple[float, float]:
+    """(sigma_db, decorrelation_m) as Python floats; a sigma_db outside
+    [0, MAX_SIGMA_DB] or a decorrelation_m below 0 (inf is a fully
+    correlated field) is a ValueError, and NaN fails both."""
+    return (check_real(sigma_db, "sigma_db", 0.0, MAX_SIGMA_DB),
+            check_real(decorrelation_m, "decorrelation_m", 0.0, math.inf))
 
 
 def path_loss_db(distance_km: float) -> float:
     """Outdoor macro path loss, distance in kilometers."""
-    check_real(distance_km, "distance_km", POSITIVE)
+    distance_km = check_real(distance_km, "distance_km", POSITIVE)
     return 128.1 + 37.6 * math.log10(distance_km)
 
 
@@ -112,9 +112,8 @@ class ShadowingField:
 
     def __init__(self, sigma_db: float, decorrelation_m: float,
                  rng: np.random.Generator):
-        check_shadowing(sigma_db, decorrelation_m)
-        self.sigma_db = sigma_db
-        self.decorrelation_m = decorrelation_m
+        self.sigma_db, self.decorrelation_m = check_shadowing(
+            sigma_db, decorrelation_m)
         self._rng = rng
 
     def sample(self, positions_m) -> np.ndarray:
@@ -132,7 +131,7 @@ class ShadowingField:
         floats.  rho and scale are computed by the same operations as
         without the memo, so every draw keeps its bits.
         """
-        positions = np.asarray(positions_m, dtype=float)
+        positions = real_array(positions_m, "positions_m")
         inverse, rho, scale = _ar1_steps(positions.tobytes(),
                                          self.decorrelation_m, self.sigma_db)
         if self.sigma_db == 0.0:
@@ -171,8 +170,8 @@ def _ar1_steps(positions_bytes: bytes, decorrelation_m: float,
         raise ValueError("shadowing positions must be finite")
     unique, inverse = np.unique(positions, return_inverse=True)
     inverse.setflags(write=False)
-    xs, d_c = unique.tolist(), float(decorrelation_m)
-    var = float(sigma_db) ** 2
+    xs, d_c = unique.tolist(), decorrelation_m
+    var = sigma_db ** 2
     rho, scale = [], []
     for k in range(len(xs)):
         r = (math.exp(-(xs[k] - xs[k - 1]) / d_c)
@@ -228,7 +227,7 @@ def _capacities(gains_db, budget: LinkBudget,
     """
     power_w = budget.per_prb_power_w
     denom = budget.snr_gap_linear * budget.noise_plus_interference_w
-    slot_hz = float(slot_duration_s) * float(budget.prb_bandwidth_hz)
+    slot_hz = slot_duration_s * budget.prb_bandwidth_hz
     tenths = np.asarray(gains_db, dtype=float) / 10.0
     n = tenths.size
     linear = np.fromiter(map(math.pow, itertools.repeat(10.0, n),
@@ -246,8 +245,8 @@ def per_prb_bits(gain_db: float, budget: LinkBudget,
     A capacity that overflows or is NaN (an inf slot bandwidth times a
     zero rate) is a ValueError naming gain_db and slot_duration_s.
     """
-    check_real(gain_db, "gain_db")
-    check_real(slot_duration_s, "slot_duration_s", POSITIVE)
+    gain_db = check_real(gain_db, "gain_db")
+    slot_duration_s = check_real(slot_duration_s, "slot_duration_s", POSITIVE)
     try:
         bits = float(_capacities((gain_db,), budget, slot_duration_s)[0])
     except OverflowError:
@@ -277,7 +276,8 @@ class ChannelTrace:
 
     def __post_init__(self) -> None:
         for name in ("distances_m", "serving_bs", "gain_db", "bits_per_prb"):
-            view = np.asarray(getattr(self, name)).view()
+            view = (np.asarray(self.serving_bs) if name == "serving_bs"
+                    else real_array(getattr(self, name), name)).view()
             if view.ndim != 1:
                 raise ValueError(f"{name} must be 1-D, got {view.shape}")
             view.setflags(write=False)
@@ -494,14 +494,14 @@ def build_traces(trajectory_m, bs_positions_m, budget: LinkBudget,
     ValueError naming gain_db and the inputs that set it, and a seed that
     numpy's SeedSequence refuses is a ValueError naming seeds.
     """
-    trajectory_m = np.asarray(trajectory_m, dtype=float).ravel()
+    trajectory_m = real_array(trajectory_m, "trajectory_m").ravel()
     if trajectory_m.size == 0:
         raise ValueError("trajectory (trajectory_m) must not be empty")
     if trajectory_m.size != spec.num_slots:
         raise ValueError(
             f"trajectory (trajectory_m) has {trajectory_m.size} slots, "
             f"video needs {spec.num_slots}")
-    bs_positions_m = np.asarray(bs_positions_m, dtype=float)
+    bs_positions_m = real_array(bs_positions_m, "bs_positions_m")
     if bs_positions_m.size == 0:
         raise ValueError("need at least one BS position (bs_positions_m)")
     # Before the AR(1) memo, so a non-finite position is reported as a
@@ -509,7 +509,7 @@ def build_traces(trajectory_m, bs_positions_m, budget: LinkBudget,
     trajectory_bytes = trajectory_m.tobytes()
     distance, path = _geometry(trajectory_bytes, bs_positions_m.tobytes(),
                                budget.min_bs_distance_m)
-    check_shadowing(sigma_db, decorrelation_m)
+    sigma_db, decorrelation_m = check_shadowing(sigma_db, decorrelation_m)
     inverse, rho, scale = _ar1_steps(trajectory_bytes, decorrelation_m,
                                      sigma_db)
 

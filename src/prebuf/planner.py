@@ -18,6 +18,7 @@ from math import inf
 
 import numpy as np
 
+from ._checks import real_array
 from .link import ChannelTrace
 from .playout import VideoSpec
 
@@ -36,7 +37,7 @@ class AllocationPlan:
 def _supply_bits(spec: VideoSpec, trace: ChannelTrace,
                  residual_prbs) -> np.ndarray:
     """Check the inputs; return each slot's supply bits_per_prb * residual."""
-    residual = np.asarray(residual_prbs, dtype=float)
+    residual = real_array(residual_prbs, "residual_prbs")
     if trace.num_slots != spec.num_slots:
         raise ValueError(
             f"trace covers {trace.num_slots} slots, video needs "

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import MAX_COUNT, POSITIVE, all_finite, check_int, check_real
+from ._checks import (MAX_COUNT, POSITIVE, all_finite, check_fields,
+                      check_int, check_real, real_array)
 
 
 @dataclass(frozen=True)
@@ -27,11 +28,11 @@ class VideoSpec:
     max_carryover_bits: float
 
     def __post_init__(self) -> None:
-        check_real(self.bits_per_slot, "bits_per_slot", POSITIVE)
-        check_real(self.slot_duration_s, "slot_duration_s", POSITIVE)
-        check_int(self.num_slots, "num_slots", 1, MAX_COUNT)
         # an infinite cap is legal and means an unbounded buffer
-        check_real(self.max_carryover_bits, "max_carryover_bits", 0, math.inf)
+        check_fields(self, bits_per_slot=(check_real, POSITIVE),
+                     slot_duration_s=(check_real, POSITIVE),
+                     num_slots=(check_int, 1, MAX_COUNT),
+                     max_carryover_bits=(check_real, 0, math.inf))
 
 
 @dataclass(frozen=True)
@@ -61,7 +62,7 @@ def simulate_playback(plan_received, spec: VideoSpec) -> BufferTimeline:
     zero outages.  Carry-over beyond spec.max_carryover_bits is flagged on
     the timeline (planner bug or hand-made plan), never clipped.
     """
-    received = np.asarray(plan_received, dtype=float)
+    received = real_array(plan_received, "plan_received")
     if received.shape != (spec.num_slots,):
         raise ValueError(
             f"plan (plan_received) has {received.size} slots, expected "

@@ -17,7 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ._checks import POSITIVE, all_finite, check_int, check_real
+from ._checks import (POSITIVE, all_finite, check_fields, check_int,
+                      check_real)
 from .admission import AdmissionConfig, service_curve, summarize_curve
 from .link import (ChannelTrace, LinkBudget, build_trace, build_traces,
                    check_shadowing)
@@ -43,7 +44,8 @@ class ShadowingConfig:
     decorrelation_m: float = 50.0
 
     def __post_init__(self) -> None:
-        check_shadowing(self.sigma_db, self.decorrelation_m)
+        vars(self).update(zip(("sigma_db", "decorrelation_m"), check_shadowing(
+            self.sigma_db, self.decorrelation_m)))
 
 
 def default_video_spec() -> VideoSpec:
@@ -65,11 +67,12 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         check_int(len(self.bs_positions_m), "len(bs_positions_m)", 1)
-        for i, x in enumerate(self.bs_positions_m):
+        vars(self)["bs_positions_m"] = tuple(
             check_real(x, f"bs_positions_m[{i}]")
-        check_real(self.user_start_m, "user_start_m")
-        check_real(self.user_speed_mps, "user_speed_mps", POSITIVE)
-        check_int(self.seed, "seed", 0)
+            for i, x in enumerate(self.bs_positions_m))
+        check_fields(self, user_start_m=(check_real,),
+                     user_speed_mps=(check_real, POSITIVE),
+                     seed=(check_int, 0))
         # Every trace of this config shares one trajectory: computed once,
         # read-only, and not a field, so it is no config key.
         with np.errstate(over="ignore"):
@@ -238,10 +241,9 @@ def run_buffer_sweep(config: ScenarioConfig, z_values_bits, out_dir) -> dict:
     frac_of_available_prbs repeats frac_of_system_prbs; it stays to keep
     the CSV layout.
     """
-    z_values = list(z_values_bits)
+    z_values = [check_real(z, f"z_values[{i}]", 0.0, math.inf)
+                for i, z in enumerate(z_values_bits)]
     check_int(len(z_values), "len(z_values)", 1)
-    for i, z in enumerate(z_values):
-        check_real(z, f"z_values[{i}]", 0.0, math.inf)
 
     trace = config.make_trace()
     video = config.video
@@ -251,18 +253,17 @@ def run_buffer_sweep(config: ScenarioConfig, z_values_bits, out_dir) -> dict:
     rows = []
     totals = []
     for z in z_values:
-        spec = replace(video, max_carryover_bits=float(z))
+        spec = replace(video, max_carryover_bits=z)
         plan = plan_anticipatory(spec, trace, residual)
         total = plan.total_prb_slots if plan.feasible else math.inf
         totals.append(total)
         frac = total / (T * config.link.num_system_prbs)
-        rows.append([z / video.bits_per_slot, float(z), total, frac, frac])
+        rows.append([z / video.bits_per_slot, z, total, frac, frac])
     _write_csv(out_dir, "sweep.csv",
                ["z_over_v", "z_bits", "total_prb_slots",
                 "frac_of_system_prbs", "frac_of_available_prbs"],
                rows)
-    return {"z_values_bits": [float(z) for z in z_values],
-            "total_prb_slots": totals}
+    return {"z_values_bits": z_values, "total_prb_slots": totals}
 
 
 def run_multiuser(config: ScenarioConfig, admission: AdmissionConfig,

@@ -1,16 +1,17 @@
 """Every float input of the config classes and the scalar link functions
 is checked one way: NaN, out-of-range infinities, values out of range and
-bools are rejected by a message that names the field."""
+bools are rejected by a message that names the field, and what passes is
+stored as a Python float or int."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from prebuf import (AdmissionConfig, LinkBudget, ScenarioConfig,
-                    ShadowingConfig, default_video_spec, path_loss_db,
-                    per_prb_bits)
+                    ShadowingConfig, VideoSpec, default_video_spec,
+                    path_loss_db, per_prb_bits, simulate_playback)
 from prebuf._checks import MAX_COUNT
 from prebuf.link import MAX_SIGMA_DB
 
@@ -110,3 +111,52 @@ def test_scalar_link_functions_reject_nonfinite(bad):
         per_prb_bits(bad, LinkBudget(), 1 / 6)
     with pytest.raises(ValueError, match="slot_duration_s"):
         per_prb_bits(-80.0, LinkBudget(), bad)
+
+
+# Every numeric field of each config, at a value that np.float32, np.int64
+# and np.uint64 all hold exactly and that the field accepts.
+NUMERIC_FIELDS = {
+    VideoSpec: {"bits_per_slot": 250_000, "slot_duration_s": 1,
+                "num_slots": 4, "max_carryover_bits": 500_000},
+    LinkBudget: {"total_power_dbm": 46, "num_system_prbs": 50,
+                 "prb_bandwidth_hz": 180_000, "noise_psd_dbm_hz": 0,
+                 "noise_figure_db": 9, "interference_psd_dbm_hz": 0,
+                 "snr_gap_db": 0, "min_bs_distance_m": 35},
+    ShadowingConfig: {"sigma_db": 10, "decorrelation_m": 50},
+    ScenarioConfig: {"user_start_m": 35, "user_speed_mps": 30, "seed": 0},
+    AdmissionConfig: {"total_requests": 3, "mean_interarrival_s": 1,
+                      "available_prbs": 15, "seed": 0},
+}
+
+
+@pytest.mark.parametrize("kind", [np.float32, np.int64, np.uint64])
+@pytest.mark.parametrize("cls", NUMERIC_FIELDS, ids=lambda c: c.__name__)
+def test_configs_store_python_numbers(cls, kind):
+    values = NUMERIC_FIELDS[cls]
+    ints = {f.name for f in fields(cls) if f.type == "int"}
+    # an int field takes no float, so it gets np.int64 in the float32 case
+    config = cls(**{name: (np.int64 if kind is np.float32 and name in ints
+                           else kind)(value)
+                    for name, value in values.items()})
+    for name, value in values.items():
+        stored = getattr(config, name)
+        assert type(stored) is (int if name in ints else float), name
+        assert stored == value, name
+
+
+@pytest.mark.parametrize("kind", [np.float32, np.int64, np.uint64, float])
+def test_array_positions_stored_as_a_tuple_of_floats(kind):
+    config = ScenarioConfig(bs_positions_m=np.array([0, 550], dtype=kind))
+    assert config.bs_positions_m == (0.0, 550.0)
+    assert all(type(x) is float for x in config.bs_positions_m)
+    assert config == ScenarioConfig()
+    assert hash(config) == hash(ScenarioConfig())
+
+
+def test_float32_video_plays_as_python_floats():
+    plan = [500_000.01, 0.0, 250_000.0, 250_000.0]
+    narrow = VideoSpec(np.float32(250_000.0), 1 / 6, 4,
+                       np.float32(500_000.0))
+    wide = VideoSpec(250_000.0, 1 / 6, 4, 500_000.0)
+    assert simulate_playback(plan, narrow).carryover_bits.tobytes() \
+        == simulate_playback(plan, wide).carryover_bits.tobytes()

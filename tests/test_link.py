@@ -733,7 +733,7 @@ class TestArrayCrossover:
 
 with np.errstate(over="ignore"):
     LINK_EXTREMES = [
-        *EXTREME_INTS, *EXTREME_FLOATS, True, False,
+        *EXTREME_INTS, 10 ** 400, *EXTREME_FLOATS, True, False,
         *map(np.float32, EXTREME_FLOATS), np.finfo(np.float32).max,
         *(np.int64(v) for v in EXTREME_INTS if v < 2 ** 63),
         np.iinfo(np.int64).max]

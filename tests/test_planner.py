@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from prebuf import (ChannelTrace, LinkBudget, VideoSpec, build_trace,
                     plan_anticipatory, plan_baseline, simulate_playback)
@@ -24,13 +24,13 @@ def make_spec(T, z_cap):
 
 
 def trace_from_capacity(bits_per_prb):
-    """Trace with prescribed per-PRB capacities (geometry irrelevant)."""
-    bits = np.asarray(bits_per_prb, dtype=float)
-    T = bits.size
+    """Trace with prescribed per-PRB capacities (geometry irrelevant),
+    given to ChannelTrace as they are."""
+    T = len(bits_per_prb)
     return ChannelTrace(distances_m=np.full(T, 100.0),
                         serving_bs=np.zeros(T, dtype=int),
                         gain_db=np.zeros(T),
-                        bits_per_prb=bits)
+                        bits_per_prb=bits_per_prb)
 
 
 def random_trace(rng, T):
@@ -504,6 +504,13 @@ def check_plan_contract(fn, args):
             assert any(name in str(e) for name in names), (fn, args, str(e))
 
 
+# Planner calls with float32 maxima in a field and in a capacity: in float32
+# arithmetic they overflow in a cast, with a numpy warning.
+F32_MAX = np.finfo(np.float32).max
+F32_PLAN = {**CONTRACT_VIDEO, "bits_per_prb": [F32_MAX, 1e5, 6e5, 2e5],
+            "residual_prbs": [15.0] * CONTRACT_SLOTS}
+
+
 class TestPlanContract:
     """Whatever the values, a video, planner or playback call returns or
     raises a ValueError that names an argument; no other error, no
@@ -517,5 +524,8 @@ class TestPlanContract:
 
     @settings(max_examples=200, deadline=None)
     @given(call=extreme_calls(list(plan_contract_cases())))
+    @example(call=(plan_anticipatory,
+                   {**F32_PLAN, "max_carryover_bits": F32_MAX}))
+    @example(call=(plan_anticipatory, {**F32_PLAN, "bits_per_slot": F32_MAX}))
     def test_extreme_arguments(self, call):
         check_plan_contract(*call)
