@@ -79,13 +79,16 @@ def check_fields(obj, **checks) -> None:
 
 
 def real_array(values, name: str) -> np.ndarray:
-    """values as a float64 array (itself if it is one); values numpy
-    cannot read as reals, such as an int too large for a float, are a
-    ValueError naming `name`."""
+    """values as a float64 array (itself if it is one); complex values and
+    values numpy cannot read as reals, such as an int too large for a
+    float, are a ValueError naming `name`."""
     try:
-        return np.asarray(values, dtype=float)
+        array = np.asarray(values)
+        if array.dtype.kind != "c":
+            return np.asarray(array, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{name} must be real numbers: {exc}") from None
+    raise ValueError(f"{name} must be real numbers, got {array.dtype}")
 
 
 def all_finite(x: np.ndarray, lo: float = -sys.float_info.max) -> bool:

@@ -23,11 +23,15 @@ from .playout import VideoSpec
 
 
 def dbm_to_watts(dbm: float) -> float:
-    return 10.0 ** (float(dbm) / 10.0) * 1e-3
+    return db_to_linear(dbm) * 1e-3
 
 
 def db_to_linear(db: float) -> float:
-    return 10.0 ** (float(db) / 10.0)
+    """10 ** (db / 10), or inf where that overflows."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -59,24 +63,18 @@ class LinkBudget:
                      snr_gap_db=(check_real, 0.0),
                      min_bs_distance_m=(check_real, POSITIVE))
         # build_trace scales by the power and divides by the rest.  Finite
-        # dB values can still overflow in linear units (float ** raises)
-        # or round to 0.
+        # dB values can still overflow in linear units (to inf) or round
+        # to 0.
         noise_dbm = self.noise_psd_dbm_hz + self.noise_figure_db
-        for name, source, linear in (
+        for name, source, value in (
             ("per_prb_power_w", "total_power_dbm, num_system_prbs",
-             lambda: dbm_to_watts(self.total_power_dbm)
-             / self.num_system_prbs),
+             dbm_to_watts(self.total_power_dbm) / self.num_system_prbs),
             ("noise_plus_interference_w",
              "noise_psd_dbm_hz, noise_figure_db, interference_psd_dbm_hz",
-             lambda: (dbm_to_watts(noise_dbm) + dbm_to_watts(
+             (dbm_to_watts(noise_dbm) + dbm_to_watts(
                  self.interference_psd_dbm_hz)) * self.prb_bandwidth_hz),
-            ("snr_gap_linear", "snr_gap_db",
-             lambda: db_to_linear(self.snr_gap_db)),
+            ("snr_gap_linear", "snr_gap_db", db_to_linear(self.snr_gap_db)),
         ):
-            try:
-                value = linear()
-            except OverflowError:
-                value = math.inf
             check_real(value, f"{name} (from {source})", POSITIVE)
             object.__setattr__(self, name, value)
 
@@ -221,17 +219,21 @@ def _capacities(gains_db, budget: LinkBudget,
     versions do not always round as they do: over the 307,200 gains of
     the default scenario's seeds 0-3199 (numpy 2.4.6), np.power and
     np.log2 in their place change 2,365 capacities, by at most 2 ulp.
-    A gain whose linear value overflows raises OverflowError; an SINR or
-    a capacity that overflows is inf, and an inf slot bandwidth times a
-    zero rate is NaN, both without a numpy warning.
+    A gain whose linear value overflows makes every capacity inf, which
+    both callers refuse as a whole; an SINR or a capacity that overflows
+    is inf, and an inf slot bandwidth times a zero rate is NaN, both
+    without a numpy warning.
     """
     power_w = budget.per_prb_power_w
     denom = budget.snr_gap_linear * budget.noise_plus_interference_w
     slot_hz = slot_duration_s * budget.prb_bandwidth_hz
     tenths = np.asarray(gains_db, dtype=float) / 10.0
     n = tenths.size
-    linear = np.fromiter(map(math.pow, itertools.repeat(10.0, n),
-                             tenths.tolist()), float, n)
+    try:
+        linear = np.fromiter(map(math.pow, itertools.repeat(10.0, n),
+                                 tenths.tolist()), float, n)
+    except OverflowError:
+        return np.full(n, math.inf)
     with np.errstate(over="ignore", invalid="ignore"):
         sinr = power_w * linear / denom
         return slot_hz * np.fromiter(map(math.log2, (1.0 + sinr).tolist()),
@@ -247,10 +249,7 @@ def per_prb_bits(gain_db: float, budget: LinkBudget,
     """
     gain_db = check_real(gain_db, "gain_db")
     slot_duration_s = check_real(slot_duration_s, "slot_duration_s", POSITIVE)
-    try:
-        bits = float(_capacities((gain_db,), budget, slot_duration_s)[0])
-    except OverflowError:
-        bits = math.inf
+    bits = float(_capacities((gain_db,), budget, slot_duration_s)[0])
     if not bits < math.inf:
         raise ValueError(f"gain_db {gain_db!r} dB with slot_duration_s "
                          f"{slot_duration_s!r} s gives a per-PRB capacity "
@@ -260,24 +259,23 @@ def per_prb_bits(gain_db: float, budget: LinkBudget,
 
 @dataclass(frozen=True)
 class ChannelTrace:
-    """Per-slot serving-cell geometry, average gain and PRB capacity.
+    """Per-slot serving-cell distance, average gain and PRB capacity.
 
-    The arrays are read-only views, so one trace can be shared by several
-    planners without one of them changing what another sees.  A direct
-    construction checks that the arrays are 1-D and of one length and
-    that every capacity is finite and positive; build_traces checks a
-    whole block at once instead.
+    Three float64 arrays, converted by real_array.  They are read-only
+    views, so one trace can be shared by several planners without one of
+    them changing what another sees.  A direct construction checks that
+    the arrays are 1-D and of one length and that every capacity is
+    finite and positive; build_traces checks a whole block at once
+    instead.
     """
 
     distances_m: np.ndarray
-    serving_bs: np.ndarray
     gain_db: np.ndarray
     bits_per_prb: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("distances_m", "serving_bs", "gain_db", "bits_per_prb"):
-            view = (np.asarray(self.serving_bs) if name == "serving_bs"
-                    else real_array(getattr(self, name), name)).view()
+        for name in ("distances_m", "gain_db", "bits_per_prb"):
+            view = real_array(getattr(self, name), name).view()
             if view.ndim != 1:
                 raise ValueError(f"{name} must be 1-D, got {view.shape}")
             view.setflags(write=False)
@@ -285,20 +283,20 @@ class ChannelTrace:
         n = len(self.distances_m)
         if n < 1:
             raise ValueError("trace must cover at least one slot")
-        for name in ("serving_bs", "gain_db", "bits_per_prb"):
+        for name in ("gain_db", "bits_per_prb"):
             if len(getattr(self, name)) != n:
                 raise ValueError(f"{name} length mismatch")
         if not all_finite(self.bits_per_prb, POSITIVE):
             raise ValueError("bits_per_prb must be finite and positive")
 
     @classmethod
-    def _of_block_rows(cls, distances_m, serving_bs, gain_db,
+    def _of_block_rows(cls, distances_m, gain_db,
                        bits_per_prb) -> "ChannelTrace":
-        """A trace of one row of each of four read-only block arrays whose
+        """A trace of one row of each of three read-only block arrays whose
         capacities the caller has checked, made without __post_init__."""
         trace = object.__new__(cls)
-        trace.__dict__.update(distances_m=distances_m, serving_bs=serving_bs,
-                              gain_db=gain_db, bits_per_prb=bits_per_prb)
+        trace.__dict__.update(distances_m=distances_m, gain_db=gain_db,
+                              bits_per_prb=bits_per_prb)
         return trace
 
     @property
@@ -488,7 +486,7 @@ def build_traces(trajectory_m, bs_positions_m, budget: LinkBudget,
 
     Trajectory and BS positions are checked when their geometry is first
     seen, before any draw.  The capacities are checked once per block,
-    as one (seeds, slots) array; each trace is a row of four block arrays
+    as one (seeds, slots) array; each trace is a row of three block arrays
     made read-only, and does not run ChannelTrace's checks again.  A
     capacity that overflows, rounds to 0 or is not finite is a
     ValueError naming gain_db and the inputs that set it, and a seed that
@@ -523,23 +521,20 @@ def build_traces(trajectory_m, bs_positions_m, budget: LinkBudget,
         shadowing = _shadowing_streams(seeds, num_bs, rho, scale).reshape(
             n, num_bs, -1).take(inverse, axis=2)
     bs_gain = path + shadowing
-    # the first of equals wins, as build_trace_loop's strict > scan
+    # the serving BS; the first of equals wins, as build_trace_loop's
+    # strict > scan
     serving = bs_gain.argmax(axis=1)
     slots = np.arange(T)
     gain = bs_gain[np.arange(n)[:, None], serving, slots]
     distances = distance[serving, slots]
 
-    # A capacity that overflows raises here; one that rounds to 0 or is
-    # not finite fails the block's check.  The lengths hold by
-    # construction, so this is every check ChannelTrace would run.
-    try:
-        bits = _capacities(gain.ravel(), budget,
-                           spec.slot_duration_s).reshape(n, T)
-        valid = all_finite(bits, POSITIVE)
-    except OverflowError:
-        valid = False
-    if valid:
-        blocks = (distances, serving, gain, bits)
+    # A capacity that overflows, rounds to 0 or is not finite fails the
+    # block's check.  The lengths hold by construction, so this is every
+    # check ChannelTrace would run.
+    bits = _capacities(gain.ravel(), budget,
+                       spec.slot_duration_s).reshape(n, T)
+    if all_finite(bits, POSITIVE):
+        blocks = (distances, gain, bits)
         for block in blocks:
             block.setflags(write=False)     # so are the row views
         return [ChannelTrace._of_block_rows(*rows) for rows in zip(*blocks)]

@@ -152,7 +152,7 @@ def build_trace_loop(trajectory_m, bs_positions_m, budget, spec, *,
     """build_trace in its earlier form: a slot-by-slot loop over every BS
     with a strict `>`, for inputs build_trace has already accepted.
 
-    Returns (distances_m, serving_bs, gain_db, bits_per_prb).
+    Returns (distances_m, gain_db, bits_per_prb).
     """
     trajectory_m = np.asarray(trajectory_m, dtype=float)
     bs_positions_m = np.asarray(bs_positions_m, dtype=float)
@@ -168,23 +168,20 @@ def build_trace_loop(trajectory_m, bs_positions_m, budget, spec, *,
     slot_hz = spec.slot_duration_s * budget.prb_bandwidth_hz
     min_d = budget.min_bs_distance_m
     bs_list = bs_positions_m.tolist()
-    distances, serving, gains, bits = [], [], [], []
+    distances, gains, bits = [], [], []
     for t, x in enumerate(trajectory_m.tolist()):
         best_gain = -math.inf
-        best_b = 0
         best_d = 0.0
         for b, bx in enumerate(bs_list):
             d_m = max(abs(x - bx), min_d)
             g = -(128.1 + 37.6 * math.log10(d_m / 1000.0)) + shadowing[b][t]
             if g > best_gain:
-                best_gain, best_b, best_d = g, b, d_m
+                best_gain, best_d = g, d_m
         distances.append(best_d)
-        serving.append(best_b)
         gains.append(best_gain)
         sinr = power_w * 10.0 ** (best_gain / 10.0) / denom
         bits.append(slot_hz * math.log2(1.0 + sinr))
-    return (np.array(distances), np.array(serving, dtype=int),
-            np.array(gains), np.array(bits))
+    return np.array(distances), np.array(gains), np.array(bits)
 
 
 def step_buffer(z_t: float, r_t: float, v: float):

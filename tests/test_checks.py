@@ -3,15 +3,19 @@ is checked one way: NaN, out-of-range infinities, values out of range and
 bools are rejected by a message that names the field, and what passes is
 stored as a Python float or int."""
 
+import ast
 import math
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from prebuf import (AdmissionConfig, LinkBudget, ScenarioConfig,
-                    ShadowingConfig, VideoSpec, default_video_spec,
-                    path_loss_db, per_prb_bits, simulate_playback)
+import prebuf
+from prebuf import (AdmissionConfig, ChannelTrace, LinkBudget,
+                    ScenarioConfig, ShadowingConfig, VideoSpec,
+                    default_video_spec, path_loss_db, per_prb_bits,
+                    simulate_playback)
 from prebuf._checks import MAX_COUNT
 from prebuf.link import MAX_SIGMA_DB
 
@@ -160,3 +164,46 @@ def test_float32_video_plays_as_python_floats():
     wide = VideoSpec(250_000.0, 1 / 6, 4, 500_000.0)
     assert simulate_playback(plan, narrow).carryover_bits.tobytes() \
         == simulate_playback(plan, wide).carryover_bits.tobytes()
+
+
+@pytest.mark.parametrize("values", [
+    np.array([3e5 + 0j] * 4), np.complex128(3e5), [np.complex64(3e5)] * 4,
+    [3e5, 3e5, 3e5, 3e5 + 1j]], ids=["array", "scalar", "list", "mixed"])
+def test_complex_arrays_rejected(values):
+    spec = VideoSpec(250_000.0, 1 / 6, 4, 500_000.0)
+    with pytest.raises(ValueError, match="plan_received must be real"):
+        simulate_playback(values, spec)
+    with pytest.raises(ValueError, match="bits_per_prb must be real"):
+        ChannelTrace(np.full(4, 100.0), np.zeros(4), values)
+
+
+# Handlers that catch OverflowError, by exception name; None is a bare
+# except.
+CATCHES_OVERFLOW = {None, "OverflowError", "ArithmeticError", "Exception",
+                    "BaseException"}
+
+
+def overflow_handlers(node, where):
+    """(module, function) of every handler under node that catches
+    OverflowError; where is node's enclosing function or class."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ExceptHandler):
+            caught = child.type
+            names = (caught.elts if isinstance(caught, ast.Tuple)
+                     else [caught])
+            if any(getattr(n, "id", n) in CATCHES_OVERFLOW for n in names):
+                yield where
+        inner = (where[:1] + (child.name,) if isinstance(
+            child, (ast.FunctionDef, ast.ClassDef)) else where)
+        yield from overflow_handlers(child, inner)
+
+
+def test_overflow_caught_only_at_conversion_and_in_linear_units():
+    # an overflow in linear units becomes inf where it happens, and every
+    # other layer reports it at its finiteness check
+    package = Path(prebuf.__file__).parent
+    found = {where for path in sorted(package.glob("*.py"))
+             for where in overflow_handlers(ast.parse(path.read_text()),
+                                            (path.stem, None))}
+    assert found == {("_checks", "check_real"), ("_checks", "real_array"),
+                     ("link", "db_to_linear"), ("link", "_capacities")}

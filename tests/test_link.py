@@ -178,6 +178,17 @@ class TestPerPrbBits:
         with pytest.raises(ValueError, match="gain_db"):
             per_prb_bits(gain_db, LinkBudget(), 1 / 6)
 
+    def test_overflowing_linear_gain_is_inf(self):
+        # 10 ** (1e4 / 10) is past math.pow's range: every capacity of the
+        # call is inf, and per_prb_bits reports it by its usual message
+        bits = link._capacities(np.array([-90.0, 1e4]), LinkBudget(), 1 / 6)
+        assert np.array_equal(bits, [math.inf, math.inf])
+        with pytest.raises(ValueError) as exc:
+            per_prb_bits(1e4, LinkBudget(), 1 / 6)
+        assert str(exc.value) == (
+            "gain_db 10000.0 dB with slot_duration_s 0.16666666666666666 s "
+            "gives a per-PRB capacity that overflows or is not a number")
+
     def test_nan_capacity_rejected(self):
         # an inf slot bandwidth (1e308 s at 180 kHz) times a zero rate
         with pytest.raises(ValueError, match="slot_duration_s"):
@@ -191,17 +202,20 @@ class TestBuildTrace:
         trace = build_trace(traj, [0.0], LinkBudget(), spec,
                             sigma_db=0.0, seed=0)
         assert np.all(np.diff(trace.gain_db) < 0)
-        assert np.all(trace.serving_bs == 0)
+        assert np.array_equal(trace.distances_m, traj)
         assert np.all(np.diff(trace.bits_per_prb) < 0)
 
     def test_symmetric_crossing_handover(self):
         T = 9
         spec = small_video(T)
         traj = np.linspace(50.0, 450.0, T)   # midpoint slot sits at 250 m
-        trace = build_trace(traj, [0.0, 500.0], LinkBudget(), spec,
+        budget = LinkBudget()
+        trace = build_trace(traj, [0.0, 500.0], budget, spec,
                             sigma_db=0.0, seed=0)
-        assert np.all(trace.serving_bs[:T // 2 + 1] == 0)  # tie -> BS1
-        assert np.all(trace.serving_bs[T // 2 + 1:] == 1)
+        # the nearer BS serves: BS1 up to the midpoint, BS2 after it
+        nearest = [max(min(x, 500.0 - x), budget.min_bs_distance_m)
+                   for x in traj]
+        assert np.array_equal(trace.distances_m, nearest)
         worst = int(np.argmin(trace.gain_db))
         assert worst == T // 2
         assert np.all(np.diff(trace.gain_db[:worst + 1]) < 0)
@@ -220,7 +234,7 @@ class TestBuildTrace:
         a = ScenarioConfig().make_trace(ss)
         b = ScenarioConfig().make_trace(ss)
         assert ss.n_children_spawned == 0
-        for name in ("gain_db", "bits_per_prb", "serving_bs"):
+        for name in TRACE_FIELDS:
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_seed_sequence_matches_fresh_copy(self):
@@ -234,7 +248,7 @@ class TestBuildTrace:
         assert np.array_equal(a.gain_db, b.gain_db)
         assert np.array_equal(a.bits_per_prb, b.bits_per_prb)
 
-    def test_serving_bs_is_strongest_when_unshadowed(self):
+    def test_gain_is_strongest_bs_when_unshadowed(self):
         spec = small_video(16)
         traj = np.linspace(10.0, 700.0, 16)
         bss = [0.0, 300.0, 650.0]
@@ -317,20 +331,18 @@ class TestBuildTrace:
 
 def scalar_trace(traj, bss, budget, spec):
     """Unshadowed trace rebuilt slot by slot from the public scalars."""
-    distances, serving, gains, bits = [], [], [], []
+    distances, gains, bits = [], [], []
     for x in traj:
-        best = (-math.inf, 0, 0.0)
-        for b, bx in enumerate(bss):
+        best = (-math.inf, 0.0)
+        for bx in bss:
             d_m = max(abs(x - bx), budget.min_bs_distance_m)
             g = -path_loss_db(d_m / 1000.0) + 0.0
             if g > best[0]:                   # the first of equals wins
-                best = (g, b, d_m)
+                best = (g, d_m)
         gains.append(best[0])
-        serving.append(best[1])
-        distances.append(best[2])
+        distances.append(best[1])
         bits.append(per_prb_bits(best[0], budget, spec.slot_duration_s))
-    return (np.array(distances), np.array(serving, dtype=int),
-            np.array(gains), np.array(bits))
+    return np.array(distances), np.array(gains), np.array(bits)
 
 
 class TestBuildTraceAgainstScalars:
@@ -348,16 +360,11 @@ class TestBuildTraceAgainstScalars:
         traj = np.linspace(-50.0, 640.0, 24)
         traj[5] = 200.0
         trace = build_trace(traj, bss, budget, spec, sigma_db=0.0, seed=0)
-        names = ("distances_m", "serving_bs", "gain_db", "bits_per_prb")
-        for name, want in zip(names, scalar_trace(traj, bss, budget, spec)):
+        for name, want in zip(TRACE_FIELDS,
+                              scalar_trace(traj, bss, budget, spec)):
             got = getattr(trace, name)
             assert got.dtype == want.dtype, name
             assert np.array_equal(got, want), name
-
-    def test_equidistant_tie_goes_to_first_bs(self):
-        trace = build_trace([200.0], [100.0, 300.0], LinkBudget(),
-                            small_video(1), sigma_db=0.0, seed=0)
-        assert trace.serving_bs[0] == 0
 
     def test_bs_on_trajectory_clamped(self):
         budget = LinkBudget()
@@ -366,7 +373,7 @@ class TestBuildTraceAgainstScalars:
         assert trace.distances_m[0] == budget.min_bs_distance_m
 
 
-TRACE_FIELDS = ("distances_m", "serving_bs", "gain_db", "bits_per_prb")
+TRACE_FIELDS = ("distances_m", "gain_db", "bits_per_prb")
 
 
 def assert_matches_loop(trace, traj, bss, budget, spec, **kwargs):
@@ -736,7 +743,7 @@ with np.errstate(over="ignore"):
         *EXTREME_INTS, 10 ** 400, *EXTREME_FLOATS, True, False,
         *map(np.float32, EXTREME_FLOATS), np.finfo(np.float32).max,
         *(np.int64(v) for v in EXTREME_INTS if v < 2 ** 63),
-        np.iinfo(np.int64).max]
+        np.iinfo(np.int64).max, np.complex128(1 + 1j)]
 
 
 LAYOUTS = [[0.0], [0.0, 550.0], [0.0, 300.0, 650.0]]
@@ -819,8 +826,7 @@ class TestLinkContract:
 
 
 class TestChannelTraceValidation:
-    @pytest.mark.parametrize("name", ["distances_m", "serving_bs", "gain_db",
-                                      "bits_per_prb"])
+    @pytest.mark.parametrize("name", TRACE_FIELDS)
     def test_arrays_read_only(self, name):
         trace = build_trace([35.0, 40.0], [0.0, 550.0], LinkBudget(),
                             small_video(2), seed=0)
@@ -830,7 +836,6 @@ class TestChannelTraceValidation:
     def test_callers_arrays_stay_writable(self):
         bits = np.array([3e5, 3e5])
         trace = ChannelTrace(distances_m=np.full(2, 100.0),
-                             serving_bs=np.zeros(2, dtype=int),
                              gain_db=np.zeros(2), bits_per_prb=bits)
         bits[0] = 1e5
         assert not trace.bits_per_prb.flags.writeable
@@ -842,15 +847,12 @@ class TestChannelTraceValidation:
             bits[slot] = bad
             with pytest.raises(ValueError, match="bits_per_prb"):
                 ChannelTrace(distances_m=np.full(3, 100.0),
-                             serving_bs=np.zeros(3, dtype=int),
                              gain_db=np.zeros(3), bits_per_prb=bits)
 
-    @pytest.mark.parametrize("name", ["distances_m", "serving_bs", "gain_db",
-                                      "bits_per_prb"])
+    @pytest.mark.parametrize("name", TRACE_FIELDS)
     @pytest.mark.parametrize("shape", [(3, 1), (1, 3), ()])
     def test_array_not_1d_rejected(self, name, shape):
         arrays = dict(distances_m=np.full(3, 100.0),
-                      serving_bs=np.zeros(3, dtype=int),
                       gain_db=np.zeros(3), bits_per_prb=np.full(3, 3e5))
         arrays[name] = (arrays[name][0] if shape == ()
                         else arrays[name].reshape(shape))

@@ -28,7 +28,6 @@ def trace_from_capacity(bits_per_prb):
     given to ChannelTrace as they are."""
     T = len(bits_per_prb)
     return ChannelTrace(distances_m=np.full(T, 100.0),
-                        serving_bs=np.zeros(T, dtype=int),
                         gain_db=np.zeros(T),
                         bits_per_prb=bits_per_prb)
 
