@@ -19,7 +19,6 @@ import numpy as np
 
 from ._checks import (MAX_COUNT, POSITIVE, all_finite, check_fields,
                       check_int, check_real, real_array)
-from .playout import VideoSpec
 
 
 def dbm_to_watts(dbm: float) -> float:
@@ -83,13 +82,18 @@ class LinkBudget:
 MAX_SIGMA_DB = math.sqrt(sys.float_info.max)
 
 
-def check_shadowing(sigma_db: float, decorrelation_m: float
-                    ) -> tuple[float, float]:
-    """(sigma_db, decorrelation_m) as Python floats; a sigma_db outside
-    [0, MAX_SIGMA_DB] or a decorrelation_m below 0 (inf is a fully
-    correlated field) is a ValueError, and NaN fails both."""
-    return (check_real(sigma_db, "sigma_db", 0.0, MAX_SIGMA_DB),
-            check_real(decorrelation_m, "decorrelation_m", 0.0, math.inf))
+@dataclass(frozen=True)
+class ShadowingConfig:
+    """Log-normal shadowing: its standard deviation sigma_db, in [0,
+    MAX_SIGMA_DB], and its decorrelation distance decorrelation_m, >= 0
+    (inf is a fully correlated field); NaN fails both."""
+
+    sigma_db: float = 10.0
+    decorrelation_m: float = 50.0
+
+    def __post_init__(self) -> None:
+        check_fields(self, sigma_db=(check_real, 0.0, MAX_SIGMA_DB),
+                     decorrelation_m=(check_real, 0.0, math.inf))
 
 
 def path_loss_db(distance_km: float) -> float:
@@ -102,16 +106,16 @@ class ShadowingField:
     """Log-normal shadowing (in dB) over 1-D position.
 
     Zero-mean Gaussian with variance sigma_db**2 and exponential spatial
-    autocorrelation exp(-delta / decorrelation_m).  The field is Markov in
-    position, so along sorted positions it is exactly an AR(1) recursion.
+    autocorrelation exp(-delta / decorrelation_m), both from the
+    ShadowingConfig.  The field is Markov in position, so along sorted
+    positions it is exactly an AR(1) recursion.
     decorrelation_m = 0 gives independent values and an infinite one a
     constant field.
     """
 
-    def __init__(self, sigma_db: float, decorrelation_m: float,
-                 rng: np.random.Generator):
-        self.sigma_db, self.decorrelation_m = check_shadowing(
-            sigma_db, decorrelation_m)
+    def __init__(self, rng: np.random.Generator, *,
+                 shadowing: ShadowingConfig = ShadowingConfig()):
+        self.shadowing = shadowing
         self._rng = rng
 
     def sample(self, positions_m) -> np.ndarray:
@@ -130,9 +134,11 @@ class ShadowingField:
         without the memo, so every draw keeps its bits.
         """
         positions = real_array(positions_m, "positions_m")
+        shadowing = self.shadowing
         inverse, rho, scale = _ar1_steps(positions.tobytes(),
-                                         self.decorrelation_m, self.sigma_db)
-        if self.sigma_db == 0.0:
+                                         shadowing.decorrelation_m,
+                                         shadowing.sigma_db)
+        if shadowing.sigma_db == 0.0:
             return np.zeros(positions.shape)
         values = _ar1_path(rho, scale, self._rng)
         return np.array(values)[inverse].reshape(positions.shape)
@@ -282,7 +288,7 @@ class ChannelTrace:
             object.__setattr__(self, name, view)
         n = len(self.distances_m)
         if n < 1:
-            raise ValueError("trace must cover at least one slot")
+            raise ValueError("distances_m must cover at least one slot")
         for name in ("gain_db", "bits_per_prb"):
             if len(getattr(self, name)) != n:
                 raise ValueError(f"{name} length mismatch")
@@ -452,24 +458,36 @@ def _seed_sequence(seed) -> np.random.SeedSequence:
 
 
 def build_trace(trajectory_m, bs_positions_m, budget: LinkBudget,
-                spec: VideoSpec, *, sigma_db: float = 10.0,
-                decorrelation_m: float = 50.0,
+                slot_duration_s: float, *,
+                shadowing: ShadowingConfig = ShadowingConfig(),
                 seed=0) -> ChannelTrace:
     """The channel trace of one user: build_traces with one seed."""
-    return build_traces(trajectory_m, bs_positions_m, budget, spec,
-                        sigma_db=sigma_db, decorrelation_m=decorrelation_m,
+    return build_traces(trajectory_m, bs_positions_m, budget,
+                        slot_duration_s, shadowing=shadowing,
                         seeds=[seed])[0]
 
 
+def _positions(values, name: str) -> np.ndarray:
+    """values as a 1-D float64 array, a scalar as one position; an array
+    of more than one dimension is a ValueError naming `name`."""
+    positions = real_array(values, name)
+    if positions.ndim > 1:
+        raise ValueError(f"{name} must be a scalar or 1-D, got shape "
+                         f"{positions.shape}")
+    return positions.ravel()
+
+
 def build_traces(trajectory_m, bs_positions_m, budget: LinkBudget,
-                 spec: VideoSpec, *, sigma_db: float = 10.0,
-                 decorrelation_m: float = 50.0,
+                 slot_duration_s: float, *,
+                 shadowing: ShadowingConfig = ShadowingConfig(),
                  seeds) -> list[ChannelTrace]:
     """Build the per-slot channel trace of one user per seed, in one batch.
 
-    Each slot attaches to the BS with the highest average received power
-    (path loss plus shadowing).  Each BS has its own shadowing stream,
-    drawn once jointly over the whole trajectory.
+    The trajectory has one position per slot of slot_duration_s seconds,
+    so it sets the number of slots.  Each slot attaches to the BS with
+    the highest average received power (path loss plus shadowing).  Each
+    BS has its own shadowing stream, drawn once jointly over the whole
+    trajectory.
     Each seed may be an int or a numpy SeedSequence; identical seeds
     reproduce the trace bit for bit, whatever block they are built in.
     The per-BS streams are the children of a first spawn of the seed,
@@ -484,22 +502,20 @@ def build_traces(trajectory_m, bs_positions_m, budget: LinkBudget,
     steps), _shadowing_streams and _stream_states (the streams) and
     _capacities.
 
-    Trajectory and BS positions are checked when their geometry is first
-    seen, before any draw.  The capacities are checked once per block,
-    as one (seeds, slots) array; each trace is a row of three block arrays
-    made read-only, and does not run ChannelTrace's checks again.  A
-    capacity that overflows, rounds to 0 or is not finite is a
-    ValueError naming gain_db and the inputs that set it, and a seed that
-    numpy's SeedSequence refuses is a ValueError naming seeds.
+    slot_duration_s is checked as per_prb_bits checks it.  Trajectory and
+    BS positions are checked when their geometry is first seen, before
+    any draw.  The capacities are checked once per block, as one (seeds,
+    slots) array; each trace is a row of three block arrays made
+    read-only, and does not run ChannelTrace's checks again.  A capacity
+    that overflows, rounds to 0 or is not finite is a ValueError naming
+    gain_db and the inputs that set it, and a seed that numpy's
+    SeedSequence refuses is a ValueError naming seeds.
     """
-    trajectory_m = real_array(trajectory_m, "trajectory_m").ravel()
+    slot_duration_s = check_real(slot_duration_s, "slot_duration_s", POSITIVE)
+    trajectory_m = _positions(trajectory_m, "trajectory_m")
     if trajectory_m.size == 0:
         raise ValueError("trajectory (trajectory_m) must not be empty")
-    if trajectory_m.size != spec.num_slots:
-        raise ValueError(
-            f"trajectory (trajectory_m) has {trajectory_m.size} slots, "
-            f"video needs {spec.num_slots}")
-    bs_positions_m = real_array(bs_positions_m, "bs_positions_m")
+    bs_positions_m = _positions(bs_positions_m, "bs_positions_m")
     if bs_positions_m.size == 0:
         raise ValueError("need at least one BS position (bs_positions_m)")
     # Before the AR(1) memo, so a non-finite position is reported as a
@@ -507,20 +523,20 @@ def build_traces(trajectory_m, bs_positions_m, budget: LinkBudget,
     trajectory_bytes = trajectory_m.tobytes()
     distance, path = _geometry(trajectory_bytes, bs_positions_m.tobytes(),
                                budget.min_bs_distance_m)
-    sigma_db, decorrelation_m = check_shadowing(sigma_db, decorrelation_m)
-    inverse, rho, scale = _ar1_steps(trajectory_bytes, decorrelation_m,
-                                     sigma_db)
+    inverse, rho, scale = _ar1_steps(trajectory_bytes,
+                                     shadowing.decorrelation_m,
+                                     shadowing.sigma_db)
 
     seeds = [_seed_sequence(s) for s in seeds]
     if not seeds:
         return []
     n, (num_bs, T) = len(seeds), path.shape
-    if sigma_db == 0.0:
-        shadowing = np.zeros((n, num_bs, T))
+    if shadowing.sigma_db == 0.0:
+        shadow_db = np.zeros((n, num_bs, T))
     else:
-        shadowing = _shadowing_streams(seeds, num_bs, rho, scale).reshape(
+        shadow_db = _shadowing_streams(seeds, num_bs, rho, scale).reshape(
             n, num_bs, -1).take(inverse, axis=2)
-    bs_gain = path + shadowing
+    bs_gain = path + shadow_db
     # the serving BS; the first of equals wins, as build_trace_loop's
     # strict > scan
     serving = bs_gain.argmax(axis=1)
@@ -531,8 +547,7 @@ def build_traces(trajectory_m, bs_positions_m, budget: LinkBudget,
     # A capacity that overflows, rounds to 0 or is not finite fails the
     # block's check.  The lengths hold by construction, so this is every
     # check ChannelTrace would run.
-    bits = _capacities(gain.ravel(), budget,
-                       spec.slot_duration_s).reshape(n, T)
+    bits = _capacities(gain.ravel(), budget, slot_duration_s).reshape(n, T)
     if all_finite(bits, POSITIVE):
         blocks = (distances, gain, bits)
         for block in blocks:

@@ -20,8 +20,8 @@ import numpy as np
 from ._checks import (POSITIVE, all_finite, check_fields, check_int,
                       check_real)
 from .admission import AdmissionConfig, service_curve, summarize_curve
-from .link import (ChannelTrace, LinkBudget, build_trace, build_traces,
-                   check_shadowing)
+from .link import (ChannelTrace, LinkBudget, ShadowingConfig, build_trace,
+                   build_traces)
 # plan_baseline is unused here but kept as a module attribute: the
 # benchmark tracer patches prebuf.scenario.plan_baseline by name.
 from .planner import plan_anticipatory, plan_baseline  # noqa: F401
@@ -36,16 +36,6 @@ class ConfigError(ValueError):
     Only the INI loader and the CLI's argument parser raise it; a library
     call raises a plain ValueError that names the argument or field.
     """
-
-
-@dataclass(frozen=True)
-class ShadowingConfig:
-    sigma_db: float = 10.0
-    decorrelation_m: float = 50.0
-
-    def __post_init__(self) -> None:
-        vars(self).update(zip(("sigma_db", "decorrelation_m"), check_shadowing(
-            self.sigma_db, self.decorrelation_m)))
 
 
 def default_video_spec() -> VideoSpec:
@@ -100,19 +90,16 @@ class ScenarioConfig:
         if isinstance(seed, list):
             return self.make_traces(seed)
         return build_trace(self._trajectory, self.bs_positions_m,
-                           self.link, self.video,
-                           sigma_db=self.shadowing.sigma_db,
-                           decorrelation_m=self.shadowing.decorrelation_m,
+                           self.link, self.video.slot_duration_s,
+                           shadowing=self.shadowing,
                            seed=self.seed if seed is None else seed)
 
     def make_traces(self, seeds) -> list[ChannelTrace]:
         """The traces of `seeds`, built in one batch (an admission
         TraceFactory)."""
         return build_traces(self._trajectory, self.bs_positions_m,
-                            self.link, self.video,
-                            sigma_db=self.shadowing.sigma_db,
-                            decorrelation_m=self.shadowing.decorrelation_m,
-                            seeds=seeds)
+                            self.link, self.video.slot_duration_s,
+                            shadowing=self.shadowing, seeds=seeds)
 
 
 # INI value parser per field type; every config module uses postponed
@@ -154,7 +141,7 @@ def load_config(path) -> ScenarioConfig:
     # No header can name the empty section, so [DEFAULT] is an ordinary one.
     parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
-        parser.read_string(Path(path).read_text())
+        parser.read_string(Path(path).read_text(), source=str(path))
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -14,6 +14,8 @@ from itertools import combinations
 
 import numpy as np
 
+from prebuf import ShadowingConfig
+
 
 def vertex_enum_objective(problem, feas_tol=1e-7, det_tol=1e-8):
     """Optimal objective of a bounded LP by enumerating all vertices.
@@ -147,8 +149,8 @@ def shadowing_loop(sigma_db, decorrelation_m, rng, positions_m):
     return np.array(values)[inverse].reshape(positions.shape)
 
 
-def build_trace_loop(trajectory_m, bs_positions_m, budget, spec, *,
-                     sigma_db=10.0, decorrelation_m=50.0, seed=0):
+def build_trace_loop(trajectory_m, bs_positions_m, budget, slot_duration_s,
+                     *, shadowing=ShadowingConfig(), seed=0):
     """build_trace in its earlier form: a slot-by-slot loop over every BS
     with a strict `>`, for inputs build_trace has already accepted.
 
@@ -158,14 +160,14 @@ def build_trace_loop(trajectory_m, bs_positions_m, budget, spec, *,
     bs_positions_m = np.asarray(bs_positions_m, dtype=float)
     ss = seed if isinstance(seed, np.random.SeedSequence) \
         else np.random.SeedSequence(seed)
-    shadowing = [shadowing_loop(sigma_db, decorrelation_m,
-                                np.random.default_rng(child),
-                                trajectory_m).tolist()
-                 for child in ss.spawn(bs_positions_m.size)]
+    fields = [shadowing_loop(shadowing.sigma_db, shadowing.decorrelation_m,
+                             np.random.default_rng(child),
+                             trajectory_m).tolist()
+              for child in ss.spawn(bs_positions_m.size)]
     power_w = budget.per_prb_power_w
     denom = (10.0 ** (budget.snr_gap_db / 10.0)
              * budget.noise_plus_interference_w)
-    slot_hz = spec.slot_duration_s * budget.prb_bandwidth_hz
+    slot_hz = slot_duration_s * budget.prb_bandwidth_hz
     min_d = budget.min_bs_distance_m
     bs_list = bs_positions_m.tolist()
     distances, gains, bits = [], [], []
@@ -174,7 +176,7 @@ def build_trace_loop(trajectory_m, bs_positions_m, budget, spec, *,
         best_d = 0.0
         for b, bx in enumerate(bs_list):
             d_m = max(abs(x - bx), min_d)
-            g = -(128.1 + 37.6 * math.log10(d_m / 1000.0)) + shadowing[b][t]
+            g = -(128.1 + 37.6 * math.log10(d_m / 1000.0)) + fields[b][t]
             if g > best_gain:
                 best_gain, best_d = g, d_m
         distances.append(best_d)

@@ -87,8 +87,10 @@ def test_criterion_4_zero_outage_guarantee():
                        max_carryover_bits=float(rng.integers(0, 11)) * V)
         speed = float(rng.uniform(15.0, 40.0))
         traj = 35.0 + speed * spec.slot_duration_s * np.arange(96)
-        trace = build_trace(traj, [0.0, 550.0], LinkBudget(), spec,
-                            sigma_db=float(rng.uniform(0.0, 12.0)),
+        trace = build_trace(traj, [0.0, 550.0], LinkBudget(),
+                            spec.slot_duration_s,
+                            shadowing=ShadowingConfig(
+                                sigma_db=float(rng.uniform(0.0, 12.0))),
                             seed=int(rng.integers(1 << 31)))
         residual = np.full(96, float(rng.uniform(10.0, 50.0)))
         plan = plan_anticipatory(spec, trace, residual)

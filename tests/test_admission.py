@@ -505,8 +505,8 @@ CONTRACT_VIDEO = VideoSpec(bits_per_slot=250_000.0, slot_duration_s=1 / 6,
 
 def contract_traces(seeds):
     return build_traces([35.0 + 5.0 * t for t in range(CONTRACT_SLOTS)],
-                        [0.0, 550.0], LinkBudget(), CONTRACT_VIDEO,
-                        seeds=seeds)
+                        [0.0, 550.0], LinkBudget(),
+                        CONTRACT_VIDEO.slot_duration_s, seeds=seeds)
 
 
 def admission_contract_cases():

@@ -207,3 +207,28 @@ def test_overflow_caught_only_at_conversion_and_in_linear_units():
                                             (path.stem, None))}
     assert found == {("_checks", "check_real"), ("_checks", "real_array"),
                      ("link", "db_to_linear"), ("link", "_capacities")}
+
+
+def package_imports(tree):
+    """The prebuf modules a module's AST imports, relatively or by name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = "prebuf" + ("." + module if module else "")
+            if module == "prebuf":
+                yield from ("prebuf." + alias.name for alias in node.names)
+            else:
+                yield module
+
+
+@pytest.mark.parametrize("stem", ["link", "playout"])
+def test_first_stages_import_only_checks(stem):
+    # the link model and the play-out recursion read nothing from a later
+    # stage of the pipeline, or from each other
+    path = Path(prebuf.__file__).parent / f"{stem}.py"
+    imported = {name for name in package_imports(ast.parse(path.read_text()))
+                if name.split(".")[0] == "prebuf"}
+    assert imported <= {"prebuf._checks"}

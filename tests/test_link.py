@@ -10,14 +10,13 @@ from oracles import build_trace_loop
 from test_scenario import EXTREME_FLOATS, EXTREME_INTS
 
 from prebuf import (ChannelTrace, LinkBudget, ScenarioConfig, ShadowingConfig,
-                    ShadowingField, VideoSpec, admission, build_trace,
-                    build_traces, link, path_loss_db, per_prb_bits, scenario)
+                    ShadowingField, admission, build_trace, build_traces,
+                    link, path_loss_db, per_prb_bits, scenario)
 from prebuf._checks import MAX_COUNT
 
 
-def small_video(T=8):
-    return VideoSpec(bits_per_slot=250_000.0, slot_duration_s=1 / 6,
-                     num_slots=T, max_carryover_bits=1_250_000.0)
+SLOT_S = 1 / 6
+UNSHADOWED = ShadowingConfig(sigma_db=0.0)
 
 
 class TestPathLoss:
@@ -45,7 +44,7 @@ class TestPathLoss:
 class TestShadowing:
     def test_zero_sigma_is_zero(self):
         rng = np.random.default_rng(3)
-        f = ShadowingField(0.0, 50.0, rng)
+        f = ShadowingField(rng, shadowing=UNSHADOWED)
         assert f.sample(123.4) == 0.0
         assert f.sample(0.0) == 0.0
         assert np.array_equal(f.sample([1.0, 2.0]), np.zeros(2))
@@ -54,15 +53,15 @@ class TestShadowing:
             == np.random.default_rng(3).standard_normal()
 
     def test_same_position_same_value(self):
-        f = ShadowingField(10.0, 50.0, np.random.default_rng(7))
+        f = ShadowingField(np.random.default_rng(7))
         values = f.sample([42.0, 10.0, 99.0, 42.0])
         assert values[3] == values[0]
 
     def test_permuted_positions_permute_values(self):
         positions = np.array([300.0, 5.0, 105.0, 55.0, 0.5, 220.0])
         perm = np.random.default_rng(1).permutation(positions.size)
-        a = ShadowingField(10.0, 50.0, np.random.default_rng(11))
-        b = ShadowingField(10.0, 50.0, np.random.default_rng(11))
+        a = ShadowingField(np.random.default_rng(11))
+        b = ShadowingField(np.random.default_rng(11))
         assert np.array_equal(b.sample(positions[perm]),
                               a.sample(positions)[perm])
 
@@ -73,44 +72,46 @@ class TestShadowing:
     ])
     def test_bad_parameters_rejected(self, sigma_db, decorrelation_m):
         with pytest.raises(ValueError):
-            ShadowingField(sigma_db, decorrelation_m,
-                           np.random.default_rng(0))
+            ShadowingField(np.random.default_rng(0), shadowing=ShadowingConfig(
+                sigma_db, decorrelation_m))
 
     def test_largest_sigma_has_finite_variance(self):
         # the square of MAX_SIGMA_DB is finite; one ulp more overflows
-        f = ShadowingField(link.MAX_SIGMA_DB, 50.0, np.random.default_rng(0))
+        f = ShadowingField(np.random.default_rng(0),
+                           shadowing=ShadowingConfig(link.MAX_SIGMA_DB))
         assert np.all(np.isfinite(f.sample([0.0, 10.0, 20.0])))
 
     @pytest.mark.parametrize("sigma_db", [10.0, 0.0])
     @pytest.mark.parametrize("positions", [
         [0.0, math.nan, 5.0], [0.0, math.inf], [-math.inf, 0.0]])
     def test_nonfinite_positions_rejected(self, positions, sigma_db):
-        f = ShadowingField(sigma_db, 50.0, np.random.default_rng(0))
+        f = ShadowingField(np.random.default_rng(0),
+                           shadowing=ShadowingConfig(sigma_db))
         for _ in range(2):          # a failed call leaves nothing cached
             with pytest.raises(ValueError, match="positions"):
                 f.sample(positions)
 
     def test_empty_positions(self):
-        f = ShadowingField(10.0, 50.0, np.random.default_rng(2))
+        f = ShadowingField(np.random.default_rng(2))
         assert f.sample([]).shape == (0,)
 
     def test_same_seed_same_stream(self):
         positions = [5.0, 105.0, 55.0, 300.0]
-        a = ShadowingField(10.0, 50.0, np.random.default_rng(11))
-        b = ShadowingField(10.0, 50.0, np.random.default_rng(11))
+        a = ShadowingField(np.random.default_rng(11))
+        b = ShadowingField(np.random.default_rng(11))
         assert [a.sample(p) for p in positions] \
             == [b.sample(p) for p in positions]
 
     def test_monte_carlo_std(self):
         # widely separated positions are near-independent draws
-        f = ShadowingField(10.0, 50.0, np.random.default_rng(0))
+        f = ShadowingField(np.random.default_rng(0))
         samples = [f.sample(i * 10_000.0) for i in range(10_000)]
         assert 9.0 <= np.std(samples) <= 11.0
 
     def test_nearby_positions_strongly_correlated(self):
         deltas = []
         for k in range(500):
-            f = ShadowingField(10.0, 50.0, np.random.default_rng(k))
+            f = ShadowingField(np.random.default_rng(k))
             at_0, at_1 = f.sample([0.0, 1.0])
             deltas.append(at_0 - at_1)
         # corr exp(-1/50) => std of difference ~ 10*sqrt(2*(1-rho)) ~ 2
@@ -118,20 +119,22 @@ class TestShadowing:
 
     def test_correlation_at_decorrelation_distance(self):
         pairs = np.array([
-            ShadowingField(10.0, 50.0, np.random.default_rng(k))
+            ShadowingField(np.random.default_rng(k))
             .sample([0.0, 50.0]) for k in range(1000)])
         # standard error of the sample correlation ~ 0.027 at n = 1000
         corr = np.corrcoef(pairs[:, 0], pairs[:, 1])[0, 1]
         assert corr == pytest.approx(math.exp(-1.0), abs=0.08)
 
     def test_zero_decorrelation_is_independent(self):
-        f = ShadowingField(10.0, 0.0, np.random.default_rng(4))
+        f = ShadowingField(np.random.default_rng(4),
+                           shadowing=ShadowingConfig(decorrelation_m=0.0))
         values = f.sample(np.arange(2000) * 1e-3)
         assert abs(np.corrcoef(values[:-1], values[1:])[0, 1]) < 0.1
         assert 9.0 <= np.std(values) <= 11.0
 
     def test_infinite_decorrelation_is_constant(self):
-        f = ShadowingField(10.0, math.inf, np.random.default_rng(4))
+        f = ShadowingField(np.random.default_rng(4),
+                           shadowing=ShadowingConfig(decorrelation_m=math.inf))
         values = f.sample([0.0, 1e3, 1e6])
         assert values[0] != 0.0
         assert np.all(values == values[0])
@@ -197,21 +200,19 @@ class TestPerPrbBits:
 
 class TestBuildTrace:
     def test_receding_user_single_bs(self):
-        spec = small_video(10)
         traj = 40.0 + 25.0 * np.arange(10)
-        trace = build_trace(traj, [0.0], LinkBudget(), spec,
-                            sigma_db=0.0, seed=0)
+        trace = build_trace(traj, [0.0], LinkBudget(), SLOT_S,
+                            shadowing=UNSHADOWED, seed=0)
         assert np.all(np.diff(trace.gain_db) < 0)
         assert np.array_equal(trace.distances_m, traj)
         assert np.all(np.diff(trace.bits_per_prb) < 0)
 
     def test_symmetric_crossing_handover(self):
         T = 9
-        spec = small_video(T)
         traj = np.linspace(50.0, 450.0, T)   # midpoint slot sits at 250 m
         budget = LinkBudget()
-        trace = build_trace(traj, [0.0, 500.0], budget, spec,
-                            sigma_db=0.0, seed=0)
+        trace = build_trace(traj, [0.0, 500.0], budget, SLOT_S,
+                            shadowing=UNSHADOWED, seed=0)
         # the nearer BS serves: BS1 up to the midpoint, BS2 after it
         nearest = [max(min(x, 500.0 - x), budget.min_bs_distance_m)
                    for x in traj]
@@ -222,10 +223,9 @@ class TestBuildTrace:
         assert np.all(np.diff(trace.gain_db[worst:]) > 0)
 
     def test_deterministic_under_seed(self):
-        spec = small_video(12)
         traj = 35.0 + 30.0 * np.arange(12)
-        a = build_trace(traj, [0.0, 550.0], LinkBudget(), spec, seed=0)
-        b = build_trace(traj, [0.0, 550.0], LinkBudget(), spec, seed=0)
+        a = build_trace(traj, [0.0, 550.0], LinkBudget(), SLOT_S, seed=0)
+        b = build_trace(traj, [0.0, 550.0], LinkBudget(), SLOT_S, seed=0)
         assert np.array_equal(a.gain_db, b.gain_db)
         assert np.array_equal(a.bits_per_prb, b.bits_per_prb)
 
@@ -249,22 +249,21 @@ class TestBuildTrace:
         assert np.array_equal(a.bits_per_prb, b.bits_per_prb)
 
     def test_gain_is_strongest_bs_when_unshadowed(self):
-        spec = small_video(16)
         traj = np.linspace(10.0, 700.0, 16)
         bss = [0.0, 300.0, 650.0]
         budget = LinkBudget()
-        trace = build_trace(traj, bss, budget, spec, sigma_db=0.0, seed=0)
+        trace = build_trace(traj, bss, budget, SLOT_S, shadowing=UNSHADOWED,
+                            seed=0)
         for t, x in enumerate(traj):
             gains = [-path_loss_db(max(abs(x - b), 35.0) / 1000.0)
                      for b in bss]
             assert trace.gain_db[t] == pytest.approx(max(gains), abs=1e-12)
 
     def test_capacity_recomputable_from_gain(self):
-        spec = small_video(12)
         traj = 35.0 + 30.0 * np.arange(12)
         budget = LinkBudget()
-        trace = build_trace(traj, [0.0, 550.0], budget, spec, seed=4)
-        redo = [per_prb_bits(g, budget, spec.slot_duration_s)
+        trace = build_trace(traj, [0.0, 550.0], budget, SLOT_S, seed=4)
+        redo = [per_prb_bits(g, budget, SLOT_S)
                 for g in trace.gain_db]
         assert np.array_equal(np.array(redo), trace.bits_per_prb)
 
@@ -283,12 +282,12 @@ class TestBuildTrace:
         for n in (1, link._ARRAY_STREAMS):
             sizes.clear()
             build_traces(35.0 + 30.0 * np.arange(12), [0.0, 550.0, 900.0],
-                         LinkBudget(), small_video(12), seeds=range(n))
+                         LinkBudget(), SLOT_S, seeds=range(n))
             assert sizes == [12] * (3 * n)
 
     def test_turnaround_revisits_same_shadowing(self):
         traj = np.array([40.0, 60.0, 80.0, 100.0, 80.0, 60.0, 40.0])
-        trace = build_trace(traj, [0.0], LinkBudget(), small_video(7),
+        trace = build_trace(traj, [0.0], LinkBudget(), SLOT_S,
                             seed=3)
         assert np.array_equal(trace.gain_db, trace.gain_db[::-1])
 
@@ -311,25 +310,35 @@ class TestBuildTrace:
         for shift in range(3):
             with pytest.raises(ValueError, match=name):
                 build_trace(np.roll(traj, shift), np.roll(bss, shift),
-                            LinkBudget(), small_video(3), seed=0)
+                            LinkBudget(), SLOT_S, seed=0)
 
     def test_overflowing_distance_rejected(self):
         # finite positions whose difference overflows to an inf distance
         with pytest.raises(ValueError, match="bs_positions_m"):
             build_trace([1e308] * 3, [0.0, -1e308], LinkBudget(),
-                        small_video(3), seed=0)
+                        SLOT_S, seed=0)
 
     def test_empty_trajectory_rejected(self):
         with pytest.raises(ValueError):
-            build_trace([], [0.0], LinkBudget(), small_video(1), seed=0)
+            build_trace([], [0.0], LinkBudget(), SLOT_S, seed=0)
 
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            build_trace([10.0, 20.0], [0.0], LinkBudget(), small_video(3),
-                        seed=0)
+    def test_no_bs_position_rejected(self):
+        with pytest.raises(ValueError, match="bs_positions_m"):
+            build_trace([10.0, 20.0], [], LinkBudget(), SLOT_S, seed=0)
+
+    @pytest.mark.parametrize("traj, bss, name", [
+        (np.arange(96.0).reshape(48, 2), [0.0, 550.0], "trajectory_m"),
+        ([[10.0]], [0.0, 550.0], "trajectory_m"),
+        ([10.0, 20.0], [[0.0], [550.0]], "bs_positions_m"),
+    ])
+    def test_positions_of_more_than_one_dimension_rejected(self, traj, bss,
+                                                           name):
+        with pytest.raises(ValueError, match=f"{name} must be a scalar or "
+                                             "1-D"):
+            build_trace(traj, bss, LinkBudget(), SLOT_S, seed=0)
 
 
-def scalar_trace(traj, bss, budget, spec):
+def scalar_trace(traj, bss, budget):
     """Unshadowed trace rebuilt slot by slot from the public scalars."""
     distances, gains, bits = [], [], []
     for x in traj:
@@ -341,7 +350,7 @@ def scalar_trace(traj, bss, budget, spec):
                 best = (g, d_m)
         gains.append(best[0])
         distances.append(best[1])
-        bits.append(per_prb_bits(best[0], budget, spec.slot_duration_s))
+        bits.append(per_prb_bits(best[0], budget, SLOT_S))
     return np.array(distances), np.array(gains), np.array(bits)
 
 
@@ -356,28 +365,28 @@ class TestBuildTraceAgainstScalars:
     @pytest.mark.parametrize("budget", [
         LinkBudget(), LinkBudget(snr_gap_db=3.0, num_system_prbs=25)])
     def test_bit_identical(self, bss, budget):
-        spec = small_video(24)
         traj = np.linspace(-50.0, 640.0, 24)
         traj[5] = 200.0
-        trace = build_trace(traj, bss, budget, spec, sigma_db=0.0, seed=0)
+        trace = build_trace(traj, bss, budget, SLOT_S, shadowing=UNSHADOWED,
+                            seed=0)
         for name, want in zip(TRACE_FIELDS,
-                              scalar_trace(traj, bss, budget, spec)):
+                              scalar_trace(traj, bss, budget)):
             got = getattr(trace, name)
             assert got.dtype == want.dtype, name
             assert np.array_equal(got, want), name
 
     def test_bs_on_trajectory_clamped(self):
         budget = LinkBudget()
-        trace = build_trace([200.0], [200.0], budget, small_video(1),
-                            sigma_db=0.0, seed=0)
+        trace = build_trace([200.0], [200.0], budget, SLOT_S,
+                            shadowing=UNSHADOWED, seed=0)
         assert trace.distances_m[0] == budget.min_bs_distance_m
 
 
 TRACE_FIELDS = ("distances_m", "gain_db", "bits_per_prb")
 
 
-def assert_matches_loop(trace, traj, bss, budget, spec, **kwargs):
-    want = build_trace_loop(traj, bss, budget, spec, **kwargs)
+def assert_matches_loop(trace, traj, bss, budget, **kwargs):
+    want = build_trace_loop(traj, bss, budget, SLOT_S, **kwargs)
     for name, expect in zip(TRACE_FIELDS, want):
         got = getattr(trace, name)
         assert got.dtype == expect.dtype, name
@@ -402,8 +411,8 @@ class TestBuildTraceAgainstLoop:
         budgets = [LinkBudget(),
                    LinkBudget(snr_gap_db=3.0, num_system_prbs=25,
                               min_bs_distance_m=50.0)]
-        shadowings = [(10.0, 50.0), (0.0, 50.0), (8.0, 0.0), (6.0, math.inf)]
-        spec = small_video(T)
+        shadowings = [ShadowingConfig(), UNSHADOWED, ShadowingConfig(8.0, 0.0),
+                      ShadowingConfig(6.0, math.inf)]
         before = link._geometry.cache_info()
         # Layouts vary fastest and each pass runs twice, so consecutive
         # builds change the memo keys and the second pass hits every one.
@@ -412,22 +421,21 @@ class TestBuildTraceAgainstLoop:
         for _ in range(2):
             for make_seed in seeds:
                 for traj in trajectories:
-                    for sigma_db, decorrelation_m in shadowings:
+                    for shadowing in shadowings:
                         for budget in budgets:
                             for bss in layouts:
-                                kwargs = dict(sigma_db=sigma_db,
-                                              decorrelation_m=decorrelation_m)
-                                trace = build_trace(traj, bss, budget, spec,
-                                                    seed=make_seed(), **kwargs)
+                                trace = build_trace(traj, bss, budget, SLOT_S,
+                                                    shadowing=shadowing,
+                                                    seed=make_seed())
                                 assert_matches_loop(trace, traj, bss, budget,
-                                                    spec, seed=make_seed(),
-                                                    **kwargs)
+                                                    shadowing=shadowing,
+                                                    seed=make_seed())
         after = link._geometry.cache_info()
         assert after.hits > before.hits and after.misses > before.misses
 
     def test_memo_arrays_read_only(self):
         traj = 35.0 + 30.0 * np.arange(12)
-        trace = build_trace(traj, [0.0, 550.0], LinkBudget(), small_video(12),
+        trace = build_trace(traj, [0.0, 550.0], LinkBudget(), SLOT_S,
                             seed=0)
         for name in TRACE_FIELDS:
             assert not getattr(trace, name).flags.writeable, name
@@ -441,23 +449,22 @@ class TestBuildTraceAgainstLoop:
 
     def test_mutated_trajectory_rebuilds(self):
         traj = 35.0 + 30.0 * np.arange(12)
-        spec, budget = small_video(12), LinkBudget()
-        build_trace(traj, [0.0, 550.0], budget, spec, seed=2)
+        budget = LinkBudget()
+        build_trace(traj, [0.0, 550.0], budget, SLOT_S, seed=2)
         traj[4:] += 100.0                   # the caller's array, in place
-        trace = build_trace(traj, [0.0, 550.0], budget, spec, seed=2)
-        assert_matches_loop(trace, traj, [0.0, 550.0], budget, spec, seed=2)
+        trace = build_trace(traj, [0.0, 550.0], budget, SLOT_S, seed=2)
+        assert_matches_loop(trace, traj, [0.0, 550.0], budget, seed=2)
 
     def test_scalar_trajectory_is_one_slot(self):
-        a = build_trace(200.0, [0.0, 550.0], LinkBudget(), small_video(1))
-        b = build_trace([200.0], [0.0, 550.0], LinkBudget(), small_video(1))
+        a = build_trace(200.0, [0.0, 550.0], LinkBudget(), SLOT_S)
+        b = build_trace([200.0], [0.0, 550.0], LinkBudget(), SLOT_S)
         for name in TRACE_FIELDS:
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
     def test_memo_bounded(self):
-        spec = small_video(8)
         for k in range(200):
             build_trace(k + 10.0 * np.arange(8), [0.0, 550.0], LinkBudget(),
-                        spec, seed=k)
+                        SLOT_S, seed=k)
         for memo in (link._geometry, link._ar1_steps):
             info = memo.cache_info()
             assert info.maxsize == link._MEMO_SIZE
@@ -483,23 +490,22 @@ class TestBuildTraces:
         [0.0, 300.0, 650.0],
         [250.0, 250.0, 600.0],      # co-located: at sigma 0 the first wins
     ], ids=["2-bs", "3-bs", "tied"])
-    @pytest.mark.parametrize("sigma_db, decorrelation_m", [
-        (10.0, 50.0), (0.0, 50.0), (8.0, 0.0), (6.0, math.inf),
+    @pytest.mark.parametrize("shadowing", [
+        ShadowingConfig(), UNSHADOWED, ShadowingConfig(8.0, 0.0),
+        ShadowingConfig(6.0, math.inf),
     ], ids=["default", "sigma-0", "uncorrelated", "constant"])
     @pytest.mark.parametrize("n", [1, 2, 40, admission.TRACE_BLOCK + 1])
-    def test_matches_loop_and_block_of_one(self, n, sigma_db,
-                                           decorrelation_m, bss):
-        spec, budget = small_video(self.TRAJ.size), LinkBudget()
-        kwargs = dict(sigma_db=sigma_db, decorrelation_m=decorrelation_m)
-        traces = build_traces(self.TRAJ, bss, budget, spec,
-                              seeds=mixed_seeds(n), **kwargs)
+    def test_matches_loop_and_block_of_one(self, n, shadowing, bss):
+        budget = LinkBudget()
+        traces = build_traces(self.TRAJ, bss, budget, SLOT_S,
+                              shadowing=shadowing, seeds=mixed_seeds(n))
         assert len(traces) == n
         for trace, seed, again in zip(traces, mixed_seeds(n),
                                       mixed_seeds(n), strict=True):
-            assert_matches_loop(trace, self.TRAJ, bss, budget, spec,
-                                seed=seed, **kwargs)
-            (one,) = build_traces(self.TRAJ, bss, budget, spec,
-                                  seeds=[again], **kwargs)
+            assert_matches_loop(trace, self.TRAJ, bss, budget,
+                                shadowing=shadowing, seed=seed)
+            (one,) = build_traces(self.TRAJ, bss, budget, SLOT_S,
+                                  shadowing=shadowing, seeds=[again])
             for name, a, b in zip(TRACE_FIELDS, trace_fields(trace),
                                   trace_fields(one)):
                 assert a.dtype == b.dtype, name
@@ -510,7 +516,7 @@ class TestBuildTraces:
         ss = np.random.SeedSequence(9).spawn(3)[2]
         key, state = ss.spawn_key, ss.generate_state(4)
         first, _, again = build_traces(self.TRAJ, [0.0, 300.0, 650.0],
-                                       LinkBudget(), small_video(24),
+                                       LinkBudget(), SLOT_S,
                                        seeds=[ss, 4, ss])
         for name, a, b in zip(TRACE_FIELDS, trace_fields(first),
                               trace_fields(again)):
@@ -519,10 +525,10 @@ class TestBuildTraces:
         assert np.array_equal(ss.generate_state(4), state)
 
     def test_no_seeds_still_checked(self):
-        args = (self.TRAJ, [0.0, 550.0], LinkBudget(), small_video(24))
+        args = (self.TRAJ, [0.0, 550.0], LinkBudget(), SLOT_S)
         assert build_traces(*args, seeds=[]) == []
-        with pytest.raises(ValueError, match="sigma_db"):
-            build_traces(*args, sigma_db=-1.0, seeds=[])
+        with pytest.raises(ValueError, match="slot_duration_s"):
+            build_traces(*args[:3], 0.0, seeds=[])
 
 
 # build_traces' error for a block with a capacity that overflows, rounds
@@ -570,8 +576,8 @@ class TestBlockCheck:
     BSS = [0.0, 550.0]
 
     def test_capacities_checked_once(self, monkeypatch):
-        spec, budget = small_video(self.TRAJ.size), LinkBudget()
-        build_traces(self.TRAJ, self.BSS, budget, spec, seeds=[0])
+        budget = LinkBudget()
+        build_traces(self.TRAJ, self.BSS, budget, SLOT_S, seeds=[0])
         shapes = []
         check = link.all_finite
 
@@ -580,7 +586,7 @@ class TestBlockCheck:
             return check(x, *args)
 
         monkeypatch.setattr(link, "all_finite", counted)
-        traces = build_traces(self.TRAJ, self.BSS, budget, spec,
+        traces = build_traces(self.TRAJ, self.BSS, budget, SLOT_S,
                               seeds=range(40))
         assert shapes == [(40, self.TRAJ.size)]
         for trace in traces:
@@ -593,15 +599,13 @@ class TestBlockCheck:
                                                       "last"])
     @pytest.mark.parametrize("failure", ["overflow", "zero"])
     def test_one_failing_trace_fails_the_block(self, failure, where):
-        spec = small_video(self.TRAJ.size)
-        slot_s = spec.slot_duration_s
         seeds = list(range(9))
         assert len(seeds) * len(self.BSS) >= link._ARRAY_STREAMS
         # Gains do not depend on power or noise: the trace with the most
         # extreme one fails alone once the power puts the capacity's
         # edge halfway to the next trace's extreme gain.
         gains = [t.gain_db for t in build_traces(
-            self.TRAJ, self.BSS, LinkBudget(), spec, seeds=seeds)]
+            self.TRAJ, self.BSS, LinkBudget(), SLOT_S, seeds=seeds)]
         if failure == "overflow":
             extreme = [float(g.max()) for g in gains]
             order = sorted(seeds, key=lambda k: -extreme[k])
@@ -615,17 +619,17 @@ class TestBlockCheck:
             good_dbm, bad_dbm = 46.0, -3000.0
         target, runner_up = order[:2]
         budget = budget_on_edge(
-            (extreme[target] + extreme[runner_up]) / 2, slot_s, good_dbm,
+            (extreme[target] + extreme[runner_up]) / 2, SLOT_S, good_dbm,
             bad_dbm, **fields)
-        assert capacity_fails(extreme[target], budget, slot_s)
-        assert not capacity_fails(extreme[runner_up], budget, slot_s)
+        assert capacity_fails(extreme[target], budget, SLOT_S)
+        assert not capacity_fails(extreme[runner_up], budget, SLOT_S)
 
         rest = [k for k in seeds if k != target]
-        assert len(build_traces(self.TRAJ, self.BSS, budget, spec,
+        assert len(build_traces(self.TRAJ, self.BSS, budget, SLOT_S,
                                 seeds=rest)) == len(rest)
         block = rest[:where] + [target] + rest[where:]
         with pytest.raises(ValueError) as error:
-            build_traces(self.TRAJ, self.BSS, budget, spec, seeds=block)
+            build_traces(self.TRAJ, self.BSS, budget, SLOT_S, seeds=block)
         every = np.concatenate(gains)
         assert str(error.value) == CAPACITY_ERROR.format(every.min(),
                                                          every.max())
@@ -712,7 +716,7 @@ class TestArrayCrossover:
     def test_matches_loop_and_block_of_one(self, monkeypatch, make_seeds,
                                            bss, offset):
         n = -(-link._ARRAY_STREAMS // len(bss)) + offset
-        spec, budget = small_video(self.TRAJ.size), LinkBudget()
+        budget = LinkBudget()
         per_stream = []
         draw = link._ar1_path
 
@@ -721,16 +725,15 @@ class TestArrayCrossover:
             return draw(rho, scale, rng)
 
         monkeypatch.setattr(link, "_ar1_path", counted)
-        traces = build_traces(self.TRAJ, bss, budget, spec,
+        traces = build_traces(self.TRAJ, bss, budget, SLOT_S,
                               seeds=make_seeds(n))
         streams = n * len(bss)
         assert len(per_stream) \
             == (streams if streams < link._ARRAY_STREAMS else 0)
         for trace, seed, again in zip(traces, make_seeds(n), make_seeds(n),
                                       strict=True):
-            assert_matches_loop(trace, self.TRAJ, bss, budget, spec,
-                                seed=seed)
-            (one,) = build_traces(self.TRAJ, bss, budget, spec,
+            assert_matches_loop(trace, self.TRAJ, bss, budget, seed=seed)
+            (one,) = build_traces(self.TRAJ, bss, budget, SLOT_S,
                                   seeds=[again])
             for name, a, b in zip(TRACE_FIELDS, trace_fields(trace),
                                   trace_fields(one)):
@@ -758,11 +761,12 @@ def contract_cases():
     yield per_prb_bits, {"gain_db": -90.0, "slot_duration_s": 1 / 6}
     yield LinkBudget, {f.name: getattr(LinkBudget(), f.name)
                        for f in fields(LinkBudget)}
+    yield ShadowingConfig, {"sigma_db": 10.0, "decorrelation_m": 50.0}
     for bss in LAYOUTS:
         args = {"trajectory_m": [35.0 + 30.0 * t
                                  for t in range(CONTRACT_SLOTS)],
-                "bs_positions_m": bss, "sigma_db": 10.0,
-                "decorrelation_m": 50.0}
+                "bs_positions_m": bss, "slot_duration_s": SLOT_S,
+                "sigma_db": 10.0, "decorrelation_m": 50.0}
         yield build_trace, {**args, "seed": 0}
         for n in (1, -(-link._ARRAY_STREAMS // len(bss))):
             yield build_traces, {**args, "seeds": list(range(n))}
@@ -789,8 +793,10 @@ def check_link_contract(fn, args):
             if fn is per_prb_bits:
                 fn(args["gain_db"], LinkBudget(), args["slot_duration_s"])
             elif fn in (build_trace, build_traces):
+                shadowing = ShadowingConfig(kwargs.pop("sigma_db"),
+                                            kwargs.pop("decorrelation_m"))
                 fn(kwargs.pop("trajectory_m"), kwargs.pop("bs_positions_m"),
-                   LinkBudget(), small_video(CONTRACT_SLOTS), **kwargs)
+                   LinkBudget(), shadowing=shadowing, **kwargs)
             else:
                 fn(**args)
         except ValueError as e:
@@ -829,7 +835,7 @@ class TestChannelTraceValidation:
     @pytest.mark.parametrize("name", TRACE_FIELDS)
     def test_arrays_read_only(self, name):
         trace = build_trace([35.0, 40.0], [0.0, 550.0], LinkBudget(),
-                            small_video(2), seed=0)
+                            SLOT_S, seed=0)
         with pytest.raises(ValueError, match="read-only"):
             getattr(trace, name)[0] = 1.0
 
@@ -848,6 +854,18 @@ class TestChannelTraceValidation:
             with pytest.raises(ValueError, match="bits_per_prb"):
                 ChannelTrace(distances_m=np.full(3, 100.0),
                              gain_db=np.zeros(3), bits_per_prb=bits)
+
+    def test_empty_trace_names_distances_m(self):
+        with pytest.raises(ValueError, match="distances_m must cover"):
+            ChannelTrace([], [], [])
+
+    @pytest.mark.parametrize("name", TRACE_FIELDS[1:])
+    def test_length_mismatch_named(self, name):
+        arrays = dict(distances_m=np.full(3, 100.0),
+                      gain_db=np.zeros(3), bits_per_prb=np.full(3, 3e5))
+        arrays[name] = arrays[name][:2]
+        with pytest.raises(ValueError, match=f"{name} length mismatch"):
+            ChannelTrace(**arrays)
 
     @pytest.mark.parametrize("name", TRACE_FIELDS)
     @pytest.mark.parametrize("shape", [(3, 1), (1, 3), ()])
@@ -918,9 +936,8 @@ class TestSharedTrajectory:
         for seed in (None, 7, np.random.SeedSequence(3).spawn(2)[1]):
             got = cfg.make_trace(seed)
             want = build_trace(
-                cfg.trajectory_m(), cfg.bs_positions_m, cfg.link, cfg.video,
-                sigma_db=cfg.shadowing.sigma_db,
-                decorrelation_m=cfg.shadowing.decorrelation_m,
+                cfg.trajectory_m(), cfg.bs_positions_m, cfg.link,
+                cfg.video.slot_duration_s, shadowing=cfg.shadowing,
                 seed=cfg.seed if seed is None else seed)
             for name, a, b in zip(TRACE_FIELDS, trace_fields(got),
                                   trace_fields(want)):
@@ -959,12 +976,12 @@ class TestSharedTrajectory:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("where", ["trajectory", "BS"])
     def test_nonfinite_positions_rejected_after_good_call(self, where, bad):
-        spec, budget = small_video(4), LinkBudget()
+        budget = LinkBudget()
         traj = 35.0 + 30.0 * np.arange(4)
         bss = np.array([0.0, 200.0, 550.0])
-        build_trace(traj, bss, budget, spec, seed=0)    # fills the memo
+        build_trace(traj, bss, budget, SLOT_S, seed=0)    # fills the memo
         # the caller's own arrays, changed in place after the good call
         (traj if where == "trajectory" else bss)[1] = bad
         for _ in range(2):
             with pytest.raises(ValueError, match=where):
-                build_trace(traj, bss, budget, spec, seed=0)
+                build_trace(traj, bss, budget, SLOT_S, seed=0)

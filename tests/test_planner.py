@@ -35,7 +35,7 @@ def trace_from_capacity(bits_per_prb):
 def random_trace(rng, T):
     spec = make_spec(T, 0.0)
     traj = 35.0 + 30.0 * spec.slot_duration_s * np.arange(T)
-    return build_trace(traj, [0.0, 550.0], LinkBudget(), spec,
+    return build_trace(traj, [0.0, 550.0], LinkBudget(), spec.slot_duration_s,
                        seed=int(rng.integers(1 << 31)))
 
 
@@ -198,7 +198,7 @@ class TestPlanAnticipatory:
 
     def test_length_mismatch_rejected(self):
         trace = trace_from_capacity([8e5] * 4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="video needs"):
             plan_anticipatory(make_spec(5, 0.0), trace, np.full(5, 50.0))
         with pytest.raises(ValueError):
             plan_anticipatory(make_spec(4, 0.0), trace, np.full(5, 50.0))

@@ -139,8 +139,8 @@ class TestPlaybackAgainstStepBuffer:
             spec = VideoSpec(bits_per_slot=V, slot_duration_s=1 / 6,
                              num_slots=96, max_carryover_bits=5 * V)
             traj = 35.0 + 5.0 * np.arange(96)
-            trace = build_trace(traj, [0.0, 550.0], LinkBudget(), spec,
-                                seed=k)
+            trace = build_trace(traj, [0.0, 550.0], LinkBudget(),
+                                spec.slot_duration_s, seed=k)
             residual = np.full(96, float(rng.choice([50.0, 15.0, 3.0])))
             residual[rng.choice(96, size=5, replace=False)] = 0.0
             for planner in (plan_anticipatory, plan_baseline):

@@ -515,6 +515,22 @@ class TestCli:
         assert named in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", [
+        "seed = 3\n",
+        "[video]\nnum_slots = 48\n[video]\n",
+        "[video]\nnum_slots = 48\nnum_slots = 24\n",
+    ], ids=["no-section-header", "repeated-section", "repeated-key"])
+    def test_ini_parse_error_names_the_file(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(text)
+        out = tmp_path / "out"
+        rc = main(["single-user", "--config", str(bad), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("config error: ")
+        assert str(bad) in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("text, flags, named", [
         ("[link]\ntotal_power_dbm = 4000\n", [], "total_power_dbm"),
         ("[link]\ntotal_power_dbm = -4000\n", [], "total_power_dbm"),

@@ -78,6 +78,20 @@ class TestSmallExamples:
         assert sol.x == pytest.approx([1.0, 2.0, 0.0, 0.0, 1.0], abs=1e-9)
         assert sol.objective_value == pytest.approx(1.25, abs=1e-9)
 
+    def test_artificial_driven_out_of_basis(self):
+        # Phase 1 ends with an artificial basic at zero in a row that has
+        # a nonzero structural entry, which is pivoted in before phase 2;
+        # HiGHS gives the same optimum.
+        sol = solve(LpProblem(objective=[0.0, 2.0, 2.0, 2.0],
+                              eq_matrix=[[2.0, -2.0, -2.0, 2.0],
+                                         [-2.0, 0.0, -2.0, -1.0],
+                                         [0.0, 0.0, 0.0, -2.0]],
+                              eq_rhs=[2.0, -1.0, -2.0],
+                              var_upper_bounds=[1.0, 2.0, 2.0, 1.0]))
+        assert sol.status == "optimal"
+        assert sol.x == pytest.approx([0.0, 0.0, 0.0, 1.0], abs=1e-9)
+        assert sol.objective_value == pytest.approx(2.0, abs=1e-9)
+
     def test_degenerate_lp_terminates(self):
         # many ties in the ratio test; Bland fallback must still finish
         n = 6
