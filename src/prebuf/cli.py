@@ -107,13 +107,19 @@ def build_parser() -> argparse.ArgumentParser:
                        default=[5, 10, 20, 30, 40],
                        help="request volumes to evaluate")
     multi.add_argument("--num-seeds", type=int, default=10)
-    multi.add_argument("--available-prbs", type=float, default=15)
-    multi.add_argument("--mean-interarrival", type=float, default=0.58)
+    multi.add_argument("--available-prbs", type=float,
+                       default=AdmissionConfig.available_prbs)
+    multi.add_argument("--mean-interarrival", type=float,
+                       default=AdmissionConfig.mean_interarrival_s)
     return parser
 
 
 def _load_scenario(args) -> ScenarioConfig:
-    config = load_config(args.config) if args.config else ScenarioConfig()
+    # an empty path (an unset shell variable, say) is not the defaults
+    if args.config == "":
+        raise ConfigError("argument --config: empty path")
+    config = (ScenarioConfig() if args.config is None
+              else load_config(args.config))
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     if args.sigma_db is not None:

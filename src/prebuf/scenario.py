@@ -141,7 +141,11 @@ def load_config(path) -> ScenarioConfig:
     # No header can name the empty section, so [DEFAULT] is an ordinary one.
     parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
-        parser.read_string(Path(path).read_text(), source=str(path))
+        # utf-8-sig also reads a file that starts with a byte-order mark
+        parser.read_string(Path(path).read_text(encoding="utf-8-sig"),
+                           source=str(path))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -174,6 +178,24 @@ def _write_csv(out_dir, name, header, rows):
                 FLOAT_FMT % v if isinstance(v, float) else v for v in row])
 
 
+def _plan_caps(config: ScenarioConfig, z_values):
+    """The trace of `config` and, for each checked buffer cap in
+    `z_values` in order, its plan on all num_system_prbs PRBs and its
+    total PRB-slots (inf if the cap has no zero-outage plan).
+
+    plan_anticipatory is looked up at each call, so a wrapper set on this
+    module's attribute sees every plan.
+    """
+    trace = config.make_trace()
+    video = config.video
+    residual = np.full(video.num_slots, float(config.link.num_system_prbs))
+    plans = [plan_anticipatory(replace(video, max_carryover_bits=z), trace,
+                               residual) for z in z_values]
+    totals = [plan.total_prb_slots if plan.feasible else math.inf
+              for plan in plans]
+    return trace, plans, totals
+
+
 def run_single_user(config: ScenarioConfig, out_dir) -> dict:
     """Single-user proof of concept: anticipatory vs zero-buffer plan.
 
@@ -181,36 +203,26 @@ def run_single_user(config: ScenarioConfig, out_dir) -> dict:
     with the total PRB-slots each case needs (inf if it has no
     zero-outage plan).
     """
-    trace = config.make_trace()
     video = config.video
-    residual = np.full(video.num_slots, float(config.link.num_system_prbs))
-
-    cases = {
-        "anticipatory": plan_anticipatory(video, trace, residual),
-        "zero_buffer": plan_anticipatory(
-            replace(video, max_carryover_bits=0.0), trace, residual),
-    }
+    trace, plans, totals = _plan_caps(config,
+                                      (video.max_carryover_bits, 0.0))
 
     rows = []
-    summary = {"feasible": True}
-    for name, plan in cases.items():
+    summary = {"feasible": all(plan.feasible for plan in plans)}
+    for name, plan, total in zip(("anticipatory", "zero_buffer"), plans,
+                                 totals):
         timeline = simulate_playback(plan.received_bits, video)
-        # an infeasible plan costs inf, as in run_buffer_sweep
-        summary[f"{name}_total_prb_slots"] = (
-            plan.total_prb_slots if plan.feasible else math.inf)
+        summary[f"{name}_total_prb_slots"] = total
         summary[f"{name}_outages"] = timeline.num_outages
-        summary["feasible"] &= plan.feasible
-        for t in range(video.num_slots):
-            rows.append([
-                name, t, t * video.slot_duration_s,
-                float(trace.distances_m[t]), float(trace.gain_db[t]),
-                float(trace.bits_per_prb[t]),
-                float(plan.received_bits[t]),
-                float(plan.carryover_bits[t - 1]) if t > 0 else 0.0,
-                float(plan.prbs[t]),
-                float(timeline.carryover_bits[t]),
-                int(timeline.outage_flags[t]),
-            ])
+        # one column per CSV field after case, slot and time_s
+        columns = zip(trace.distances_m.tolist(), trace.gain_db.tolist(),
+                      trace.bits_per_prb.tolist(),
+                      plan.received_bits.tolist(),
+                      [0.0, *plan.carryover_bits.tolist()],
+                      plan.prbs.tolist(), timeline.carryover_bits.tolist(),
+                      map(int, timeline.outage_flags.tolist()), strict=True)
+        rows += ([name, t, t * video.slot_duration_s, *row]
+                 for t, row in enumerate(columns))
     _write_csv(out_dir, "trace.csv",
                ["case", "slot", "time_s", "distance_m", "gain_db",
                 "bits_per_prb", "r_bits", "z_bits", "w_prbs",
@@ -232,24 +244,14 @@ def run_buffer_sweep(config: ScenarioConfig, z_values_bits, out_dir) -> dict:
                 for i, z in enumerate(z_values_bits)]
     check_int(len(z_values), "len(z_values)", 1)
 
-    trace = config.make_trace()
-    video = config.video
-    residual = np.full(video.num_slots, float(config.link.num_system_prbs))
-    T = video.num_slots
-
-    rows = []
-    totals = []
-    for z in z_values:
-        spec = replace(video, max_carryover_bits=z)
-        plan = plan_anticipatory(spec, trace, residual)
-        total = plan.total_prb_slots if plan.feasible else math.inf
-        totals.append(total)
-        frac = total / (T * config.link.num_system_prbs)
-        rows.append([z / video.bits_per_slot, z, total, frac, frac])
+    _, _, totals = _plan_caps(config, z_values)
+    prb_slots = config.video.num_slots * config.link.num_system_prbs
     _write_csv(out_dir, "sweep.csv",
                ["z_over_v", "z_bits", "total_prb_slots",
                 "frac_of_system_prbs", "frac_of_available_prbs"],
-               rows)
+               [[z / config.video.bits_per_slot, z, total,
+                 total / prb_slots, total / prb_slots]
+                for z, total in zip(z_values, totals)])
     return {"z_values_bits": z_values, "total_prb_slots": totals}
 
 

@@ -35,6 +35,19 @@ DEFAULT_SWEEP_CSV_SHA256 = \
     "3ad504551e9d3e23f2408ec333040fd49e47cacaf8cafabedecceef6e1d4e816"
 DEFAULT_SWEEP_STDOUT_SHA256 = \
     "1d0a6e4519a2787b30fb8d1de2069b5187d795477235b7cb3af7ecb85bec5527"
+# sha256 of two unshadowed runs where a buffer cap has no zero-outage
+# plan and costs inf, each with [video] bits_per_slot = 1e7: `prebuf
+# buffer-sweep --z-max-multiple 2` (sweep.csv; Z = 0 has no plan, exit 0)
+# and `prebuf single-user` with max_carryover_bits = 5e7 (trace.csv; only
+# zero_buffer has none, exit 2), each with its stdout
+INF_SWEEP_CSV_SHA256 = \
+    "51fa50341d2d6cc62ed04383630a39f14d12e51de7bcf67dc0867889ea305e59"
+INF_SWEEP_STDOUT_SHA256 = \
+    "ca945542b03f01a8128594972d043e0007328a1c69021f1e197611035002e0af"
+INF_SINGLE_USER_CSV_SHA256 = \
+    "9f5c54af7a286fab27b607b9daada0b5f2436edd3463491520d9cd70715f3e08"
+INF_SINGLE_USER_STDOUT_SHA256 = \
+    "8bf1ddfd7797f070eb9abe11307f3b351e484f470756074d6ca89f9e8762005b"
 BAD_COUNTS = [0, -1, 2.5, 3.0, True, "3", None]
 
 
@@ -491,6 +504,26 @@ class TestServiceCurve:
                                                  csv_sha256, stdout_sha256):
         assert main([command, "--out", str(tmp_path)]) == 0
         csv_bytes = (tmp_path / csv_name).read_bytes()
+        stdout = capsys.readouterr().out.encode()
+        assert hashlib.sha256(csv_bytes).hexdigest() == csv_sha256
+        assert hashlib.sha256(stdout).hexdigest() == stdout_sha256
+
+    @pytest.mark.parametrize(
+        "argv, ini, rc, csv_name, csv_sha256, stdout_sha256", [
+            (["buffer-sweep", "--z-max-multiple", "2"], "", 0, "sweep.csv",
+             INF_SWEEP_CSV_SHA256, INF_SWEEP_STDOUT_SHA256),
+            (["single-user"], "max_carryover_bits = 5e7\n", 2, "trace.csv",
+             INF_SINGLE_USER_CSV_SHA256, INF_SINGLE_USER_STDOUT_SHA256),
+        ], ids=["buffer-sweep", "single-user"])
+    def test_infeasible_cap_outputs_pinned(self, tmp_path, capsys, argv, ini,
+                                           rc, csv_name, csv_sha256,
+                                           stdout_sha256):
+        config = tmp_path / "heavy.ini"
+        config.write_text("[video]\nbits_per_slot = 1e7\n" + ini)
+        out = tmp_path / "out"
+        assert main(argv + ["--sigma-db", "0", "--config", str(config),
+                            "--out", str(out)]) == rc
+        csv_bytes = (out / csv_name).read_bytes()
         stdout = capsys.readouterr().out.encode()
         assert hashlib.sha256(csv_bytes).hexdigest() == csv_sha256
         assert hashlib.sha256(stdout).hexdigest() == stdout_sha256

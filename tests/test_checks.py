@@ -224,11 +224,30 @@ def package_imports(tree):
                 yield module
 
 
-@pytest.mark.parametrize("stem", ["link", "playout"])
-def test_first_stages_import_only_checks(stem):
-    # the link model and the play-out recursion read nothing from a later
-    # stage of the pipeline, or from each other
+# Each module's prebuf imports, in the pipeline's order: link model and
+# play-out recursion, planner, admission ledger, drivers, command line.  No
+# stage reads from a later one; the simplex is a stand-alone reference.
+PIPELINE_IMPORTS = {
+    "_checks": set(),
+    "simplex": set(),
+    "link": {"_checks"},
+    "playout": {"_checks"},
+    "planner": {"_checks", "link", "playout"},
+    "admission": {"_checks", "link", "playout", "planner"},
+    "scenario": {"_checks", "link", "playout", "planner", "admission"},
+    "cli": {"_checks", "admission", "scenario"},
+}
+
+
+def test_pipeline_covers_the_package():
+    package = Path(prebuf.__file__).parent
+    assert {path.stem for path in package.glob("*.py")} \
+        == set(PIPELINE_IMPORTS) | {"__init__"}
+
+
+@pytest.mark.parametrize("stem", sorted(PIPELINE_IMPORTS))
+def test_imports_follow_the_pipeline(stem):
     path = Path(prebuf.__file__).parent / f"{stem}.py"
     imported = {name for name in package_imports(ast.parse(path.read_text()))
                 if name.split(".")[0] == "prebuf"}
-    assert imported <= {"prebuf._checks"}
+    assert imported == {f"prebuf.{name}" for name in PIPELINE_IMPORTS[stem]}

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import prebuf.admission
 import prebuf.cli
+import prebuf.scenario
 from prebuf import (AdmissionConfig, ConfigError, ScenarioConfig,
                     ShadowingConfig, default_video_spec, load_config,
                     run_buffer_sweep, run_multiuser, run_single_user)
@@ -277,7 +278,12 @@ class TestBufferSweep:
         assert type(exc.value) is ValueError
 
     @pytest.mark.parametrize("z", [float("nan"), -V])
-    def test_bad_z_value_rejected_before_output(self, tmp_path, z):
+    def test_bad_z_value_rejected_before_output(self, tmp_path, monkeypatch,
+                                                z):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("trace built before the z values checked")
+
+        monkeypatch.setattr(ScenarioConfig, "make_trace", unreachable)
         out = tmp_path / "out"
         with pytest.raises(ValueError, match="z_values") as exc:
             run_buffer_sweep(ScenarioConfig(), [0.0, z], out)
@@ -301,6 +307,29 @@ class TestBufferSweep:
                                      "frac_of_available_prbs")] \
             == ["inf"] * 3
         assert float(rows[1]["total_prb_slots"]) == pytest.approx(totals[1])
+
+
+@pytest.mark.parametrize("run, caps", [
+    (run_single_user, [5 * V, 0.0]),
+    (lambda cfg, out: run_buffer_sweep(cfg, [2 * V, 0.0, V], out),
+     [2 * V, 0.0, V]),
+], ids=["single-user", "buffer-sweep"])
+def test_one_full_spectrum_plan_per_cap(tmp_path, monkeypatch, run, caps):
+    # both drivers plan through this module's plan_anticipatory, which a
+    # wrapper set after import sees: once per cap, in cap order, on all
+    # 50 PRBs of every slot of one trace
+    plan_anticipatory = prebuf.scenario.plan_anticipatory
+    seen = []
+
+    def recording(spec, trace, residual):
+        seen.append((spec.max_carryover_bits, trace, residual.tolist()))
+        return plan_anticipatory(spec, trace, residual)
+
+    monkeypatch.setattr(prebuf.scenario, "plan_anticipatory", recording)
+    run(ScenarioConfig(), tmp_path)
+    assert [z for z, _, _ in seen] == caps
+    assert all(trace is seen[0][1] for _, trace, _ in seen)
+    assert all(residual == [50.0] * 96 for _, _, residual in seen)
 
 
 class TestMultiUser:
@@ -515,14 +544,16 @@ class TestCli:
         assert named in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("text", [
-        "seed = 3\n",
-        "[video]\nnum_slots = 48\n[video]\n",
-        "[video]\nnum_slots = 48\nnum_slots = 24\n",
-    ], ids=["no-section-header", "repeated-section", "repeated-key"])
-    def test_ini_parse_error_names_the_file(self, tmp_path, capsys, text):
+    @pytest.mark.parametrize("data", [
+        b"seed = 3\n",
+        b"[video]\nnum_slots = 48\n[video]\n",
+        b"[video]\nnum_slots = 48\nnum_slots = 24\n",
+        "[video]\nnum_slots = 48\n".encode("utf-16"),
+    ], ids=["no-section-header", "repeated-section", "repeated-key",
+            "not-utf-8"])
+    def test_ini_parse_error_names_the_file(self, tmp_path, capsys, data):
         bad = tmp_path / "bad.ini"
-        bad.write_text(text)
+        bad.write_bytes(data)
         out = tmp_path / "out"
         rc = main(["single-user", "--config", str(bad), "--out", str(out)])
         err = capsys.readouterr().err
@@ -530,6 +561,33 @@ class TestCli:
         assert err.startswith("config error: ")
         assert str(bad) in err
         assert not out.exists()
+
+    def test_config_with_byte_order_mark_loads(self, tmp_path, capsys):
+        bom = tmp_path / "bom.ini"
+        bom.write_bytes(b"\xef\xbb\xbf[video]\nbits_per_slot = 1e7\n")
+        assert load_config(bom).video.bits_per_slot == 1e7
+        rc = main(["buffer-sweep", "--config", str(bom), "--sigma-db", "0",
+                   "--z-max-multiple", "2", "--out", str(tmp_path / "out")])
+        assert rc == 0
+        assert capsys.readouterr().out \
+            == "total_prb_slots: inf 3471.61 3437.23\n"
+
+    @pytest.mark.parametrize("command", ["single-user", "buffer-sweep",
+                                         "multi-user"])
+    def test_empty_config_path_refused(self, tmp_path, capsys, command):
+        # an unset shell variable must not run the default scenario
+        out = tmp_path / "out"
+        rc = main([command, "--config", "", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert (rc, captured.out, captured.err) \
+            == (1, "", "config error: argument --config: empty path\n")
+        assert not out.exists()
+
+    def test_multi_user_defaults_are_admission_config_defaults(self):
+        args = prebuf.cli.build_parser().parse_args(["multi-user"])
+        defaults = {f.name: f.default for f in fields(AdmissionConfig)}
+        assert args.available_prbs == defaults["available_prbs"]
+        assert args.mean_interarrival == defaults["mean_interarrival_s"]
 
     @pytest.mark.parametrize("text, flags, named", [
         ("[link]\ntotal_power_dbm = 4000\n", [], "total_power_dbm"),
