@@ -17,7 +17,7 @@ import numpy as np
 
 from ._checks import MAX_COUNT, POSITIVE, check_fields, check_int, check_real
 from .link import ChannelTrace
-from .planner import AllocationPlan, plan_anticipatory, plan_baseline
+from .planner import plan_anticipatory, plan_baseline
 from .playout import VideoSpec, simulate_playback
 
 # Builds the channel traces of a block of user seeds, one per seed.
@@ -26,8 +26,8 @@ TraceFactory = Callable[[Sequence[np.random.SeedSequence]],
 
 PLANNER_KINDS = ("anticipatory", "baseline")
 
-# Most users whose traces one TraceFactory call builds; it bounds the
-# traces held at once in a long run.
+# Most users per block: one spawn of user seeds and one TraceFactory call.
+# It bounds the seeds and traces held at once in a long run.
 TRACE_BLOCK = 256
 
 # Longest spectrum ledger a run may allocate: 2**20 slots of float64 is
@@ -56,7 +56,6 @@ class RequestRecord:
     arrival_time_s: float
     arrival_slot: int
     admitted: bool
-    plan: AllocationPlan | None
     outage_count: int
 
     @property
@@ -121,9 +120,6 @@ def _run_admission(config: AdmissionConfig, video: VideoSpec,
             f"arrivals span {span:.3g} slots, past the "
             f"{MAX_LEDGER_SLOTS}-slot ledger limit; lower "
             f"mean_interarrival_s or total_requests")
-    # Spawned only once the horizon is legal; the keys continue from the
-    # arrival child's, as one spawn(total_requests + 1) would give them.
-    user_seeds = ss.spawn(config.total_requests)
     arrival_slots = np.floor(arrival_times / video.slot_duration_s).astype(
         int).tolist()
     arrival_times = arrival_times.tolist()
@@ -133,7 +129,10 @@ def _run_admission(config: AdmissionConfig, video: VideoSpec,
             for _ in planner_kinds]
 
     for start in range(0, config.total_requests, TRACE_BLOCK):
-        block = user_seeds[start:start + TRACE_BLOCK]
+        # Spawned per block once the horizon is legal; successive spawns
+        # continue the keys from the arrival child's, as one
+        # spawn(total_requests + 1) would give them.
+        block = ss.spawn(min(TRACE_BLOCK, config.total_requests - start))
         traces = make_traces(block)
         if len(traces) != len(block):
             raise ValueError(f"make_traces returned {len(traces)} "
@@ -154,7 +153,7 @@ def _run_admission(config: AdmissionConfig, video: VideoSpec,
                             else None)
                 if not admitted:
                     log.records.append(RequestRecord(arrival_times[k], a,
-                                                     False, None, 0))
+                                                     False, 0))
                     continue
                 window -= plan.prbs
                 if window.min() < -1e-7:
@@ -162,7 +161,7 @@ def _run_admission(config: AdmissionConfig, video: VideoSpec,
                 np.maximum(window, 0.0, out=window)      # drop rounding dust
                 timeline = simulate_playback(plan.received_bits, video)
                 log.records.append(RequestRecord(arrival_times[k], a, True,
-                                                 plan, timeline.num_outages))
+                                                 timeline.num_outages))
     return logs
 
 

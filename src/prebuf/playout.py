@@ -39,20 +39,14 @@ class VideoSpec:
 class BufferTimeline:
     """Slot-by-slot result of feeding a received-bits plan to the player."""
 
-    received_bits: np.ndarray
     carryover_bits: np.ndarray   # buffer content entering each slot, z_1 = 0
-    played_bits: np.ndarray
-    outage_flags: np.ndarray
+    outage_flags: np.ndarray     # a slot plays bits_per_slot unless flagged
+    final_carryover_bits: float  # buffer content left after the last slot
     carryover_limit_exceeded: bool = False
 
     @property
     def num_outages(self) -> int:
         return int(np.count_nonzero(self.outage_flags))
-
-    @property
-    def final_carryover_bits(self) -> float:
-        t = self.received_bits
-        return float(t[-1] + self.carryover_bits[-1] - self.played_bits[-1])
 
 
 def simulate_playback(plan_received, spec: VideoSpec) -> BufferTimeline:
@@ -75,9 +69,9 @@ def simulate_playback(plan_received, spec: VideoSpec) -> BufferTimeline:
     # in tests/oracles.py); the inputs are checked above.  The outage test
     # has a 1e-9 relative slack so that plans meeting the no-outage
     # equalities up to rounding do not stall on sub-microbit shortfalls.
-    # The pass keeps only the carry and the stalled slots: a slot plays v
-    # unless it stalls, so played bits and outage flags follow from those,
-    # and the cap test from the carry list.
+    # The pass keeps only the carry and the stalled slots: the outage
+    # flags follow from the stalls, and the cap test from the carry list
+    # and the final carry z.
     v = spec.bits_per_slot
     need = v * (1.0 - 1e-9)
     carry = [0.0] * spec.num_slots
@@ -99,5 +93,4 @@ def simulate_playback(plan_received, spec: VideoSpec) -> BufferTimeline:
     outage = np.zeros(spec.num_slots, dtype=bool)
     if stalls:
         outage[stalls] = True
-    return BufferTimeline(received, np.array(carry),
-                          np.where(outage, 0.0, v), outage, exceeded)
+    return BufferTimeline(np.array(carry), outage, z, exceeded)

@@ -138,6 +138,9 @@ def load_config(path) -> ScenarioConfig:
     Values are literal (no % interpolation) and [DEFAULT] is an unknown
     section, not a fallback for the others.
     """
+    # Path("") is the working directory, not a file
+    if path == "":
+        raise ConfigError("config path is empty")
     # No header can name the empty section, so [DEFAULT] is an ordinary one.
     parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:

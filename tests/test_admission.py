@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 
 import prebuf.admission
-from prebuf import (AdmissionConfig, LinkBudget, ScenarioConfig,
-                    ShadowingConfig, VideoSpec, build_traces, run_admission,
-                    service_curve, summarize_curve)
+from prebuf import (AdmissionConfig, ChannelTrace, LinkBudget,
+                    ScenarioConfig, ShadowingConfig, VideoSpec, build_traces,
+                    run_admission, service_curve, summarize_curve)
 from prebuf.admission import MAX_COUNT, MAX_LEDGER_SLOTS, PLANNER_KINDS
 from prebuf.cli import main
 
@@ -51,6 +51,17 @@ INF_SINGLE_USER_STDOUT_SHA256 = \
 BAD_COUNTS = [0, -1, 2.5, 3.0, True, "3", None]
 
 
+def capture_plans(monkeypatch):
+    """The plans admission's planner calls return, in call order."""
+    plans = []
+    for name in ("plan_anticipatory", "plan_baseline"):
+        def recording(*args, planner=getattr(prebuf.admission, name)):
+            plans.append(planner(*args))
+            return plans[-1]
+        monkeypatch.setattr(prebuf.admission, name, recording)
+    return plans
+
+
 @pytest.fixture(scope="module")
 def scenario():
     return ScenarioConfig(shadowing=ShadowingConfig(sigma_db=0.0))
@@ -68,16 +79,17 @@ class TestRunAdmission:
         assert log.admitted_count == 0
         assert log.served_count == 0
 
-    def test_single_request_bookkeeping(self, scenario):
+    def test_single_request_bookkeeping(self, scenario, monkeypatch):
+        plans = capture_plans(monkeypatch)
         cfg = AdmissionConfig(total_requests=1, available_prbs=50, seed=0)
         log = run_admission(cfg, scenario.video, scenario.make_traces)
-        rec = log.records[0]
+        rec, = log.records
+        plan, = plans
         assert rec.admitted and rec.served
         ledger = log.residual_prbs_timeline
         a = rec.arrival_slot
         T = scenario.video.num_slots
-        assert ledger[a:a + T] == pytest.approx(50.0 - rec.plan.prbs,
-                                                abs=1e-9)
+        assert ledger[a:a + T] == pytest.approx(50.0 - plan.prbs, abs=1e-9)
         assert np.all(ledger[:a] == 50.0)
         assert np.all(ledger >= -1e-7)
 
@@ -90,18 +102,46 @@ class TestRunAdmission:
                                 "anticipatory")
             assert log.served_count == log.admitted_count
 
-    def test_capacity_conservation(self, shadowed_scenario):
+    def test_capacity_conservation(self, shadowed_scenario, monkeypatch):
+        plans = capture_plans(monkeypatch)
         video = shadowed_scenario.video
         cfg = AdmissionConfig(total_requests=25, available_prbs=15, seed=1)
         for kind in ("anticipatory", "baseline"):
+            plans.clear()
             log = run_admission(cfg, video, shadowed_scenario.make_traces,
                                 kind)
+            admitted = [rec for rec in log.records if rec.admitted]
+            kept = plans
+            if kind == "anticipatory":
+                # every request is planned, and admitted iff feasible
+                assert [p.feasible for p in plans] \
+                    == [rec.admitted for rec in log.records]
+                kept = [p for p in plans if p.feasible]
+            assert len(kept) == len(admitted) > 0
             total = np.zeros(log.residual_prbs_timeline.size)
-            for rec in log.records:
-                if rec.admitted:
-                    a = rec.arrival_slot
-                    total[a:a + video.num_slots] += rec.plan.prbs
+            for rec, plan in zip(admitted, kept):
+                a = rec.arrival_slot
+                total[a:a + video.num_slots] += plan.prbs
             assert np.all(total <= 15.0 + 1e-7)
+            assert log.residual_prbs_timeline \
+                == pytest.approx(15.0 - total, abs=1e-6)
+
+    @pytest.mark.parametrize("excess, admitted", [(1e-10, True),
+                                                  (1e-6, False)])
+    def test_baseline_first_slot_slack_boundary(self, scenario, excess,
+                                                admitted):
+        # The first-slot test forgives 1e-9 PRB of rounding and no more:
+        # a first slot needing 1e-6 PRB more than is left is refused.
+        video = scenario.video
+        T = video.num_slots
+        trace = ChannelTrace(np.ones(T), np.zeros(T),
+                             np.full(T, video.bits_per_slot / (2.0 + excess)))
+        log = run_admission(AdmissionConfig(total_requests=1,
+                                            available_prbs=2.0),
+                            video, lambda seeds: [trace] * len(seeds),
+                            "baseline")
+        assert [(r.admitted, r.served) for r in log.records] \
+            == [(admitted, admitted)]
 
     def test_anticipatory_dominates_baseline(self, shadowed_scenario):
         video = shadowed_scenario.video
@@ -277,18 +317,27 @@ class TestTraceFactory:
         assert records == want_records
         assert np.array_equal(ledger, want_ledger)
 
-    def test_crosses_default_block(self, scenario):
+    def test_crosses_default_block(self, scenario, monkeypatch):
         calls = []
+        spawned = []
 
         def recording_traces(seeds):
             calls.append(len(seeds))
             return scenario.make_traces(seeds)
 
+        class Recording(np.random.SeedSequence):
+            def spawn(self, n_children):
+                spawned.append(n_children)
+                return super().spawn(n_children)
+
+        # the user seeds are spawned a block at a time, never all at once
+        monkeypatch.setattr(np.random, "SeedSequence", Recording)
         block = prebuf.admission.TRACE_BLOCK
         cfg = AdmissionConfig(total_requests=block + 2, available_prbs=15)
         log = run_admission(cfg, scenario.video, recording_traces,
                             "baseline")
         assert calls == [block, 2]
+        assert spawned == [1, block, 2]
         assert len(log.records) == block + 2
 
     @pytest.mark.parametrize("extra", [-1, 1])

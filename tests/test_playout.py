@@ -51,7 +51,8 @@ class TestSimulatePlayback:
         timeline = simulate_playback([V] * 5, spec_for([V] * 5))
         assert timeline.num_outages == 0
         assert np.all(timeline.carryover_bits == 0)
-        assert np.all(timeline.played_bits == V)
+        assert not np.any(timeline.outage_flags)
+        assert timeline.final_carryover_bits == 0.0
 
     def test_one_slot_preload(self):
         received = [2 * V, 0.0, V]
@@ -64,9 +65,19 @@ class TestSimulatePlayback:
         received = [1.5 * V, 0.0, V]
         timeline = simulate_playback(received, spec_for(received))
         assert list(timeline.outage_flags) == [False, True, False]
-        assert timeline.played_bits[1] == 0.0
         # stalled slot retains its buffered half-slot
         assert timeline.carryover_bits[2] == pytest.approx(0.5 * V)
+
+    @pytest.mark.parametrize("short, stalls", [(1e-10, False),
+                                               (1e-8, True)])
+    def test_outage_slack_boundary(self, short, stalls):
+        # a shortfall within the 1e-9 V slack plays and leaves exactly
+        # 0.0, not r - v < 0; a larger one stalls and keeps its bits
+        received = [V * (1.0 - short)]
+        timeline = simulate_playback(received, spec_for(received))
+        assert timeline.num_outages == stalls
+        assert timeline.final_carryover_bits \
+            == (received[0] if stalls else 0.0)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -97,38 +108,43 @@ class TestSimulatePlayback:
                     min_size=1, max_size=12))
     def test_mass_balance(self, received):
         timeline = simulate_playback(received, spec_for(received))
-        played = float(np.sum(timeline.played_bits))
+        played = V * (len(received) - timeline.num_outages)
         total_in = float(np.sum(received))
         assert played == pytest.approx(
             total_in - timeline.final_carryover_bits, abs=1e-3)
 
-    @given(st.lists(st.floats(min_value=0, max_value=4 * V),
-                    min_size=1, max_size=12))
-    def test_played_bounded_by_v(self, received):
-        timeline = simulate_playback(received, spec_for(received))
-        assert np.all(timeline.played_bits >= 0)
-        assert np.all(timeline.played_bits <= V)
-
 
 def fold_step_buffer(received, spec):
-    """The timeline as a plain fold of step_buffer over the plan."""
-    carry, played, outage = [], [], []
+    """The timeline as a plain fold of step_buffer over the plan:
+    (carry, outage flags, final carry, cap exceeded)."""
+    carry, outage = [], []
     z = 0.0
     for r in received:
         carry.append(z)
-        z, p, o = step_buffer(z, float(r), spec.bits_per_slot)
-        played.append(p)
+        z, _, o = step_buffer(z, float(r), spec.bits_per_slot)
         outage.append(o)
     carry = np.array(carry)
     limit = spec.max_carryover_bits + 1e-6 * spec.bits_per_slot
     exceeded = bool(np.any(carry > limit)) or z > limit
-    return carry, np.array(played), np.array(outage), exceeded
+    return carry, np.array(outage), z, exceeded
 
 
 def assert_same_bytes(got, want):
     """Equal dtype and bytes: unlike np.array_equal, -0.0 != 0.0."""
     assert got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
+
+
+def assert_same_timeline(timeline, received, spec):
+    """timeline is the step_buffer fold's, bit for bit."""
+    carry, outage, final, exceeded = fold_step_buffer(received, spec)
+    assert_same_bytes(timeline.carryover_bits, carry)
+    assert_same_bytes(timeline.outage_flags, outage)
+    assert type(timeline.final_carryover_bits) is float
+    assert_same_bytes(np.array(timeline.final_carryover_bits),
+                      np.array(final))
+    assert timeline.final_carryover_bits >= 0.0
+    assert timeline.carryover_limit_exceeded == exceeded
 
 
 class TestPlaybackAgainstStepBuffer:
@@ -146,14 +162,7 @@ class TestPlaybackAgainstStepBuffer:
             for planner in (plan_anticipatory, plan_baseline):
                 received = planner(spec, trace, residual).received_bits
                 timeline = simulate_playback(received, spec)
-                carry, played, outage, exceeded = fold_step_buffer(
-                    received, spec)
-                assert_same_bytes(timeline.received_bits, received)
-                for got, want in ((timeline.carryover_bits, carry),
-                                  (timeline.played_bits, played),
-                                  (timeline.outage_flags, outage)):
-                    assert_same_bytes(got, want)
-                assert timeline.carryover_limit_exceeded == exceeded
+                assert_same_timeline(timeline, received, spec)
                 outages += timeline.num_outages
         assert outages > 0
 
@@ -161,6 +170,7 @@ class TestPlaybackAgainstStepBuffer:
                     min_size=1, max_size=12),
            st.sampled_from([0.0, V, np.inf]))
     @example([V * (1.0 - 1e-9), 0.0, 2.5 * V], V)   # exactly at the slack
+    @example([V * (1.0 - 1e-10)], 0.0)      # plays, leaving exactly 0.0
     @example([4 * V, 4 * V, 0.0, 4 * V], np.inf)    # unbounded buffer
     @example([1.5 * V, 0.5 * V, 0.0], V)      # slot 2's total is exactly V
     # a 2.5V cap passed only by the final carry, or only mid-run; each
@@ -171,13 +181,8 @@ class TestPlaybackAgainstStepBuffer:
     @example([4.6 * V, 0.0, 0.0, 0.0, 0.0, V], 2.5 * V)
     def test_hand_made_plans_bit_identical(self, received, z_cap):
         spec = spec_for(received, z_cap=z_cap)
-        timeline = simulate_playback(received, spec)
-        carry, played, outage, exceeded = fold_step_buffer(received, spec)
-        for got, want in ((timeline.carryover_bits, carry),
-                          (timeline.played_bits, played),
-                          (timeline.outage_flags, outage)):
-            assert_same_bytes(got, want)
-        assert timeline.carryover_limit_exceeded == exceeded
+        assert_same_timeline(simulate_playback(received, spec), received,
+                             spec)
 
 
 class TestVideoSpecValidation:

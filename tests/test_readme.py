@@ -4,6 +4,7 @@ Python examples run as written."""
 
 import argparse
 import configparser
+import dataclasses
 import importlib
 import re
 import shlex
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 import oracles
+import prebuf
 from prebuf import cli, load_config
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -149,3 +151,11 @@ def test_fast_path_pointers_name_existing_code():
     modules = [*MODULES.values(), oracles]
     for name in names:
         assert any(hasattr(module, name) for module in modules), name
+
+
+@pytest.mark.parametrize("cls", [prebuf.RequestRecord, prebuf.BufferTimeline],
+                         ids=lambda cls: cls.__name__)
+def test_record_fields_are_the_dataclass_fields(cls):
+    listed, = re.findall(rf"`{cls.__name__}\(([^)]*)\)`", README)
+    assert re.split(r",\s*", listed) \
+        == [f.name for f in dataclasses.fields(cls)]

@@ -47,6 +47,11 @@ class TestConfig:
         path.write_text("")
         assert load_config(path) == ScenarioConfig()
 
+    def test_empty_path_refused(self):
+        # Path("") would name the working directory
+        with pytest.raises(ConfigError, match="^config path is empty$"):
+            load_config("")
+
     def test_overrides(self, tmp_path):
         path = tmp_path / "cfg.ini"
         path.write_text("""
