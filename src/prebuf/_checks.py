@@ -91,6 +91,37 @@ def real_array(values, name: str) -> np.ndarray:
     raise ValueError(f"{name} must be real numbers, got {array.dtype}")
 
 
+def check_shape(array: np.ndarray, name: str, size: int | None = None
+                ) -> np.ndarray:
+    """array itself if it is 1-D and non-empty, of `size` elements when
+    size is given; anything else is a ValueError naming `name` and the
+    shape it got."""
+    if array.ndim != 1 or not array.size or size not in (None, array.size):
+        want = "at least 1 element" if size is None else f"{size} elements"
+        raise ValueError(f"{name} must be 1-D with {want}, got shape "
+                         f"{array.shape}")
+    return array
+
+
+def check_array(values, name: str, size: int | None = None,
+                lo: float = -_MAX) -> np.ndarray:
+    """values as a float64 array (itself if it is one) that passes
+    check_shape and whose entries are finite and >= lo; anything else is
+    a ValueError naming `name`.  lo must be finite, and lo=POSITIVE asks
+    for entries > 0.
+
+    The one check of an array argument: every layer takes its vectors
+    (plans, trace columns, positions) through it, so each is checked
+    where it enters and nothing downstream checks it again.
+    """
+    array = check_shape(real_array(values, name), name, size)
+    if not all_finite(array, lo):
+        bound = {-_MAX: "", 0.0: " and non-negative",
+                 POSITIVE: " and positive"}.get(lo, f" and >= {lo:.6g}")
+        raise ValueError(f"{name} must be finite{bound}")
+    return array
+
+
 def all_finite(x: np.ndarray, lo: float = -sys.float_info.max) -> bool:
     """True iff every element of the non-empty array x is finite and >= lo.
 

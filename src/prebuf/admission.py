@@ -51,7 +51,7 @@ class AdmissionConfig:
                      seed=(check_int, 0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RequestRecord:
     arrival_time_s: float
     arrival_slot: int
@@ -173,6 +173,18 @@ def check_kv_values(kv_values) -> list:
     return kv_values
 
 
+def _head_counts(records, marks: set) -> dict:
+    """{n: (admitted, served) over the first n records} for each n in
+    marks, in one pass over the records."""
+    heads, admitted, served = {}, 0, 0
+    for n, record in enumerate(records, 1):
+        admitted += record.admitted
+        served += record.served
+        if n in marks:
+            heads[n] = admitted, served
+    return heads
+
+
 def service_curve(kv_values, video: VideoSpec, make_traces: TraceFactory,
                   base_config: AdmissionConfig, num_seeds: int = 10,
                   planner_kinds=PLANNER_KINDS) -> list[dict]:
@@ -186,8 +198,10 @@ def service_curve(kv_values, video: VideoSpec, make_traces: TraceFactory,
     run equal a run of kv requests with the same seed.  So each seed runs
     once, at max(kv_values), in one pass that builds each block of traces
     once and runs every planner over it, and the row for each kv counts
-    the first kv records of that planner's run.  Rows are ordered by kv
-    (as given, duplicates kept), then planner, then seed.
+    the first kv records of that planner's run.  Each pass's records are
+    reduced to those counts as soon as it ends, so one pass's records are
+    held at a time.  Rows are ordered by kv (as given, duplicates kept),
+    then planner, then seed.
     """
     kv_values = check_kv_values(kv_values)
     check_int(num_seeds, "num_seeds", 1, MAX_COUNT)
@@ -196,24 +210,23 @@ def service_curve(kv_values, video: VideoSpec, make_traces: TraceFactory,
     if not planner_kinds:
         raise ValueError("planner_kinds must be non-empty")
     seeds = [base_config.seed + i for i in range(num_seeds)]
-    outcomes = {}                   # (planner, seed) -> [(admitted, served)]
+    marks = set(kv_values)
+    counts = {}             # (planner, seed) -> {kv: (admitted, served)}
     for seed in seeds:
         cfg = replace(base_config, total_requests=max(kv_values), seed=seed)
         logs = _run_admission(cfg, video, make_traces, planner_kinds)
-        for kind, log in zip(planner_kinds, logs):
-            outcomes[kind, seed] = [(r.admitted, r.served)
-                                    for r in log.records]
+        for kind in planner_kinds:      # each log is dropped once counted
+            counts[kind, seed] = _head_counts(logs.pop(0).records, marks)
     rows = []
     for kv in kv_values:
         for kind in planner_kinds:
             for seed in seeds:
-                head = outcomes[kind, seed][:kv]
-                served = sum(s for _, s in head)
+                admitted, served = counts[kind, seed][kv]
                 rows.append({
                     "kv": kv,
                     "planner": kind,
                     "seed": seed,
-                    "admitted": sum(a for a, _ in head),
+                    "admitted": admitted,
                     "served": served,
                     "service_rate": served / kv,
                 })

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import (MAX_COUNT, POSITIVE, all_finite, check_fields,
-                      check_int, check_real, real_array)
+from ._checks import (MAX_COUNT, POSITIVE, all_finite, check_array,
+                      check_fields, check_int, check_real, real_array)
 
 
 def dbm_to_watts(dbm: float) -> float:
@@ -123,8 +123,8 @@ class ShadowingField:
 
         Equal positions get equal values.  Each call is a new, independent
         realisation of the field drawn from the generator's stream, and
-        sigma_db = 0 returns zeros without drawing.  Positions must be
-        finite.
+        sigma_db = 0 returns zeros without drawing.  Positions may have
+        any shape, and must be finite.
 
         The AR(1) steps depend only on (positions, decorrelation_m,
         sigma_db), so they are memoized on those values (the positions by
@@ -134,6 +134,9 @@ class ShadowingField:
         without the memo, so every draw keeps its bits.
         """
         positions = real_array(positions_m, "positions_m")
+        if positions.size and not all_finite(positions):
+            raise ValueError("shadowing positions (positions_m) must be "
+                             "finite")
         shadowing = self.shadowing
         inverse, rho, scale = _ar1_steps(positions.tobytes(),
                                          shadowing.decorrelation_m,
@@ -168,11 +171,10 @@ def _ar1_steps(positions_bytes: bytes, decorrelation_m: float,
     Returns (inverse, rho, scale): the read-only np.unique inverse and the
     tuples rho_k = exp(-(x_k - x_{k-1}) / decorrelation_m) (0 for k = 0
     and for no correlation) and sqrt(max(var * (1 - rho_k**2), 0)).
+    Both callers check that the positions are finite before the lookup.
     """
-    positions = np.frombuffer(positions_bytes)
-    if positions.size and not all_finite(positions):
-        raise ValueError("shadowing positions must be finite")
-    unique, inverse = np.unique(positions, return_inverse=True)
+    unique, inverse = np.unique(np.frombuffer(positions_bytes),
+                                return_inverse=True)
     inverse.setflags(write=False)
     xs, d_c = unique.tolist(), decorrelation_m
     var = sigma_db ** 2
@@ -191,17 +193,11 @@ def _geometry(trajectory_bytes: bytes, bs_bytes: bytes,
     """Clamped distance and path gain (-path loss, dB) of every BS at every
     trajectory point: two read-only float64 arrays of shape (num_BS, T).
 
-    Both position arrays are checked for NaN and inf here, so only on a
-    miss; a call that raises caches nothing, so bad positions raise on
-    every call.  The path loss takes path_loss_db's scalar `math.log10`,
-    once per geometry, since numpy's array log10 need not round as it
-    does.
+    build_traces checks both position arrays before the lookup.  The
+    path loss takes path_loss_db's scalar `math.log10`, once per
+    geometry, since numpy's array log10 need not round as it does.
     """
     trajectory, bs = np.frombuffer(trajectory_bytes), np.frombuffer(bs_bytes)
-    if not all_finite(trajectory):
-        raise ValueError("trajectory positions (trajectory_m) must be finite")
-    if not all_finite(bs):
-        raise ValueError("BS positions (bs_positions_m) must be finite")
     # A distance that overflows is clamped to the largest float: its
     # capacity rounds to 0, which build_trace reports with the inputs
     # that set it.
@@ -267,12 +263,11 @@ def per_prb_bits(gain_db: float, budget: LinkBudget,
 class ChannelTrace:
     """Per-slot serving-cell distance, average gain and PRB capacity.
 
-    Three float64 arrays, converted by real_array.  They are read-only
-    views, so one trace can be shared by several planners without one of
-    them changing what another sees.  A direct construction checks that
-    the arrays are 1-D and of one length and that every capacity is
-    finite and positive; build_traces checks a whole block at once
-    instead.
+    Three float64 arrays of one length, each taken by check_array:
+    distances finite and >= 0, gains finite, capacities finite and > 0.
+    They are read-only views, so one trace can be shared by several
+    planners without one of them changing what another sees.
+    build_traces checks a whole block of capacities at once instead.
     """
 
     distances_m: np.ndarray
@@ -280,20 +275,14 @@ class ChannelTrace:
     bits_per_prb: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("distances_m", "gain_db", "bits_per_prb"):
-            view = real_array(getattr(self, name), name).view()
-            if view.ndim != 1:
-                raise ValueError(f"{name} must be 1-D, got {view.shape}")
+        size = None                     # set by distances_m
+        for name, lo in (("distances_m", 0.0),
+                         ("gain_db", -sys.float_info.max),
+                         ("bits_per_prb", POSITIVE)):
+            view = check_array(getattr(self, name), name, size, lo).view()
             view.setflags(write=False)
             object.__setattr__(self, name, view)
-        n = len(self.distances_m)
-        if n < 1:
-            raise ValueError("distances_m must cover at least one slot")
-        for name in ("gain_db", "bits_per_prb"):
-            if len(getattr(self, name)) != n:
-                raise ValueError(f"{name} length mismatch")
-        if not all_finite(self.bits_per_prb, POSITIVE):
-            raise ValueError("bits_per_prb must be finite and positive")
+            size = view.size
 
     @classmethod
     def _of_block_rows(cls, distances_m, gain_db,
@@ -467,16 +456,6 @@ def build_trace(trajectory_m, bs_positions_m, budget: LinkBudget,
                         seeds=[seed])[0]
 
 
-def _positions(values, name: str) -> np.ndarray:
-    """values as a 1-D float64 array, a scalar as one position; an array
-    of more than one dimension is a ValueError naming `name`."""
-    positions = real_array(values, name)
-    if positions.ndim > 1:
-        raise ValueError(f"{name} must be a scalar or 1-D, got shape "
-                         f"{positions.shape}")
-    return positions.ravel()
-
-
 def build_traces(trajectory_m, bs_positions_m, budget: LinkBudget,
                  slot_duration_s: float, *,
                  shadowing: ShadowingConfig = ShadowingConfig(),
@@ -502,24 +481,18 @@ def build_traces(trajectory_m, bs_positions_m, budget: LinkBudget,
     steps), _shadowing_streams and _stream_states (the streams) and
     _capacities.
 
-    slot_duration_s is checked as per_prb_bits checks it.  Trajectory and
-    BS positions are checked when their geometry is first seen, before
-    any draw.  The capacities are checked once per block, as one (seeds,
-    slots) array; each trace is a row of three block arrays made
-    read-only, and does not run ChannelTrace's checks again.  A capacity
-    that overflows, rounds to 0 or is not finite is a ValueError naming
-    gain_db and the inputs that set it, and a seed that numpy's
-    SeedSequence refuses is a ValueError naming seeds.
+    slot_duration_s is checked as per_prb_bits checks it, and the
+    trajectory and BS positions by check_array, on every call and before
+    any memo lookup or draw.  The capacities are checked once per block,
+    as one (seeds, slots) array; each trace is a row of three block
+    arrays made read-only, and does not run ChannelTrace's checks again.
+    A capacity that overflows, rounds to 0 or is not finite is a
+    ValueError naming gain_db and the inputs that set it, and a seed that
+    numpy's SeedSequence refuses is a ValueError naming seeds.
     """
     slot_duration_s = check_real(slot_duration_s, "slot_duration_s", POSITIVE)
-    trajectory_m = _positions(trajectory_m, "trajectory_m")
-    if trajectory_m.size == 0:
-        raise ValueError("trajectory (trajectory_m) must not be empty")
-    bs_positions_m = _positions(bs_positions_m, "bs_positions_m")
-    if bs_positions_m.size == 0:
-        raise ValueError("need at least one BS position (bs_positions_m)")
-    # Before the AR(1) memo, so a non-finite position is reported as a
-    # trajectory or BS position and not as a shadowing one.
+    trajectory_m = check_array(trajectory_m, "trajectory_m")
+    bs_positions_m = check_array(bs_positions_m, "bs_positions_m")
     trajectory_bytes = trajectory_m.tobytes()
     distance, path = _geometry(trajectory_bytes, bs_positions_m.tobytes(),
                                budget.min_bs_distance_m)

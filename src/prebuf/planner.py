@@ -18,7 +18,7 @@ from math import inf
 
 import numpy as np
 
-from ._checks import real_array
+from ._checks import check_shape, real_array
 from .link import ChannelTrace
 from .playout import VideoSpec
 
@@ -30,8 +30,11 @@ class AllocationPlan:
     received_bits: np.ndarray     # r_t, length T
     carryover_bits: np.ndarray    # z_2 .. z_T, length T-1
     prbs: np.ndarray              # w_t = r_t / c_t, length T
-    total_prb_slots: float
     feasible: bool
+
+    @property
+    def total_prb_slots(self) -> float:
+        return float(self.prbs.sum())
 
 
 def _supply_bits(spec: VideoSpec, trace: ChannelTrace,
@@ -42,10 +45,10 @@ def _supply_bits(spec: VideoSpec, trace: ChannelTrace,
         raise ValueError(
             f"trace covers {trace.num_slots} slots, video needs "
             f"{spec.num_slots}")
-    if residual.shape != (spec.num_slots,):
-        raise ValueError("residual_prbs length mismatch")
-    # all_finite(residual, 0.0), keeping the max for the overflow test: a
-    # NaN fails both comparisons, -inf the first and inf the second.
+    check_shape(residual, "residual_prbs", spec.num_slots)
+    # check_array's finiteness test, fused to keep the max for the
+    # overflow test: a NaN fails both comparisons, -inf the first and inf
+    # the second.
     top = float(residual.max())
     if not (residual.min() >= 0.0 and top < inf):
         raise ValueError("residual_prbs must be finite and non-negative")
@@ -66,7 +69,7 @@ def _supply_bits(spec: VideoSpec, trace: ChannelTrace,
 
 def _infeasible_plan(T: int) -> AllocationPlan:
     z = np.zeros(T)
-    return AllocationPlan(z, np.zeros(max(T - 1, 0)), z.copy(), 0.0, False)
+    return AllocationPlan(z, np.zeros(max(T - 1, 0)), z.copy(), False)
 
 
 def plan_anticipatory(spec: VideoSpec, trace: ChannelTrace,
@@ -143,9 +146,7 @@ def plan_anticipatory(spec: VideoSpec, trace: ChannelTrace,
                             window.pop()
                         window.append(s)
     received = np.array(received)
-    prbs = received / c
-    return AllocationPlan(received, np.array(carry), prbs,
-                          float(prbs.sum()), True)
+    return AllocationPlan(received, np.array(carry), received / c, True)
 
 
 def plan_baseline(spec: VideoSpec, trace: ChannelTrace,
@@ -160,6 +161,5 @@ def plan_baseline(spec: VideoSpec, trace: ChannelTrace,
     cap_bits = _supply_bits(spec, trace, residual_prbs)
     r = np.minimum(spec.bits_per_slot, cap_bits)
     short = r.min() < spec.bits_per_slot
-    prbs = r / trace.bits_per_prb
-    return AllocationPlan(r, np.zeros(spec.num_slots - 1), prbs,
-                          float(prbs.sum()), not bool(short))
+    return AllocationPlan(r, np.zeros(spec.num_slots - 1),
+                          r / trace.bits_per_prb, not bool(short))

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import (MAX_COUNT, POSITIVE, all_finite, check_fields,
-                      check_int, check_real, real_array)
+from ._checks import (MAX_COUNT, POSITIVE, check_array, check_fields,
+                      check_int, check_real)
 
 
 @dataclass(frozen=True)
@@ -56,14 +56,8 @@ def simulate_playback(plan_received, spec: VideoSpec) -> BufferTimeline:
     zero outages.  Carry-over beyond spec.max_carryover_bits is flagged on
     the timeline (planner bug or hand-made plan), never clipped.
     """
-    received = real_array(plan_received, "plan_received")
-    if received.shape != (spec.num_slots,):
-        raise ValueError(
-            f"plan (plan_received) has {received.size} slots, expected "
-            f"{spec.num_slots}")
-    if not all_finite(received, 0.0):
-        raise ValueError("received bits (plan_received) must be finite and "
-                         "non-negative")
+    received = check_array(plan_received, "plan_received", spec.num_slots,
+                           0.0)
 
     # One pass of the buffer recursion (kept slot by slot as step_buffer
     # in tests/oracles.py); the inputs are checked above.  The outage test

@@ -533,6 +533,27 @@ class TestServiceCurve:
                       num_seeds=1)
         assert [len(refs) for refs in blocks] == [3, 3, 3, 1]
 
+    def test_each_pass_dropped_before_the_next(self, shadowed_scenario,
+                                               monkeypatch):
+        # each seed's logs are reduced to counts when its pass ends, so no
+        # record outlives its pass; records are slotted, with no __dict__
+        run = prebuf.admission._run_admission
+        passes = []                     # per seed, its logs
+
+        def tracked(*args):
+            assert all(ref() is None for refs in passes for ref in refs)
+            logs = run(*args)
+            assert not hasattr(logs[0].records[0], "__dict__")
+            passes.append([weakref.ref(log) for log in logs])
+            return logs
+
+        monkeypatch.setattr(prebuf.admission, "_run_admission", tracked)
+        service_curve([5, 10], shadowed_scenario.video,
+                      shadowed_scenario.make_traces,
+                      AdmissionConfig(total_requests=1, available_prbs=15),
+                      num_seeds=3)
+        assert [len(refs) for refs in passes] == [2, 2, 2]
+
     def test_default_multi_user_output_pinned(self, tmp_path, capsys):
         assert main(["multi-user", "--out", str(tmp_path)]) == 0
         csv_bytes = (tmp_path / "service_curve.csv").read_bytes()

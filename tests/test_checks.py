@@ -251,3 +251,142 @@ def test_imports_follow_the_pipeline(stem):
     imported = {name for name in package_imports(ast.parse(path.read_text()))
                 if name.split(".")[0] == "prebuf"}
     assert imported == {f"prebuf.{name}" for name in PIPELINE_IMPORTS[stem]}
+
+
+# Every 1-D array argument of the pipeline, as a function of that one
+# argument with the others valid, and whether its length is fixed by the
+# other arguments.  Positions take any length, and distances_m sets the
+# trace's.
+ARRAY_SLOTS = 4
+ARRAY_SPEC = VideoSpec(250_000.0, 1 / 6, ARRAY_SLOTS, 500_000.0)
+TRACE_COLUMNS = {"distances_m": np.full(ARRAY_SLOTS, 100.0),
+                 "gain_db": np.zeros(ARRAY_SLOTS),
+                 "bits_per_prb": np.full(ARRAY_SLOTS, 3e5)}
+
+
+def trace_with(name):
+    return lambda values: ChannelTrace(**{**TRACE_COLUMNS, name: values})
+
+
+def planned_with(plan):
+    return lambda values: plan(ARRAY_SPEC, ChannelTrace(**TRACE_COLUMNS),
+                               values)
+
+
+def positions_with(name):
+    args = {"trajectory_m": [35.0, 40.0, 45.0, 50.0],
+            "bs_positions_m": [0.0, 550.0]}
+    return lambda values: prebuf.build_traces(
+        **{**args, name: values}, budget=LinkBudget(),
+        slot_duration_s=1 / 6, seeds=[0])
+
+
+ARRAY_ARGS = [
+    ("plan_received", lambda values: simulate_playback(values, ARRAY_SPEC),
+     True),
+    ("residual_prbs", planned_with(prebuf.plan_anticipatory), True),
+    ("residual_prbs", planned_with(prebuf.plan_baseline), True),
+    ("distances_m", trace_with("distances_m"), False),
+    ("gain_db", trace_with("gain_db"), True),
+    ("bits_per_prb", trace_with("bits_per_prb"), True),
+    ("trajectory_m", positions_with("trajectory_m"), False),
+    ("bs_positions_m", positions_with("bs_positions_m"), False),
+]
+ARRAY_IDS = ["simulate_playback", "plan_anticipatory", "plan_baseline",
+             "distances_m", "gain_db", "bits_per_prb", "trajectory_m",
+             "bs_positions_m"]
+
+
+GOOD = np.full(ARRAY_SLOTS, 300_000.0)
+# each bad shape, and whether it is bad only where the length is fixed
+SHAPE_CASES = {"1xT": (GOOD.reshape(1, -1), False),
+               "Tx1": (GOOD.reshape(-1, 1), False), "0-d": (GOOD[0], False),
+               "empty": (GOOD[:0], False), "short": (GOOD[:-1], True),
+               "long": (np.append(GOOD, GOOD[0]), True)}
+
+
+@pytest.mark.parametrize("name, call, fixed_length, values", [
+    pytest.param(name, call, fixed, values, id=f"{case_id}-{shape}")
+    for (name, call, fixed), case_id in zip(ARRAY_ARGS, ARRAY_IDS)
+    for shape, (values, length_only) in SHAPE_CASES.items()
+    if fixed or not length_only])
+def test_array_shape_rejected(name, call, fixed_length, values):
+    want = (f"{ARRAY_SLOTS} elements" if fixed_length
+            else "at least 1 element")
+    with pytest.raises(ValueError) as exc:
+        call(values)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == (f"{name} must be 1-D with {want}, got shape "
+                              f"{values.shape}")
+
+
+@pytest.mark.parametrize("name, call, fixed_length",
+                         [pytest.param(*arg, id=case_id)
+                          for arg, case_id in zip(ARRAY_ARGS, ARRAY_IDS)])
+def test_array_of_right_shape_accepted(name, call, fixed_length):
+    # the shape cases above fail on their shape alone
+    call(GOOD)
+
+
+def test_row_plan_names_its_shape():
+    # a (1, T) plan has T elements but is not 1-D
+    spec = default_video_spec()
+    with pytest.raises(ValueError, match=r"plan_received must be 1-D with 96 "
+                                         r"elements, got shape \(1, 96\)"):
+        simulate_playback(np.full((1, 96), spec.bits_per_slot), spec)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+def test_trace_distances_finite_and_non_negative(bad):
+    for slot in (0, 2, 3):                      # first, middle and last
+        distances = np.full(ARRAY_SLOTS, 100.0)
+        distances[slot] = bad
+        with pytest.raises(ValueError, match="distances_m must be finite "
+                                             "and non-negative"):
+            trace_with("distances_m")(distances)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_trace_gains_finite(bad):
+    for slot in (0, 2, 3):
+        gains = np.zeros(ARRAY_SLOTS)
+        gains[slot] = bad
+        with pytest.raises(ValueError, match="gain_db must be finite$"):
+            trace_with("gain_db")(gains)
+
+
+def test_nonfinite_trace_refused():
+    with pytest.raises(ValueError, match="distances_m"):
+        ChannelTrace([math.nan, -5.0], [math.inf, math.nan], [1e5, 2e5])
+    # a zero distance is legal; so are negative and very large gains
+    trace = ChannelTrace([0.0, 5.0], [-1e308, 1e308], [1e5, 2e5])
+    assert trace.distances_m.tolist() == [0.0, 5.0]
+
+
+def real_array_calls(node, where):
+    """(module, enclosing function) of every real_array call under node;
+    a method is named Class.method."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call) \
+                and getattr(child.func, "id", None) == "real_array":
+            yield where
+        inner = where
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            name = child.name if where[1] is None \
+                else f"{where[1]}.{child.name}"
+            inner = (where[0], name)
+        yield from real_array_calls(child, inner)
+
+
+def test_arrays_taken_only_through_check_array():
+    # every other array argument is taken by check_array, so one rule
+    # decides what a valid vector is and how its error reads; shadowing
+    # positions take any shape, and _supply_bits fuses its finiteness
+    # test with the overflow test
+    package = Path(prebuf.__file__).parent
+    found = {where for path in sorted(package.glob("*.py"))
+             if path.stem != "_checks"
+             for where in real_array_calls(ast.parse(path.read_text()),
+                                           (path.stem, None))}
+    assert found == {("link", "ShadowingField.sample"),
+                     ("planner", "_supply_bits")}

@@ -16,6 +16,8 @@ from prebuf._checks import MAX_COUNT
 
 
 SLOT_S = 1 / 6
+# the argument each kind of position is checked as
+POSITION_ARG = {"trajectory": "trajectory_m", "BS": "bs_positions_m"}
 UNSHADOWED = ShadowingConfig(sigma_db=0.0)
 
 
@@ -308,7 +310,8 @@ class TestBuildTrace:
     def test_nonfinite_positions_rejected(self, traj, bss, name):
         # each rotation puts the bad value first, in the middle and last
         for shift in range(3):
-            with pytest.raises(ValueError, match=name):
+            with pytest.raises(ValueError,
+                               match=f"{POSITION_ARG[name]} must be finite"):
                 build_trace(np.roll(traj, shift), np.roll(bss, shift),
                             LinkBudget(), SLOT_S, seed=0)
 
@@ -333,8 +336,7 @@ class TestBuildTrace:
     ])
     def test_positions_of_more_than_one_dimension_rejected(self, traj, bss,
                                                            name):
-        with pytest.raises(ValueError, match=f"{name} must be a scalar or "
-                                             "1-D"):
+        with pytest.raises(ValueError, match=f"{name} must be 1-D"):
             build_trace(traj, bss, LinkBudget(), SLOT_S, seed=0)
 
 
@@ -454,12 +456,6 @@ class TestBuildTraceAgainstLoop:
         traj[4:] += 100.0                   # the caller's array, in place
         trace = build_trace(traj, [0.0, 550.0], budget, SLOT_S, seed=2)
         assert_matches_loop(trace, traj, [0.0, 550.0], budget, seed=2)
-
-    def test_scalar_trajectory_is_one_slot(self):
-        a = build_trace(200.0, [0.0, 550.0], LinkBudget(), SLOT_S)
-        b = build_trace([200.0], [0.0, 550.0], LinkBudget(), SLOT_S)
-        for name in TRACE_FIELDS:
-            assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
     def test_memo_bounded(self):
         for k in range(200):
@@ -856,7 +852,9 @@ class TestChannelTraceValidation:
                              gain_db=np.zeros(3), bits_per_prb=bits)
 
     def test_empty_trace_names_distances_m(self):
-        with pytest.raises(ValueError, match="distances_m must cover"):
+        with pytest.raises(ValueError, match=r"distances_m must be 1-D with "
+                                             r"at least 1 element, got shape "
+                                             r"\(0,\)"):
             ChannelTrace([], [], [])
 
     @pytest.mark.parametrize("name", TRACE_FIELDS[1:])
@@ -864,7 +862,8 @@ class TestChannelTraceValidation:
         arrays = dict(distances_m=np.full(3, 100.0),
                       gain_db=np.zeros(3), bits_per_prb=np.full(3, 3e5))
         arrays[name] = arrays[name][:2]
-        with pytest.raises(ValueError, match=f"{name} length mismatch"):
+        with pytest.raises(ValueError, match=rf"{name} must be 1-D with 3 "
+                                             r"elements, got shape \(2,\)"):
             ChannelTrace(**arrays)
 
     @pytest.mark.parametrize("name", TRACE_FIELDS)
@@ -983,5 +982,6 @@ class TestSharedTrajectory:
         # the caller's own arrays, changed in place after the good call
         (traj if where == "trajectory" else bss)[1] = bad
         for _ in range(2):
-            with pytest.raises(ValueError, match=where):
+            with pytest.raises(ValueError,
+                               match=f"{POSITION_ARG[where]} must be finite"):
                 build_trace(traj, bss, budget, SLOT_S, seed=0)

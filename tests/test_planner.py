@@ -418,6 +418,22 @@ class TestWindowSearchBytes:
             make_spec(4, z_cap), trace_from_capacity([8e5, 4e5, 8e5, 1e5]),
             [5.0, 1.0, 0.0, 3.0])
 
+    @pytest.mark.parametrize("z_cap", [V, np.inf])
+    @pytest.mark.parametrize("excess, live", [(1e-9, True), (1e-13, False)])
+    def test_leftover_supply_at_tolerance(self, z_cap, excess, live):
+        # slot 0, cheaper than slot 1, serves itself and keeps excess * V.
+        # Above the 1e-12 V tolerance it stays live and serves that sliver
+        # of slot 1 (a 1e-6 V tolerance would drop it); within it, slot 0
+        # has run out although its supply is not 0.
+        spec, trace = make_spec(2, z_cap), trace_from_capacity([8e5, 4e5])
+        residual = [V * (1.0 + excess) / 8e5, 10.0]
+        supply = 8e5 * residual[0]
+        assert (1e-12 * V < supply - V <= 1e-6 * V if live
+                else 0.0 < supply - V <= 1e-12 * V)
+        assert self.assert_same_bytes(spec, trace, residual)
+        assert plan_anticipatory(spec, trace, residual).received_bits[0] \
+            == (supply if live else V)
+
     @settings(max_examples=300, deadline=None)
     @given(tied_instances())
     def test_tied_levels_property(self, instance):

@@ -88,7 +88,8 @@ class TestSimulatePlayback:
         for slot in (0, 2, 4):                  # first, middle and last
             received = [V] * 5
             received[slot] = bad
-            with pytest.raises(ValueError, match="received bits"):
+            with pytest.raises(ValueError, match="plan_received must be "
+                                                 "finite and non-negative"):
                 simulate_playback(received, spec_for(received))
 
     def test_carryover_cap_violation_flagged_not_clipped(self):

@@ -153,7 +153,8 @@ def test_fast_path_pointers_name_existing_code():
         assert any(hasattr(module, name) for module in modules), name
 
 
-@pytest.mark.parametrize("cls", [prebuf.RequestRecord, prebuf.BufferTimeline],
+@pytest.mark.parametrize("cls", [prebuf.RequestRecord, prebuf.BufferTimeline,
+                                 prebuf.AllocationPlan],
                          ids=lambda cls: cls.__name__)
 def test_record_fields_are_the_dataclass_fields(cls):
     listed, = re.findall(rf"`{cls.__name__}\(([^)]*)\)`", README)
