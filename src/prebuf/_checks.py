@@ -1,8 +1,8 @@
 """Input checks shared by the config dataclasses and the array layers.
 
-Each check returns what it accepted as a Python int or float, or a
-float64 array, so a checked input is converted once, here, and no layer
-converts it again.
+Each check returns what it accepted as a Python int or float, a list of
+checked items, or a float64 array, so a checked input is converted
+once, here, and no layer converts it again.
 """
 
 from __future__ import annotations
@@ -76,6 +76,26 @@ def check_fields(obj, **checks) -> None:
     since a frozen dataclass refuses setattr)."""
     for name, (check, *bounds) in checks.items():
         vars(obj)[name] = check(getattr(obj, name), name, *bounds)
+
+
+def check_items(values, name: str, check, *bounds) -> list:
+    """values as a list whose item i is check(item, f"{name}[{i}]",
+    *bounds); a value that is not a non-empty iterable, or is a str or
+    bytes, is a ValueError naming `name`.
+
+    The one check of a sequence argument (request volumes, buffer caps,
+    BS positions, seeds, planner kinds): it is read once, here, so an
+    iterator is consumed once and an error names the item at fault.
+    """
+    try:
+        items = [] if isinstance(values, (str, bytes)) else list(values)
+    except TypeError:
+        items = []
+    if not items:
+        raise ValueError(f"{name} must be a non-empty iterable, not a "
+                         f"string, got {values!r}")
+    return [check(item, f"{name}[{i}]", *bounds)
+            for i, item in enumerate(items)]
 
 
 def real_array(values, name: str) -> np.ndarray:

@@ -15,7 +15,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._checks import MAX_COUNT, POSITIVE, check_fields, check_int, check_real
+from ._checks import (MAX_COUNT, POSITIVE, check_fields, check_int,
+                      check_items, check_real)
 from .link import ChannelTrace
 from .planner import plan_anticipatory, plan_baseline
 from .playout import VideoSpec, simulate_playback
@@ -77,6 +78,14 @@ class AdmissionLog:
         return sum(r.served for r in self.records)
 
 
+def _check_kind(kind, name: str) -> str:
+    """kind if it is one of PLANNER_KINDS; else a ValueError naming
+    `name`."""
+    if kind not in PLANNER_KINDS:
+        raise ValueError(f"unknown planner kind ({name}) {kind!r}")
+    return kind
+
+
 def run_admission(config: AdmissionConfig, video: VideoSpec,
                   make_traces: TraceFactory,
                   planner_kind: str = "anticipatory") -> AdmissionLog:
@@ -89,7 +98,8 @@ def run_admission(config: AdmissionConfig, video: VideoSpec,
     traces are built ahead of planning, in one call per block of at most
     TRACE_BLOCK users.
     """
-    return _run_admission(config, video, make_traces, (planner_kind,))[0]
+    return _run_admission(config, video, make_traces,
+                          [_check_kind(planner_kind, "planner_kind")])[0]
 
 
 def _run_admission(config: AdmissionConfig, video: VideoSpec,
@@ -98,13 +108,9 @@ def _run_admission(config: AdmissionConfig, video: VideoSpec,
 
     The arrivals are drawn and each block of traces is built once; every
     planner then runs over the block's users against its own ledger, and
-    the block is dropped when the next one replaces it.  Every kind is
-    checked before anything is drawn.
+    the block is dropped when the next one replaces it.  The callers
+    check every kind (_check_kind) before anything is drawn.
     """
-    for kind in planner_kinds:
-        if kind not in PLANNER_KINDS:
-            raise ValueError(f"unknown planner kind (planner_kind) {kind!r}")
-
     ss = np.random.SeedSequence(config.seed)
     arrival_rng = np.random.default_rng(ss.spawn(1)[0])
     interarrivals = arrival_rng.exponential(config.mean_interarrival_s,
@@ -165,14 +171,6 @@ def _run_admission(config: AdmissionConfig, video: VideoSpec,
     return logs
 
 
-def check_kv_values(kv_values) -> list:
-    """The request volumes as a list; each an integer in [1, MAX_COUNT]."""
-    kv_values = [check_int(kv, "kv", 1, MAX_COUNT) for kv in kv_values]
-    if not kv_values:
-        raise ValueError("kv_values must be non-empty")
-    return kv_values
-
-
 def _head_counts(records, marks: set) -> dict:
     """{n: (admitted, served) over the first n records} for each n in
     marks, in one pass over the records."""
@@ -203,12 +201,9 @@ def service_curve(kv_values, video: VideoSpec, make_traces: TraceFactory,
     held at a time.  Rows are ordered by kv (as given, duplicates kept),
     then planner, then seed.
     """
-    kv_values = check_kv_values(kv_values)
+    kv_values = check_items(kv_values, "kv_values", check_int, 1, MAX_COUNT)
     check_int(num_seeds, "num_seeds", 1, MAX_COUNT)
-    # read twice, by each seed's pass and by the rows loop
-    planner_kinds = tuple(planner_kinds)
-    if not planner_kinds:
-        raise ValueError("planner_kinds must be non-empty")
+    planner_kinds = check_items(planner_kinds, "planner_kinds", _check_kind)
     seeds = [base_config.seed + i for i in range(num_seeds)]
     marks = set(kv_values)
     counts = {}             # (planner, seed) -> {kv: (admitted, served)}
@@ -234,11 +229,14 @@ def service_curve(kv_values, video: VideoSpec, make_traces: TraceFactory,
 
 
 def summarize_curve(rows: list[dict]) -> list[dict]:
-    """Per-(kv, planner) means over seeds."""
-    keys = sorted({(r["kv"], r["planner"]) for r in rows})
+    """Per-(kv, planner) means over seeds, in (kv, planner) order; each
+    mean sums its rows in their order in `rows`."""
+    groups = {}
+    for r in rows:
+        groups.setdefault((r["kv"], r["planner"]), []).append(r)
     out = []
-    for kv, kind in keys:
-        sel = [r for r in rows if r["kv"] == kv and r["planner"] == kind]
+    for kv, kind in sorted(groups):
+        sel = groups[kv, kind]
         out.append({
             "kv": kv,
             "planner": kind,

@@ -16,8 +16,8 @@ import math
 import sys
 from dataclasses import replace
 
-from ._checks import MAX_COUNT, check_int
-from .admission import AdmissionConfig, check_kv_values
+from ._checks import MAX_COUNT, check_int, check_items
+from .admission import AdmissionConfig
 from .scenario import (ConfigError, ScenarioConfig, load_config,
                        run_buffer_sweep, run_multiuser, run_single_user)
 
@@ -62,7 +62,7 @@ def _buffer_sweep(config: ScenarioConfig, args) -> int:
 
 def _multi_user(config: ScenarioConfig, args) -> int:
     # checked first, so a bad kv is not reported as total_requests
-    kv_values = check_kv_values(args.kv)
+    kv_values = check_items(args.kv, "kv", check_int, 1, MAX_COUNT)
     admission = AdmissionConfig(total_requests=max(kv_values),
                                 mean_interarrival_s=args.mean_interarrival,
                                 available_prbs=args.available_prbs,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import (MAX_COUNT, POSITIVE, all_finite, check_array,
-                      check_fields, check_int, check_real, real_array)
+                      check_fields, check_int, check_items, check_real)
 
 
 def dbm_to_watts(dbm: float) -> float:
@@ -119,12 +119,12 @@ class ShadowingField:
         self._rng = rng
 
     def sample(self, positions_m) -> np.ndarray:
-        """Draw the field jointly at every position; same shape as input.
+        """Draw the field jointly at every position, one value each.
 
         Equal positions get equal values.  Each call is a new, independent
         realisation of the field drawn from the generator's stream, and
-        sigma_db = 0 returns zeros without drawing.  Positions may have
-        any shape, and must be finite.
+        sigma_db = 0 returns zeros without drawing.  The positions are
+        taken by check_array: a non-empty 1-D array of finite values.
 
         The AR(1) steps depend only on (positions, decorrelation_m,
         sigma_db), so they are memoized on those values (the positions by
@@ -133,18 +133,14 @@ class ShadowingField:
         floats.  rho and scale are computed by the same operations as
         without the memo, so every draw keeps its bits.
         """
-        positions = real_array(positions_m, "positions_m")
-        if positions.size and not all_finite(positions):
-            raise ValueError("shadowing positions (positions_m) must be "
-                             "finite")
+        positions = check_array(positions_m, "positions_m")
         shadowing = self.shadowing
         inverse, rho, scale = _ar1_steps(positions.tobytes(),
                                          shadowing.decorrelation_m,
                                          shadowing.sigma_db)
         if shadowing.sigma_db == 0.0:
-            return np.zeros(positions.shape)
-        values = _ar1_path(rho, scale, self._rng)
-        return np.array(values)[inverse].reshape(positions.shape)
+            return np.zeros(positions.size)
+        return np.array(_ar1_path(rho, scale, self._rng))[inverse]
 
 
 def _ar1_path(rho: tuple, scale: tuple, rng: np.random.Generator) -> list:
@@ -434,15 +430,16 @@ def _shadowing_streams(seeds: list, num_bs: int, rho: tuple,
     return values[1:].T
 
 
-def _seed_sequence(seed) -> np.random.SeedSequence:
+def _seed_sequence(seed, name: str) -> np.random.SeedSequence:
     """seed itself if a SeedSequence, else numpy's SeedSequence(seed); a
-    seed numpy refuses (a float, a negative int) is a ValueError."""
+    seed numpy refuses (a float, a negative int) is a ValueError naming
+    `name`."""
     if isinstance(seed, np.random.SeedSequence):
         return seed
     try:
         return np.random.SeedSequence(seed)
     except (TypeError, ValueError):
-        raise ValueError("seeds: each seed must be an int >= 0 or a numpy "
+        raise ValueError(f"{name} must be an int >= 0 or a numpy "
                          f"SeedSequence, got {seed!r}") from None
 
 
@@ -453,7 +450,7 @@ def build_trace(trajectory_m, bs_positions_m, budget: LinkBudget,
     """The channel trace of one user: build_traces with one seed."""
     return build_traces(trajectory_m, bs_positions_m, budget,
                         slot_duration_s, shadowing=shadowing,
-                        seeds=[seed])[0]
+                        seeds=[_seed_sequence(seed, "seed")])[0]
 
 
 def build_traces(trajectory_m, bs_positions_m, budget: LinkBudget,
@@ -481,18 +478,20 @@ def build_traces(trajectory_m, bs_positions_m, budget: LinkBudget,
     steps), _shadowing_streams and _stream_states (the streams) and
     _capacities.
 
-    slot_duration_s is checked as per_prb_bits checks it, and the
-    trajectory and BS positions by check_array, on every call and before
-    any memo lookup or draw.  The capacities are checked once per block,
-    as one (seeds, slots) array; each trace is a row of three block
-    arrays made read-only, and does not run ChannelTrace's checks again.
+    slot_duration_s is checked as per_prb_bits checks it, the trajectory
+    and BS positions by check_array, and seeds, a non-empty iterable, by
+    check_items, on every call and before any memo lookup or draw.  The
+    capacities are checked once per block, as one (seeds, slots) array;
+    each trace is a row of three block arrays made read-only, and does
+    not run ChannelTrace's checks again.
     A capacity that overflows, rounds to 0 or is not finite is a
     ValueError naming gain_db and the inputs that set it, and a seed that
-    numpy's SeedSequence refuses is a ValueError naming seeds.
+    numpy's SeedSequence refuses is a ValueError naming it, as seeds[i].
     """
     slot_duration_s = check_real(slot_duration_s, "slot_duration_s", POSITIVE)
     trajectory_m = check_array(trajectory_m, "trajectory_m")
     bs_positions_m = check_array(bs_positions_m, "bs_positions_m")
+    seeds = check_items(seeds, "seeds", _seed_sequence)
     trajectory_bytes = trajectory_m.tobytes()
     distance, path = _geometry(trajectory_bytes, bs_positions_m.tobytes(),
                                budget.min_bs_distance_m)
@@ -500,9 +499,6 @@ def build_traces(trajectory_m, bs_positions_m, budget: LinkBudget,
                                      shadowing.decorrelation_m,
                                      shadowing.sigma_db)
 
-    seeds = [_seed_sequence(s) for s in seeds]
-    if not seeds:
-        return []
     n, (num_bs, T) = len(seeds), path.shape
     if shadowing.sigma_db == 0.0:
         shadow_db = np.zeros((n, num_bs, T))

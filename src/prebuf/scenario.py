@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from ._checks import (POSITIVE, all_finite, check_fields, check_int,
-                      check_real)
+                      check_items, check_real)
 from .admission import AdmissionConfig, service_curve, summarize_curve
 from .link import (ChannelTrace, LinkBudget, ShadowingConfig, build_trace,
                    build_traces)
@@ -56,10 +56,8 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        check_int(len(self.bs_positions_m), "len(bs_positions_m)", 1)
-        vars(self)["bs_positions_m"] = tuple(
-            check_real(x, f"bs_positions_m[{i}]")
-            for i, x in enumerate(self.bs_positions_m))
+        vars(self)["bs_positions_m"] = tuple(check_items(
+            self.bs_positions_m, "bs_positions_m", check_real))
         check_fields(self, user_start_m=(check_real,),
                      user_speed_mps=(check_real, POSITIVE),
                      seed=(check_int, 0))
@@ -85,7 +83,10 @@ class ScenarioConfig:
 
         A list of seeds gives their list of traces, as make_traces does,
         so a bound make_trace also serves as an admission TraceFactory
-        (bench/workloads.py passes one).
+        (bench/workloads.py passes one).  Only a list is read as several
+        seeds: make_trace([1, 2]) is two traces, while make_trace((1, 2))
+        is one trace, seeded by the entropy (1, 2), as
+        build_trace(..., seed=[1, 2]) is.
         """
         if isinstance(seed, list):
             return self.make_traces(seed)
@@ -243,9 +244,8 @@ def run_buffer_sweep(config: ScenarioConfig, z_values_bits, out_dir) -> dict:
     frac_of_available_prbs repeats frac_of_system_prbs; it stays to keep
     the CSV layout.
     """
-    z_values = [check_real(z, f"z_values[{i}]", 0.0, math.inf)
-                for i, z in enumerate(z_values_bits)]
-    check_int(len(z_values), "len(z_values)", 1)
+    z_values = check_items(z_values_bits, "z_values_bits", check_real, 0.0,
+                           math.inf)
 
     _, _, totals = _plan_caps(config, z_values)
     prb_slots = config.video.num_slots * config.link.num_system_prbs
@@ -260,15 +260,18 @@ def run_buffer_sweep(config: ScenarioConfig, z_values_bits, out_dir) -> dict:
 
 def run_multiuser(config: ScenarioConfig, admission: AdmissionConfig,
                   kv_range, out_dir, num_seeds: int = 10) -> list[dict]:
-    """Admission experiment over request volumes; writes service_curve.csv."""
+    """Admission experiment over request volumes; writes service_curve.csv.
+
+    service_curve checks kv_range, and names it kv_values.
+    """
     rows = service_curve(kv_range, config.video, config.make_traces,
                          admission, num_seeds=num_seeds)
     means = summarize_curve(rows)
 
-    csv_rows = [[r["kv"], r["planner"], str(r["seed"]), r["admitted"],
-                 r["served"], float(r["service_rate"])] for r in rows]
+    csv_rows = [[r["kv"], r["planner"], r["seed"], r["admitted"],
+                 r["served"], r["service_rate"]] for r in rows]
     csv_rows += [[r["kv"], r["planner"], "mean", "", r["mean_served"],
-                  float(r["mean_service_rate"])] for r in means]
+                  r["mean_service_rate"]] for r in means]
     _write_csv(out_dir, "service_curve.csv",
                ["kv", "planner", "seed", "admitted", "served",
                 "service_rate"],

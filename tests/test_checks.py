@@ -16,7 +16,7 @@ from prebuf import (AdmissionConfig, ChannelTrace, LinkBudget,
                     ScenarioConfig, ShadowingConfig, VideoSpec,
                     default_video_spec, path_loss_db, per_prb_bits,
                     simulate_playback)
-from prebuf._checks import MAX_COUNT
+from prebuf._checks import MAX_COUNT, check_int, check_items, check_real
 from prebuf.link import MAX_SIGMA_DB
 
 
@@ -380,13 +380,159 @@ def real_array_calls(node, where):
 
 def test_arrays_taken_only_through_check_array():
     # every other array argument is taken by check_array, so one rule
-    # decides what a valid vector is and how its error reads; shadowing
-    # positions take any shape, and _supply_bits fuses its finiteness
-    # test with the overflow test
+    # decides what a valid vector is and how its error reads;
+    # _supply_bits fuses its finiteness test with the overflow test
     package = Path(prebuf.__file__).parent
     found = {where for path in sorted(package.glob("*.py"))
              if path.stem != "_checks"
              for where in real_array_calls(ast.parse(path.read_text()),
                                            (path.stem, None))}
-    assert found == {("link", "ShadowingField.sample"),
-                     ("planner", "_supply_bits")}
+    assert found == {("planner", "_supply_bits")}
+
+
+@pytest.mark.parametrize("values", [
+    5, 5.0, None, "ab", b"ab", np.float64(1.0), np.array(2.0), [], (),
+    np.array([]), iter(())], ids=repr)
+def test_check_items_refuses_what_is_no_sequence(values):
+    with pytest.raises(ValueError) as exc:
+        check_items(values, "xs", check_int, 0)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == ("xs must be a non-empty iterable, not a "
+                              f"string, got {values!r}")
+
+
+def test_check_items_checks_each_item_by_index():
+    assert check_items((1, np.int64(2)), "xs", check_int, 0) == [1, 2]
+    checked = check_items((x for x in [0.5, 2]), "xs", check_real, 0.0)
+    assert checked == [0.5, 2.0] and type(checked[1]) is float
+    with pytest.raises(ValueError, match=r"^xs\[2\] must be an integer "
+                                         r">= 0, got -1$"):
+        check_items([0, 1, -1], "xs", check_int, 0)
+
+
+def sweep_with(values, out):
+    prebuf.run_buffer_sweep(ScenarioConfig(), values, out)
+
+
+def curve_with(name):
+    args = {"kv_values": [3], "planner_kinds": ("baseline",)}
+    return lambda values, out: prebuf.service_curve(
+        **{**args, name: values}, video=default_video_spec(),
+        make_traces=ScenarioConfig().make_traces,
+        base_config=AdmissionConfig(total_requests=1), num_seeds=1)
+
+
+def multiuser_with(values, out):
+    prebuf.run_multiuser(ScenarioConfig(), AdmissionConfig(total_requests=1),
+                         values, out, num_seeds=1)
+
+
+def traces_with(values, out):
+    prebuf.build_traces([35.0, 40.0], [0.0, 550.0], LinkBudget(), 1 / 6,
+                        seeds=values)
+
+
+# Every sequence argument, as a call of that one argument (and an output
+# directory) with the others valid, the name its error gives and values
+# that are no non-empty sequence.  run_multiuser hands its kv_range to
+# service_curve, which names it kv_values.
+SEQUENCE_ARGS = {
+    "run_buffer_sweep": (sweep_with, "z_values_bits", [5.0, None]),
+    "service_curve-kv": (curve_with("kv_values"), "kv_values", [5]),
+    "service_curve-kinds": (curve_with("planner_kinds"), "planner_kinds",
+                            [5, "baseline"]),
+    "run_multiuser": (multiuser_with, "kv_values", [5]),
+    "make_traces": (lambda values, out: ScenarioConfig().make_traces(values),
+                    "seeds", [3]),
+    "build_traces": (traces_with, "seeds", [5]),
+    "ScenarioConfig": (lambda values, out: ScenarioConfig(
+        bs_positions_m=values), "bs_positions_m", [5.0]),
+}
+
+
+@pytest.mark.parametrize("call, name, values", [
+    pytest.param(call, name, values, id=f"{case}-{values!r}")
+    for case, (call, name, bad) in SEQUENCE_ARGS.items()
+    for values in [*bad, []]])
+def test_sequence_argument_refused_before_any_output(tmp_path, monkeypatch,
+                                                     call, name, values):
+    # no trace is built: every block's capacities pass through _capacities
+    def unreachable(*args, **kwargs):
+        pytest.fail("a trace was built for a bad sequence argument")
+
+    monkeypatch.setattr(prebuf.link, "_capacities", unreachable)
+    out = tmp_path / "out"
+    with pytest.raises(ValueError) as exc:
+        call(values, out)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == (f"{name} must be a non-empty iterable, not a "
+                              f"string, got {values!r}")
+    assert not out.exists()
+
+
+def test_sequence_items_named_by_index():
+    with pytest.raises(ValueError, match=r"^z_values_bits\[1\] must be"):
+        sweep_with([0.0, -1.0], None)
+    with pytest.raises(ValueError,
+                       match=r"^unknown planner kind \(planner_kinds\[1\]\) "
+                             r"'psychic'$"):
+        curve_with("planner_kinds")(["baseline", "psychic"], None)
+    with pytest.raises(ValueError,
+                       match=r"^unknown planner kind \(planner_kind\) 'b'$"):
+        prebuf.run_admission(AdmissionConfig(total_requests=1),
+                             default_video_spec(),
+                             ScenarioConfig().make_traces, "b")
+    with pytest.raises(ValueError, match=r"^seeds\[1\] must be an int >= 0"):
+        traces_with([0, -1], None)
+    with pytest.raises(ValueError, match=r"^seed must be an int >= 0"):
+        ScenarioConfig().make_trace(-1)
+
+
+# The checks of one item; a loop or comprehension over an argument that
+# calls one of them checks the argument's items itself.
+ITEM_CHECKS = {"check_int", "check_real", "_seed_sequence", "_check_kind"}
+COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def is_argument(node, params):
+    """True if node is a parameter, a field self.name, or enumerate of
+    one of those."""
+    if isinstance(node, ast.Call) and node.args \
+            and getattr(node.func, "id", None) == "enumerate":
+        node = node.args[0]
+    if isinstance(node, ast.Attribute):
+        return getattr(node.value, "id", None) == "self"
+    return isinstance(node, ast.Name) and node.id in params
+
+
+def item_check_loops(node, where, params=frozenset()):
+    """(module, enclosing function) of every loop or comprehension under
+    node that runs over an argument and calls an item check."""
+    for child in ast.iter_child_nodes(node):
+        inner, inner_params = where, params
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            name = child.name if where[1] is None \
+                else f"{where[1]}.{child.name}"
+            inner = (where[0], name)
+        if isinstance(child, ast.FunctionDef):
+            args = child.args
+            inner_params = {arg.arg for arg in [
+                *args.posonlyargs, *args.args, *args.kwonlyargs]}
+        loops = (child.generators if isinstance(child, COMPREHENSIONS)
+                 else [child] if isinstance(child, ast.For) else [])
+        if any(is_argument(loop.iter, params) for loop in loops) and any(
+                getattr(getattr(n, "func", None), "id", None) in ITEM_CHECKS
+                for n in ast.walk(child)):
+            yield where
+        yield from item_check_loops(child, inner, inner_params)
+
+
+def test_sequences_taken_only_through_check_items():
+    # every sequence argument is taken by check_items, so one rule decides
+    # what a valid sequence is and how its error reads
+    package = Path(prebuf.__file__).parent
+    found = {where for path in sorted(package.glob("*.py"))
+             if path.stem != "_checks"
+             for where in item_check_loops(ast.parse(path.read_text()),
+                                           (path.stem, None))}
+    assert found == set()

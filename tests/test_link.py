@@ -47,8 +47,8 @@ class TestShadowing:
     def test_zero_sigma_is_zero(self):
         rng = np.random.default_rng(3)
         f = ShadowingField(rng, shadowing=UNSHADOWED)
-        assert f.sample(123.4) == 0.0
-        assert f.sample(0.0) == 0.0
+        assert f.sample([123.4]).tolist() == [0.0]
+        assert f.sample([0.0]).tolist() == [0.0]
         assert np.array_equal(f.sample([1.0, 2.0]), np.zeros(2))
         # and draws nothing from the generator
         assert rng.standard_normal() \
@@ -94,20 +94,26 @@ class TestShadowing:
                 f.sample(positions)
 
     def test_empty_positions(self):
-        f = ShadowingField(np.random.default_rng(2))
-        assert f.sample([]).shape == (0,)
+        # positions are taken by check_array: non-empty and 1-D
+        for sigma_db in (10.0, 0.0):
+            f = ShadowingField(np.random.default_rng(2),
+                               shadowing=ShadowingConfig(sigma_db))
+            for positions in ([], 5.0, [[0.0, 1.0]]):
+                with pytest.raises(ValueError, match=r"positions_m must be "
+                                   r"1-D with at least 1 element"):
+                    f.sample(positions)
 
     def test_same_seed_same_stream(self):
         positions = [5.0, 105.0, 55.0, 300.0]
         a = ShadowingField(np.random.default_rng(11))
         b = ShadowingField(np.random.default_rng(11))
-        assert [a.sample(p) for p in positions] \
-            == [b.sample(p) for p in positions]
+        assert [a.sample([p]).tolist() for p in positions] \
+            == [b.sample([p]).tolist() for p in positions]
 
     def test_monte_carlo_std(self):
         # widely separated positions are near-independent draws
         f = ShadowingField(np.random.default_rng(0))
-        samples = [f.sample(i * 10_000.0) for i in range(10_000)]
+        samples = [f.sample([i * 10_000.0])[0] for i in range(10_000)]
         assert 9.0 <= np.std(samples) <= 11.0
 
     def test_nearby_positions_strongly_correlated(self):
@@ -521,8 +527,10 @@ class TestBuildTraces:
         assert np.array_equal(ss.generate_state(4), state)
 
     def test_no_seeds_still_checked(self):
+        # an empty block is refused, after the arguments before it
         args = (self.TRAJ, [0.0, 550.0], LinkBudget(), SLOT_S)
-        assert build_traces(*args, seeds=[]) == []
+        with pytest.raises(ValueError, match="^seeds must be a non-empty"):
+            build_traces(*args, seeds=[])
         with pytest.raises(ValueError, match="slot_duration_s"):
             build_traces(*args[:3], 0.0, seeds=[])
 

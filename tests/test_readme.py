@@ -71,6 +71,17 @@ def test_layout_table_rows_are_the_package_modules_and_existing_files():
         assert (ROOT / path).is_file(), path
 
 
+def test_checks_row_names_every_check():
+    row, = re.findall(r"^\| `prebuf\._checks` \|(.*)$", section("Layout"),
+                      re.M)
+    named = set(re.findall(r"`(\w+)`", row))
+    checks = MODULES["_checks"]
+    functions = {name for name, value in vars(checks).items()
+                 if callable(value) and value.__module__ == checks.__name__}
+    assert functions <= named
+    assert named - {"int", "float"} <= set(vars(checks))
+
+
 def test_quoted_constants_equal_the_code():
     quoted = QUOTED.findall(README)
     assert {"TRACE_BLOCK", "MAX_COUNT", "MAX_LEDGER_SLOTS"} <= {

@@ -525,7 +525,7 @@ class TestCli:
                    "--out", str(out)])
         err = capsys.readouterr().err
         assert rc == 1
-        assert err.startswith("config error: kv must be")
+        assert err.startswith("config error: kv[0] must be")
         assert not out.exists()
 
     @pytest.mark.parametrize("text, named", [
@@ -686,9 +686,9 @@ class TestCli:
          "--z-max-multiple"),
         (["buffer-sweep", "--z-max-multiple", "-1"], "--z-max-multiple"),
         (["multi-user", "--kv", str(MAX_COUNT + 1), "--num-seeds", "1"],
-         "kv"),
+         "kv[0]"),
         (["multi-user", "--kv", "99999999999999999999", "--num-seeds", "1"],
-         "kv"),
+         "kv[0]"),
         (["multi-user", "--kv", "2", "--num-seeds", str(MAX_COUNT + 1)],
          "num_seeds"),
     ], ids=["z-max-multiple", "z-max-multiple-negative", "kv", "kv-huge",
