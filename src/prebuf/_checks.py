@@ -99,12 +99,12 @@ def check_items(values, name: str, check, *bounds) -> list:
 
 
 def real_array(values, name: str) -> np.ndarray:
-    """values as a float64 array (itself if it is one); complex values and
-    values numpy cannot read as reals, such as an int too large for a
-    float, are a ValueError naming `name`."""
+    """values as a float64 array (itself if it is one); bool and complex
+    arrays, and values numpy cannot read as reals, such as an int too
+    large for a float, are a ValueError naming `name`."""
     try:
         array = np.asarray(values)
-        if array.dtype.kind != "c":
+        if array.dtype.kind not in "bc":
             return np.asarray(array, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{name} must be real numbers: {exc}") from None

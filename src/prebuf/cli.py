@@ -115,9 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_scenario(args) -> ScenarioConfig:
-    # an empty path (an unset shell variable, say) is not the defaults
-    if args.config == "":
-        raise ConfigError("argument --config: empty path")
     config = (ScenarioConfig() if args.config is None
               else load_config(args.config))
     if args.seed is not None:

@@ -431,14 +431,14 @@ def _shadowing_streams(seeds: list, num_bs: int, rho: tuple,
 
 
 def _seed_sequence(seed, name: str) -> np.random.SeedSequence:
-    """seed itself if a SeedSequence, else numpy's SeedSequence(seed); a
-    seed numpy refuses (a float, a negative int) is a ValueError naming
-    `name`."""
+    """seed itself if a SeedSequence, else SeedSequence(seed) of an int
+    seed >= 0 under check_int's rule; anything else (a bool, a float, a
+    negative int, a sequence) is a ValueError naming `name`."""
     if isinstance(seed, np.random.SeedSequence):
         return seed
     try:
-        return np.random.SeedSequence(seed)
-    except (TypeError, ValueError):
+        return np.random.SeedSequence(check_int(seed, name, 0))
+    except ValueError:
         raise ValueError(f"{name} must be an int >= 0 or a numpy "
                          f"SeedSequence, got {seed!r}") from None
 
@@ -486,7 +486,8 @@ def build_traces(trajectory_m, bs_positions_m, budget: LinkBudget,
     not run ChannelTrace's checks again.
     A capacity that overflows, rounds to 0 or is not finite is a
     ValueError naming gain_db and the inputs that set it, and a seed that
-    numpy's SeedSequence refuses is a ValueError naming it, as seeds[i].
+    is neither an int >= 0 nor a SeedSequence is a ValueError naming it,
+    as seeds[i].
     """
     slot_duration_s = check_real(slot_duration_s, "slot_duration_s", POSITIVE)
     trajectory_m = check_array(trajectory_m, "trajectory_m")

@@ -18,7 +18,7 @@ from math import inf
 
 import numpy as np
 
-from ._checks import check_shape, real_array
+from ._checks import check_array
 from .link import ChannelTrace
 from .playout import VideoSpec
 
@@ -40,24 +40,18 @@ class AllocationPlan:
 def _supply_bits(spec: VideoSpec, trace: ChannelTrace,
                  residual_prbs) -> np.ndarray:
     """Check the inputs; return each slot's supply bits_per_prb * residual."""
-    residual = real_array(residual_prbs, "residual_prbs")
     if trace.num_slots != spec.num_slots:
         raise ValueError(
             f"trace covers {trace.num_slots} slots, video needs "
             f"{spec.num_slots}")
-    check_shape(residual, "residual_prbs", spec.num_slots)
-    # check_array's finiteness test, fused to keep the max for the
-    # overflow test: a NaN fails both comparisons, -inf the first and inf
-    # the second.
-    top = float(residual.max())
-    if not (residual.min() >= 0.0 and top < inf):
-        raise ValueError("residual_prbs must be finite and non-negative")
+    residual = check_array(residual_prbs, "residual_prbs", spec.num_slots,
+                           0.0)
     # Both factors are finite and >= 0, so no slot's product overflows if
     # the product of the maxima, in Python floats, is finite; otherwise
     # a product is inf only where it overflowed, which is reported here
     # rather than warned by numpy.
     c = trace.bits_per_prb
-    if float(c.max()) * top < inf:
+    if float(c.max()) * float(residual.max()) < inf:
         return c * residual
     with np.errstate(over="ignore"):
         supply = c * residual

@@ -83,10 +83,8 @@ class ScenarioConfig:
 
         A list of seeds gives their list of traces, as make_traces does,
         so a bound make_trace also serves as an admission TraceFactory
-        (bench/workloads.py passes one).  Only a list is read as several
-        seeds: make_trace([1, 2]) is two traces, while make_trace((1, 2))
-        is one trace, seeded by the entropy (1, 2), as
-        build_trace(..., seed=[1, 2]) is.
+        (bench/workloads.py passes one).  Any other seed is one seed,
+        checked as build_trace checks it.
         """
         if isinstance(seed, list):
             return self.make_traces(seed)

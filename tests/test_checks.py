@@ -320,12 +320,29 @@ def test_array_shape_rejected(name, call, fixed_length, values):
                               f"{values.shape}")
 
 
+@pytest.mark.parametrize("name, call, fixed_length, values", [
+    pytest.param(*arg, values, id=case_id + suffix)
+    for arg, case_id in zip(ARRAY_ARGS, ARRAY_IDS)
+    for suffix, values in [("", GOOD), ("-bool-and-floats",
+                                         [True, *GOOD[1:]])]])
+def test_array_of_right_shape_accepted(name, call, fixed_length, values):
+    # the shape cases above fail on their shape alone; numpy reads a bool
+    # among floats as a float
+    call(values)
+
+
+@pytest.mark.parametrize("values", [np.ones(ARRAY_SLOTS, dtype=bool),
+                                    [True] * ARRAY_SLOTS],
+                         ids=["array", "list"])
 @pytest.mark.parametrize("name, call, fixed_length",
                          [pytest.param(*arg, id=case_id)
                           for arg, case_id in zip(ARRAY_ARGS, ARRAY_IDS)])
-def test_array_of_right_shape_accepted(name, call, fixed_length):
-    # the shape cases above fail on their shape alone
-    call(GOOD)
+def test_bool_array_rejected(name, call, fixed_length, values):
+    # bools are no real numbers, as check_real and check_int hold
+    with pytest.raises(ValueError) as exc:
+        call(values)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == f"{name} must be real numbers, got bool"
 
 
 def test_row_plan_names_its_shape():
@@ -364,11 +381,11 @@ def test_nonfinite_trace_refused():
 
 
 def real_array_calls(node, where):
-    """(module, enclosing function) of every real_array call under node;
-    a method is named Class.method."""
+    """(module, enclosing function) of every real_array or check_shape
+    call under node; a method is named Class.method."""
     for child in ast.iter_child_nodes(node):
-        if isinstance(child, ast.Call) \
-                and getattr(child.func, "id", None) == "real_array":
+        if isinstance(child, ast.Call) and getattr(child.func, "id", None) \
+                in ("real_array", "check_shape"):
             yield where
         inner = where
         if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
@@ -379,15 +396,14 @@ def real_array_calls(node, where):
 
 
 def test_arrays_taken_only_through_check_array():
-    # every other array argument is taken by check_array, so one rule
-    # decides what a valid vector is and how its error reads;
-    # _supply_bits fuses its finiteness test with the overflow test
+    # every array argument is taken by check_array, so one rule decides
+    # what a valid vector is and how its error reads
     package = Path(prebuf.__file__).parent
     found = {where for path in sorted(package.glob("*.py"))
              if path.stem != "_checks"
              for where in real_array_calls(ast.parse(path.read_text()),
                                            (path.stem, None))}
-    assert found == {("planner", "_supply_bits")}
+    assert found == set()
 
 
 @pytest.mark.parametrize("values", [
@@ -486,6 +502,55 @@ def test_sequence_items_named_by_index():
         traces_with([0, -1], None)
     with pytest.raises(ValueError, match=r"^seed must be an int >= 0"):
         ScenarioConfig().make_trace(-1)
+
+
+def build_trace_with(seed):
+    return prebuf.build_trace([35.0, 40.0], [0.0, 550.0], LinkBudget(),
+                              1 / 6, seed=seed)
+
+
+# Every seed argument, as a call of one seed, and the name its error
+# gives; a list given to make_trace is a list of seeds, so its items are
+# the seeds there.
+SEED_ARGS = {
+    "build_trace": (build_trace_with, "seed"),
+    "make_trace": (ScenarioConfig().make_trace, "seed"),
+    "build_traces": (lambda seed: traces_with([seed], None), "seeds[0]"),
+    "make_traces": (lambda seed: ScenarioConfig().make_traces([seed]),
+                    "seeds[0]"),
+}
+# a bool, and sequences numpy would read as the entropy of one seed
+NO_SEEDS = [True, (1, 2), [1, 2], np.array([1, 2])]
+
+
+@pytest.mark.parametrize("call, name, seed", [
+    pytest.param(call, name, seed, id=f"{case}-{seed!r}")
+    for case, (call, name) in SEED_ARGS.items() for seed in NO_SEEDS
+    if not (case == "make_trace" and isinstance(seed, list))])
+def test_seed_is_an_int_or_a_seed_sequence(monkeypatch, call, name, seed):
+    def unreachable(*args, **kwargs):
+        pytest.fail("a trace was built for a bad seed")
+
+    monkeypatch.setattr(prebuf.link, "_capacities", unreachable)
+    with pytest.raises(ValueError) as exc:
+        call(seed)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == (f"{name} must be an int >= 0 or a numpy "
+                              f"SeedSequence, got {seed!r}")
+
+
+def test_make_trace_reads_a_list_as_seeds():
+    cfg = ScenarioConfig()
+    traces = cfg.make_trace([1, 2])
+    assert len(traces) == 2
+    for built, batch in zip(traces, cfg.make_traces([1, 2])):
+        for column in ("distances_m", "gain_db", "bits_per_prb"):
+            assert getattr(built, column).tobytes() \
+                == getattr(batch, column).tobytes()
+    with pytest.raises(ValueError, match=r"^seeds\[0\] must be an int >= 0 "
+                                         r"or a numpy SeedSequence, got "
+                                         r"\[1, 2\]$"):
+        cfg.make_trace([[1, 2]])
 
 
 # The checks of one item; a loop or comprehension over an argument that

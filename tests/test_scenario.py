@@ -585,7 +585,7 @@ class TestCli:
         rc = main([command, "--config", "", "--out", str(out)])
         captured = capsys.readouterr()
         assert (rc, captured.out, captured.err) \
-            == (1, "", "config error: argument --config: empty path\n")
+            == (1, "", "config error: config path is empty\n")
         assert not out.exists()
 
     def test_multi_user_defaults_are_admission_config_defaults(self):
