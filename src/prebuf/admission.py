@@ -19,7 +19,10 @@ from ._checks import (MAX_COUNT, POSITIVE, check_fields, check_int,
                       check_items, check_real)
 from .link import ChannelTrace
 from .planner import plan_anticipatory, plan_baseline
-from .playout import VideoSpec, simulate_playback
+from .playout import VideoSpec, _fold_playback
+# simulate_playback is unused here but kept as a module attribute: the
+# benchmark tracer patches prebuf.admission.simulate_playback by name.
+from .playout import simulate_playback  # noqa: F401
 
 # Builds the channel traces of a block of user seeds, one per seed.
 TraceFactory = Callable[[Sequence[np.random.SeedSequence]],
@@ -109,7 +112,10 @@ def _run_admission(config: AdmissionConfig, video: VideoSpec,
     The arrivals are drawn and each block of traces is built once; every
     planner then runs over the block's users against its own ledger, and
     the block is dropped when the next one replaces it.  The callers
-    check every kind (_check_kind) before anything is drawn.
+    check every kind (_check_kind) before anything is drawn.  Each
+    admitted plan's outage count is the number of stalls that
+    _fold_playback, the buffer recursion simulate_playback also runs,
+    finds in it; only that count is kept.
     """
     ss = np.random.SeedSequence(config.seed)
     arrival_rng = np.random.default_rng(ss.spawn(1)[0])
@@ -165,9 +171,12 @@ def _run_admission(config: AdmissionConfig, video: VideoSpec,
                 if window.min() < -1e-7:
                     raise RuntimeError("spectrum ledger driven negative")
                 np.maximum(window, 0.0, out=window)      # drop rounding dust
-                timeline = simulate_playback(plan.received_bits, video)
+                # the planners' received bits are finite, >= 0 and T long,
+                # so they are played without simulate_playback's checks
+                stalls = _fold_playback(plan.received_bits.tolist(),
+                                        video.bits_per_slot)[1]
                 log.records.append(RequestRecord(arrival_times[k], a, True,
-                                                 timeline.num_outages))
+                                                 len(stalls)))
     return logs
 
 

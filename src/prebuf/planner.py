@@ -20,7 +20,7 @@ import numpy as np
 
 from ._checks import check_array
 from .link import ChannelTrace
-from .playout import VideoSpec
+from .playout import PLAYABLE_SHARE, VideoSpec
 
 
 @dataclass(frozen=True)
@@ -151,9 +151,11 @@ def plan_baseline(spec: VideoSpec, trace: ChannelTrace,
     no pre-buffering: each slot requests exactly one slot of video,
     truncated to the spectrum still available.  Short slots surface as
     outages in simulation; the plan is marked infeasible if any occurred.
+    No slot receives more than bits_per_slot, so nothing is buffered and
+    the first stall is the first slot short of playback's playable share.
     """
     cap_bits = _supply_bits(spec, trace, residual_prbs)
     r = np.minimum(spec.bits_per_slot, cap_bits)
-    short = r.min() < spec.bits_per_slot
+    short = r.min() < spec.bits_per_slot * PLAYABLE_SHARE
     return AllocationPlan(r, np.zeros(spec.num_slots - 1),
                           r / trace.bits_per_prb, not bool(short))

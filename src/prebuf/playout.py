@@ -49,29 +49,28 @@ class BufferTimeline:
         return int(np.count_nonzero(self.outage_flags))
 
 
-def simulate_playback(plan_received, spec: VideoSpec) -> BufferTimeline:
-    """Fold the buffer recursion over a full received-bits plan.
+# Least share of bits_per_slot that plays a slot.  The 1e-9 relative
+# slack lets plans meeting the no-outage equalities up to rounding play
+# through sub-microbit shortfalls; plan_baseline's feasible flag uses it
+# too, so a plan is feasible iff it plays without a stall.
+PLAYABLE_SHARE = 1.0 - 1e-9
 
-    Ground truth for any allocation plan: a plan is good iff this reports
-    zero outages.  Carry-over beyond spec.max_carryover_bits is flagged on
-    the timeline (planner bug or hand-made plan), never clipped.
+
+def _fold_playback(received: list, v: float) -> tuple[list, list, float]:
+    """One pass of the buffer recursion over a received-bits list: the
+    carry entering each slot, the stalled slots and the final carry.
+
+    The recursion is kept slot by slot as step_buffer in tests/oracles.py.
+    It has two callers: simulate_playback, after its input checks, and
+    admission, on the plans its own planners built.  It keeps only the
+    carry and the stalls: the outage flags follow from the stalls, and
+    the cap test from the carry list and the final carry.
     """
-    received = check_array(plan_received, "plan_received", spec.num_slots,
-                           0.0)
-
-    # One pass of the buffer recursion (kept slot by slot as step_buffer
-    # in tests/oracles.py); the inputs are checked above.  The outage test
-    # has a 1e-9 relative slack so that plans meeting the no-outage
-    # equalities up to rounding do not stall on sub-microbit shortfalls.
-    # The pass keeps only the carry and the stalled slots: the outage
-    # flags follow from the stalls, and the cap test from the carry list
-    # and the final carry z.
-    v = spec.bits_per_slot
-    need = v * (1.0 - 1e-9)
-    carry = [0.0] * spec.num_slots
+    need = v * PLAYABLE_SHARE
+    carry = [0.0] * len(received)
     stalls = []
     z = 0.0
-    for t, r in enumerate(received.tolist()):
+    for t, r in enumerate(received):
         carry[t] = z
         total = r + z
         if total >= need:
@@ -82,6 +81,23 @@ def simulate_playback(plan_received, spec: VideoSpec) -> BufferTimeline:
         else:
             z = total
             stalls.append(t)
+    return carry, stalls, z
+
+
+def simulate_playback(plan_received, spec: VideoSpec) -> BufferTimeline:
+    """Fold the buffer recursion over a full received-bits plan.
+
+    Ground truth for any allocation plan: a plan is good iff this reports
+    zero outages.  Carry-over beyond spec.max_carryover_bits is flagged on
+    the timeline (planner bug or hand-made plan), never clipped.  The
+    plan is checked here and then played by _fold_playback, the one
+    buffer recursion, which admission also calls to count each admitted
+    plan's stalls.
+    """
+    received = check_array(plan_received, "plan_received", spec.num_slots,
+                           0.0)
+    v = spec.bits_per_slot
+    carry, stalls, z = _fold_playback(received.tolist(), v)
     limit = spec.max_carryover_bits + 1e-6 * v
     exceeded = bool(max(carry) > limit) or z > limit
     outage = np.zeros(spec.num_slots, dtype=bool)

@@ -5,8 +5,8 @@ enumerates basic solutions geometrically instead of pivoting, and the
 planner oracle scans a one-dimensional feasible family directly.  The
 `*_numpy` and `*_loop` functions are earlier forms of fast paths, kept as
 byte-for-byte references, `step_buffer` is the one-slot buffer step that
-`simulate_playback` runs inline, and `build_buffer_matrix` states the
-planner's LP for the LP solvers.
+`_fold_playback` runs inline for `simulate_playback` and admission, and
+`build_buffer_matrix` states the planner's LP for the LP solvers.
 """
 
 import math

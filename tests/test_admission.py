@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 
 import prebuf.admission
-from prebuf import (AdmissionConfig, ChannelTrace, LinkBudget,
-                    ScenarioConfig, ShadowingConfig, VideoSpec, build_traces,
-                    run_admission, service_curve, summarize_curve)
+from prebuf import (AdmissionConfig, AllocationPlan, ChannelTrace,
+                    LinkBudget, ScenarioConfig, ShadowingConfig, VideoSpec,
+                    build_traces, run_admission, service_curve,
+                    simulate_playback, summarize_curve)
 from prebuf.admission import MAX_COUNT, MAX_LEDGER_SLOTS, PLANNER_KINDS
 from prebuf.cli import main
 
@@ -142,6 +143,52 @@ class TestRunAdmission:
                             "baseline")
         assert [(r.admitted, r.served) for r in log.records] \
             == [(admitted, admitted)]
+
+    @pytest.mark.parametrize("kind", PLANNER_KINDS)
+    def test_outage_counts_match_simulate_playback(self, shadowed_scenario,
+                                                   monkeypatch, kind):
+        # admission plays its planners' plans without simulate_playback's
+        # checks; each admitted record's count is still its timeline's
+        plans = capture_plans(monkeypatch)
+        video = shadowed_scenario.video
+        cfg = AdmissionConfig(total_requests=25, available_prbs=15, seed=1)
+        log = run_admission(cfg, video, shadowed_scenario.make_traces, kind)
+        admitted = [rec for rec in log.records if rec.admitted]
+        kept = [p for p in plans if kind == "baseline" or p.feasible]
+        assert len(kept) == len(admitted) > 0
+        counts = [simulate_playback(plan.received_bits, video).num_outages
+                  for plan in kept]
+        assert [rec.outage_count for rec in admitted] == counts
+        assert (sum(counts) > 0) == (kind == "baseline")
+
+    @pytest.mark.parametrize("overdraw, raises", [(1e-5, True),
+                                                  (1e-9, False)])
+    def test_broken_ledger_guard_boundary(self, scenario, monkeypatch,
+                                          overdraw, raises):
+        # A planner that claims more than the window holds breaks the
+        # ledger; past 1e-7 PRB that raises, within it is rounding dust
+        # clamped to 0.
+        video = scenario.video
+        T = video.num_slots
+
+        def overdrawing(spec, trace, residual):
+            prbs = np.array(residual)
+            prbs[0] += overdraw
+            return AllocationPlan(np.full(T, video.bits_per_slot),
+                                  np.zeros(T - 1), prbs, True)
+
+        monkeypatch.setattr(prebuf.admission, "plan_baseline", overdrawing)
+        cfg = AdmissionConfig(total_requests=1, available_prbs=15)
+        if raises:
+            with pytest.raises(RuntimeError,
+                               match="spectrum ledger driven negative"):
+                run_admission(cfg, video, scenario.make_traces, "baseline")
+            return
+        log = run_admission(cfg, video, scenario.make_traces, "baseline")
+        rec, = log.records
+        assert rec.served
+        a = rec.arrival_slot
+        assert np.all(log.residual_prbs_timeline[a:a + T] == 0.0)
 
     def test_anticipatory_dominates_baseline(self, shadowed_scenario):
         video = shadowed_scenario.video

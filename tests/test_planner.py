@@ -461,6 +461,18 @@ class TestPlanBaseline:
         timeline = simulate_playback(plan.received_bits, make_spec(4, 5 * V))
         assert timeline.num_outages == 1
 
+    @pytest.mark.parametrize("short, feasible", [(1e-10, True),
+                                                 (1e-8, False)])
+    def test_feasible_iff_playback_finds_no_stall(self, short, feasible):
+        # a slot short by less than playback's 1e-9 V slack plays, so the
+        # plan is feasible; a larger shortfall stalls
+        trace = trace_from_capacity([1.0] * 4)
+        spec = make_spec(4, 0.0)
+        plan = plan_baseline(spec, trace, [V * (1 - short)] * 4)
+        assert plan.feasible == feasible
+        timeline = simulate_playback(plan.received_bits, spec)
+        assert (timeline.num_outages == 0) == feasible
+
     def test_two_slot_instance_total(self):
         trace = trace_from_capacity([2e6, 0.5e6])
         spec = VideoSpec(bits_per_slot=1e6, slot_duration_s=1 / 6,
@@ -501,7 +513,10 @@ def plan_contract_cases():
 
 def check_plan_contract(fn, args):
     """The call returns or raises a ValueError naming an argument or a
-    parameter of fn; any other error or a warning fails."""
+    parameter of fn; any other error or a warning fails.  A planner's
+    received bits are float64, finite, >= 0 and num_slots long, which
+    admission relies on when it plays them without simulate_playback's
+    checks."""
     names = [*args, *inspect.signature(fn).parameters]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -512,11 +527,17 @@ def check_plan_contract(fn, args):
             spec = VideoSpec(**{name: args[name] for name in CONTRACT_VIDEO})
             if fn is simulate_playback:
                 fn(args["plan_received"], spec)
-            else:
-                fn(spec, trace_from_capacity(args["bits_per_prb"]),
-                   args["residual_prbs"])
+                return
+            plan = fn(spec, trace_from_capacity(args["bits_per_prb"]),
+                      args["residual_prbs"])
         except ValueError as e:
             assert any(name in str(e) for name in names), (fn, args, str(e))
+            return
+    received = plan.received_bits
+    assert received.dtype == np.float64, (fn, args)
+    assert received.shape == (spec.num_slots,), (fn, args)
+    assert np.all(np.isfinite(received)) and received.min() >= 0.0, \
+        (fn, args)
 
 
 # Planner calls with float32 maxima in a field and in a capacity: in float32

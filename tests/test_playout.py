@@ -5,6 +5,7 @@ from oracles import step_buffer
 
 from prebuf import (LinkBudget, VideoSpec, build_trace, plan_anticipatory,
                     plan_baseline, simulate_playback)
+from prebuf.playout import _fold_playback
 
 V = 250_000.0
 
@@ -98,6 +99,37 @@ class TestSimulatePlayback:
         assert timeline.carryover_limit_exceeded
         assert timeline.carryover_bits[1] == pytest.approx(2 * V)
 
+    # V = 1e6 and Z = 4e6 make the cap with its 1e-6 V slack exactly
+    # 4000001.0; a carry at it is not flagged, one ulp above it is.
+    CAP_V, CAP_Z = 1e6, 4e6
+
+    @pytest.mark.parametrize("above", [False, True])
+    def test_carry_entering_a_slot_at_the_cap(self, above):
+        first = 5_000_001.0
+        if above:
+            first = np.nextafter(first, np.inf)
+        received = [first, 0.0, 0.0, 0.0, 0.0]
+        spec = VideoSpec(bits_per_slot=self.CAP_V, slot_duration_s=1 / 6,
+                         num_slots=5, max_carryover_bits=self.CAP_Z)
+        timeline = simulate_playback(received, spec)
+        assert (timeline.carryover_bits[1] > 4_000_001.0) == above
+        assert timeline.carryover_bits[1] >= 4_000_001.0
+        assert timeline.final_carryover_bits < 2.0      # the cap is not met
+        assert timeline.num_outages == 0
+        assert timeline.carryover_limit_exceeded == above
+
+    @pytest.mark.parametrize("above", [False, True])
+    def test_final_carry_at_the_cap(self, above):
+        received = [5_000_001.0]
+        if above:
+            received = [np.nextafter(received[0], np.inf)]
+        spec = VideoSpec(bits_per_slot=self.CAP_V, slot_duration_s=1 / 6,
+                         num_slots=1, max_carryover_bits=self.CAP_Z)
+        timeline = simulate_playback(received, spec)
+        assert (timeline.final_carryover_bits > 4_000_001.0) == above
+        assert timeline.final_carryover_bits >= 4_000_001.0
+        assert timeline.carryover_limit_exceeded == above
+
     def test_deterministic(self):
         received = [1.7 * V, 0.3 * V, V]
         a = simulate_playback(received, spec_for(received))
@@ -184,6 +216,33 @@ class TestPlaybackAgainstStepBuffer:
         spec = spec_for(received, z_cap=z_cap)
         assert_same_timeline(simulate_playback(received, spec), received,
                              spec)
+
+
+class TestFoldAgainstStepBuffer:
+    """The one buffer recursion that simulate_playback and admission
+    share, bit for bit against a plain fold of step_buffer."""
+
+    @given(st.lists(st.floats(min_value=0, max_value=4 * V),
+                    min_size=1, max_size=12),
+           st.sampled_from([V, 1e6, 3.0]))
+    @example([V, 2 * V, 0.0, V], V)                     # no stall
+    @example([1.5 * V, 0.0, 0.0, V], V)                 # slots 1, 2 stall
+    @example([V * (1.0 - 1e-9), 0.0, 2.5 * V], V)       # exactly at the slack
+    @example([V * (1.0 - 1e-10)], V)    # plays, leaving exactly 0.0
+    def test_fold_bit_identical(self, received, v):
+        carry, stalls, final = _fold_playback(received, v)
+        spec = VideoSpec(bits_per_slot=v, slot_duration_s=1 / 6,
+                         num_slots=len(received), max_carryover_bits=np.inf)
+        want_carry, want_outage, want_final, _ = fold_step_buffer(received,
+                                                                  spec)
+        assert type(final) is float
+        assert_same_bytes(np.array(carry), want_carry)
+        assert stalls == np.flatnonzero(want_outage).tolist()
+        assert_same_bytes(np.array(final), np.array(want_final))
+
+    def test_examples_cover_both_outcomes(self):
+        assert _fold_playback([V, 2 * V, 0.0, V], V)[1] == []
+        assert _fold_playback([1.5 * V, 0.0, 0.0, V], V)[1] == [1, 2]
 
 
 class TestVideoSpecValidation:

@@ -63,11 +63,20 @@ MUTANTS = [
            "tol = 1e-6 * V"),
     Mutant("front-ran-out", "planner.py", "if supply[best] <= tol:",
            "if supply[best] <= 0.0:"),
-    Mutant("outage-slack", "playout.py", "need = v * (1.0 - 1e-9)",
-           "need = v * (1.0 - 1e-6)"),
+    Mutant("outage-slack", "playout.py", "PLAYABLE_SHARE = 1.0 - 1e-9",
+           "PLAYABLE_SHARE = 1.0 - 1e-6"),
     Mutant("baseline-first-slot-slack", "admission.py",
            "admitted = needed_now <= window[0] + 1e-9",
            "admitted = needed_now <= window[0] + 1e-3"),
+    Mutant("carry-cap-entry", "playout.py", "max(carry) > limit",
+           "max(carry) >= limit"),
+    Mutant("carry-cap-final", "playout.py", "or z > limit",
+           "or z >= limit"),
+    Mutant("ledger-guard", "admission.py", "if window.min() < -1e-7:",
+           "if window.min() < -1e-3:"),
+    Mutant("baseline-feasible-slack", "planner.py",
+           "short = r.min() < spec.bits_per_slot * PLAYABLE_SHARE",
+           "short = r.min() < spec.bits_per_slot"),
     Mutant("serving-tie", "link.py",
            "serving = bs_gain.argmax(axis=1)",
            "serving = num_bs - 1 - bs_gain[:, ::-1].argmax(axis=1)",
