@@ -19,7 +19,7 @@ from ._checks import (MAX_COUNT, POSITIVE, check_fields, check_int,
                       check_items, check_real)
 from .link import ChannelTrace
 from .planner import plan_anticipatory, plan_baseline
-from .playout import VideoSpec, _fold_playback
+from .playout import PLAYABLE_SHARE, VideoSpec, _fold_playback
 # simulate_playback is unused here but kept as a module attribute: the
 # benchmark tracer patches prebuf.admission.simulate_playback by name.
 from .playout import simulate_playback  # noqa: F401
@@ -115,13 +115,17 @@ def _run_admission(config: AdmissionConfig, video: VideoSpec,
     check every kind (_check_kind) before anything is drawn.  Each
     admitted plan's outage count is the number of stalls that
     _fold_playback, the buffer recursion simulate_playback also runs,
-    finds in it; only that count is kept.
+    finds in it; only that count is kept.  A feasible baseline plan is
+    not played: its count is 0.  A baseline user is admitted iff the
+    first slot's supply, in Python floats, is at least the share of
+    bits_per_slot that playback plays (PLAYABLE_SHARE).
     """
     ss = np.random.SeedSequence(config.seed)
     arrival_rng = np.random.default_rng(ss.spawn(1)[0])
     interarrivals = arrival_rng.exponential(config.mean_interarrival_s,
                                             size=config.total_requests)
     T = video.num_slots
+    playable = video.bits_per_slot * PLAYABLE_SHARE
     # A huge mean can overflow the sum or the span to inf, which the
     # horizon test below refuses; numpy need not warn about it first.
     with np.errstate(over="ignore"):
@@ -158,9 +162,11 @@ def _run_admission(config: AdmissionConfig, video: VideoSpec,
                     plan = plan_anticipatory(video, trace, window)
                     admitted = plan.feasible
                 else:
-                    # first-slot test only: no knowledge of the window ahead
-                    needed_now = video.bits_per_slot / trace.bits_per_prb[0]
-                    admitted = needed_now <= window[0] + 1e-9
+                    # first-slot test only: no knowledge of the window
+                    # ahead; Python floats, so a product that overflows is
+                    # inf without a numpy warning
+                    admitted = (float(trace.bits_per_prb[0])
+                                * float(window[0]) >= playable)
                     plan = (plan_baseline(video, trace, window) if admitted
                             else None)
                 if not admitted:
@@ -171,12 +177,19 @@ def _run_admission(config: AdmissionConfig, video: VideoSpec,
                 if window.min() < -1e-7:
                     raise RuntimeError("spectrum ledger driven negative")
                 np.maximum(window, 0.0, out=window)      # drop rounding dust
-                # the planners' received bits are finite, >= 0 and T long,
-                # so they are played without simulate_playback's checks
-                stalls = _fold_playback(plan.received_bits.tolist(),
-                                        video.bits_per_slot)[1]
+                if kind == "baseline" and plan.feasible:
+                    # every slot receives at least the playable share and
+                    # at most one slot of video, so the fold would leave
+                    # the buffer empty after each slot and find no stall
+                    outages = 0
+                else:
+                    # the planners' received bits are finite, >= 0 and T
+                    # long, so they are played without simulate_playback's
+                    # checks
+                    outages = len(_fold_playback(plan.received_bits.tolist(),
+                                                 video.bits_per_slot)[1])
                 log.records.append(RequestRecord(arrival_times[k], a, True,
-                                                 len(stalls)))
+                                                 outages))
     return logs
 
 

@@ -11,13 +11,14 @@ from hypothesis import given, settings
 import prebuf.admission
 from prebuf import (AdmissionConfig, AllocationPlan, ChannelTrace,
                     LinkBudget, ScenarioConfig, ShadowingConfig, VideoSpec,
-                    build_traces, run_admission, service_curve,
-                    simulate_playback, summarize_curve)
+                    build_traces, plan_anticipatory, run_admission,
+                    service_curve, simulate_playback, summarize_curve)
 from prebuf.admission import MAX_COUNT, MAX_LEDGER_SLOTS, PLANNER_KINDS
 from prebuf.cli import main
 
 from test_link import (CONTRACT_SLOTS, LINK_EXTREMES, extreme_calls,
                        with_extreme)
+from test_planner import V, lp_in_video_slots
 
 # sha256 of `prebuf multi-user` with every default: service_curve.csv and
 # stdout, as written when each kv was a separate run
@@ -160,6 +161,27 @@ class TestRunAdmission:
                   for plan in kept]
         assert [rec.outage_count for rec in admitted] == counts
         assert (sum(counts) > 0) == (kind == "baseline")
+        if kind == "baseline":
+            # plans that play through, counted without the fold, and plans
+            # that stall, counted by it
+            assert 0 in counts and [p.feasible for p in kept] \
+                == [n == 0 for n in counts]
+
+    @pytest.mark.parametrize("short, admitted", [(5e-10, False),
+                                                 (5e-12, True)])
+    def test_baseline_first_slot_playback_boundary(self, short, admitted):
+        # A baseline user is admitted iff its first slot carries what
+        # playback plays, V less a 1e-9 relative slack: 0.25 PRB less
+        # 5e-10 at 1e6 bits per PRB is 5e-4 bits short of V = 250,000
+        # bits, past the 2.5e-4 bits slack, and would stall in slot 0.
+        video = VideoSpec(bits_per_slot=250_000.0, slot_duration_s=1 / 6,
+                          num_slots=4, max_carryover_bits=0.0)
+        trace = ChannelTrace(np.ones(4), np.zeros(4), np.full(4, 1e6))
+        cfg = AdmissionConfig(total_requests=1, available_prbs=0.25 - short)
+        log = run_admission(cfg, video, lambda seeds: [trace] * len(seeds),
+                            "baseline")
+        assert [(r.admitted, r.outage_count) for r in log.records] \
+            == [(admitted, 0)]
 
     @pytest.mark.parametrize("overdraw, raises", [(1e-5, True),
                                                   (1e-9, False)])
@@ -331,6 +353,53 @@ class TestRunAdmission:
         full = records(40)
         for k in (5, 10, 20, 30):
             assert records(k) == full[:k]
+
+
+class TestDecisionsAgainstHighs:
+    """Every anticipatory decision of the service_curve experiment (10
+    seeds of 40 requests on 15 PRBs) against HiGHS, and the ledger each
+    admit leaves."""
+
+    def test_decisions_and_ledger(self, shadowed_scenario, monkeypatch):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        video = shadowed_scenario.video
+        assert video.bits_per_slot == V     # lp_in_video_slots' unit
+        calls = []
+
+        def recording(spec, trace, window):
+            plan = plan_anticipatory(spec, trace, window)
+            calls.append((spec, trace, window.copy(), plan))
+            return plan
+
+        monkeypatch.setattr(prebuf.admission, "plan_anticipatory", recording)
+        T, decisions, admits = video.num_slots, 0, 0
+        for seed in range(10):
+            calls.clear()
+            cfg = AdmissionConfig(total_requests=40, available_prbs=15.0,
+                                  seed=seed)
+            log = run_admission(cfg, video, shadowed_scenario.make_traces)
+            assert len(calls) == len(log.records) == 40
+            ledger = np.full(log.residual_prbs_timeline.size, 15.0)
+            for rec, (spec, trace, window, plan) in zip(log.records, calls):
+                a = rec.arrival_slot
+                assert spec == video
+                assert np.array_equal(window, ledger[a:a + T])
+                cost, A, b, upper = lp_in_video_slots(trace, window, spec)
+                highs = linprog(cost, A_eq=A, b_eq=b, method="highs",
+                                bounds=[(0.0, None if np.isinf(u) else u)
+                                        for u in upper])
+                assert highs.status in (0, 2), (seed, a)
+                assert rec.admitted == plan.feasible == (highs.status == 0), \
+                    (seed, a)
+                decisions += 1
+                if not rec.admitted:
+                    continue
+                admits += 1
+                assert plan.total_prb_slots == pytest.approx(highs.fun,
+                                                             rel=1e-9)
+                ledger[a:a + T] = np.maximum(window - plan.prbs, 0.0)
+            assert np.array_equal(ledger, log.residual_prbs_timeline)
+        assert decisions == 400 and 0 < admits < 400
 
 
 class TestTraceFactory:

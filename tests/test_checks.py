@@ -206,7 +206,7 @@ def test_overflow_caught_only_at_conversion_and_in_linear_units():
              for where in overflow_handlers(ast.parse(path.read_text()),
                                             (path.stem, None))}
     assert found == {("_checks", "check_real"), ("_checks", "real_array"),
-                     ("link", "db_to_linear"), ("link", "_capacities")}
+                     ("link", "db_to_linear")}
 
 
 def package_imports(tree):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import warnings
 from dataclasses import fields, replace
 
@@ -204,6 +205,56 @@ class TestPerPrbBits:
         # an inf slot bandwidth (1e308 s at 180 kHz) times a zero rate
         with pytest.raises(ValueError, match="slot_duration_s"):
             per_prb_bits(-1e308, LinkBudget(), 1e308)
+
+
+# The largest x whose power 10 ** x is finite
+LAST_FINITE_TENTHS = math.nextafter(math.log10(sys.float_info.max), 0.0)
+
+
+class TestFloatPowerMatchesMathPow:
+    """_capacities takes every linear gain from np.float_power(10.0, x)
+    and the traces stay byte-identical to build_trace_loop's scalar
+    math only while that equals math.pow(10.0, x) bit for bit, with inf
+    where math.pow overflows."""
+
+    @staticmethod
+    def assert_same_bits(tenths):
+        tenths = np.asarray(tenths, dtype=float)
+        with np.errstate(over="ignore"):
+            got = np.float_power(10.0, tenths)
+        want = []
+        for x in tenths.tolist():
+            try:
+                want.append(math.pow(10.0, x))
+            except OverflowError:
+                want.append(math.inf)
+        differ = np.flatnonzero(got.view(np.int64)
+                                != np.array(want).view(np.int64))
+        assert differ.size == 0, (
+            "np.float_power(10.0, x) differs from math.pow(10.0, x) at "
+            f"x = {tenths[differ[:5]].tolist()}: numpy's float_power loop "
+            "no longer calls the C library's pow, so link._capacities no "
+            "longer gives build_trace_loop's capacities bit for bit")
+
+    def test_default_scenario_gains(self):
+        traces = ScenarioConfig().make_traces(range(300))
+        self.assert_same_bits(np.concatenate([t.gain_db for t in traces])
+                              / 10.0)
+
+    def test_edge_exponents(self):
+        # 1.0 from -0.0; subnormal powers down to the least one; powers
+        # that round to 0; the last finite power and the first overflow
+        subnormal = [-308.5, -310.0, -320.0, -323.0, -323.3]
+        zero = [-323.7, -324.0, -400.0, -sys.float_info.max]
+        top = [308.25, math.nextafter(LAST_FINITE_TENTHS, 0.0),
+               LAST_FINITE_TENTHS,
+               math.nextafter(LAST_FINITE_TENTHS, math.inf)]
+        self.assert_same_bits([-0.0, *subnormal, *zero, *top])
+        with np.errstate(over="ignore"):
+            powers = np.float_power(10.0, np.array(subnormal + zero + top))
+        assert all(0.0 < p < sys.float_info.min for p in powers[:5])
+        assert np.all(powers[5:9] == 0.0)
+        assert powers[-2] < math.inf == powers[-1]
 
 
 class TestBuildTrace:

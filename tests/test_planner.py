@@ -434,6 +434,18 @@ class TestWindowSearchBytes:
         assert plan_anticipatory(spec, trace, residual).received_bits[0] \
             == (supply if live else V)
 
+    @pytest.mark.parametrize("z_cap", [V, np.inf])
+    def test_sliver_of_supply_stays_out_of_the_window(self, z_cap):
+        # slot 1 is the cheapest slot but holds 1e-13 V, within the
+        # 1e-12 V tolerance: it never joins the window, so slot 0 serves
+        # all of slot 1 and slot 1 receives nothing
+        spec, trace = make_spec(2, z_cap), trace_from_capacity([2e5, 8e5])
+        residual = [10.0, 1e-13 * V / 8e5]
+        assert 0.0 < 8e5 * residual[1] <= 1e-12 * V
+        assert self.assert_same_bytes(spec, trace, residual)
+        assert plan_anticipatory(spec, trace, residual).received_bits \
+            .tolist() == [2 * V, 0.0]
+
     @settings(max_examples=300, deadline=None)
     @given(tied_instances())
     def test_tied_levels_property(self, instance):

@@ -63,11 +63,16 @@ MUTANTS = [
            "tol = 1e-6 * V"),
     Mutant("front-ran-out", "planner.py", "if supply[best] <= tol:",
            "if supply[best] <= 0.0:"),
+    Mutant("window-entry", "planner.py", "if supply[t] > tol:",
+           "if supply[t] > 0.0:"),
     Mutant("outage-slack", "playout.py", "PLAYABLE_SHARE = 1.0 - 1e-9",
            "PLAYABLE_SHARE = 1.0 - 1e-6"),
     Mutant("baseline-first-slot-slack", "admission.py",
-           "admitted = needed_now <= window[0] + 1e-9",
-           "admitted = needed_now <= window[0] + 1e-3"),
+           "* float(window[0]) >= playable)",
+           "* float(window[0]) >= playable * (1.0 - 1e-6))"),
+    Mutant("baseline-skip-fold", "admission.py",
+           'if kind == "baseline" and plan.feasible:',
+           'if kind == "baseline":'),
     Mutant("carry-cap-entry", "playout.py", "max(carry) > limit",
            "max(carry) >= limit"),
     Mutant("carry-cap-final", "playout.py", "or z > limit",
@@ -78,8 +83,8 @@ MUTANTS = [
            "short = r.min() < spec.bits_per_slot * PLAYABLE_SHARE",
            "short = r.min() < spec.bits_per_slot"),
     Mutant("serving-tie", "link.py",
-           "serving = bs_gain.argmax(axis=1)",
-           "serving = num_bs - 1 - bs_gain[:, ::-1].argmax(axis=1)",
+           "better = bs_gain[:, i] > gain",
+           "better = bs_gain[:, i] >= gain",
            "Two BS gains tie exactly only at equal distances when "
            "unshadowed, where path loss takes one value for both, and with "
            "probability ~0 when shadowed, so the serving BS's gain, "
