@@ -149,5 +149,10 @@ def all_finite(x: np.ndarray, lo: float = -sys.float_info.max) -> bool:
     and no temporary array.  A NaN anywhere fails, because numpy's min and
     max propagate it and every comparison with NaN is False; Python's
     min() over a list would skip one that is not first.
+    The reductions are np.minimum.reduce and np.maximum.reduce over the
+    whole array, which x.min() and x.max() call after a Python wrapper in
+    numpy's _methods module: the same reduction, so the same value, at a
+    call's cost less per array checked.
     """
-    return bool(x.min() >= lo and x.max() < math.inf)
+    return bool(np.minimum.reduce(x, axis=None) >= lo
+                and np.maximum.reduce(x, axis=None) < math.inf)

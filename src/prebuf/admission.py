@@ -119,6 +119,18 @@ def _run_admission(config: AdmissionConfig, video: VideoSpec,
     not played: its count is 0.  A baseline user is admitted iff the
     first slot's supply, in Python floats, is at least the share of
     bits_per_slot that playback plays (PLAYABLE_SHARE).
+
+    Each admit debits its plan's PRBs from the window and reads the
+    window's minimum once, by np.minimum.reduce (what window.min() calls
+    after a Python wrapper).  Below -1e-7 PRB the ledger is broken and
+    the run raises; below 0 the window holds rounding dust and is
+    clamped to 0.  Most admits leave no dust and skip the clamp.  A
+    window with no negative entry is left as it is, and the clamp would
+    have changed it only at a -0.0 entry (np.maximum(-0.0, 0.0) is
+    +0.0).  A debit x - y is -0.0 only for x = -0.0, so only a ledger
+    filled with available_prbs = -0.0 holds one, and there every slot
+    supplies -0.0 bits and no user is admitted.  So every ledger keeps
+    its bits.
     """
     ss = np.random.SeedSequence(config.seed)
     arrival_rng = np.random.default_rng(ss.spawn(1)[0])
@@ -174,9 +186,11 @@ def _run_admission(config: AdmissionConfig, video: VideoSpec,
                                                      False, 0))
                     continue
                 window -= plan.prbs
-                if window.min() < -1e-7:
-                    raise RuntimeError("spectrum ledger driven negative")
-                np.maximum(window, 0.0, out=window)      # drop rounding dust
+                low = np.minimum.reduce(window, axis=None)
+                if low < 0.0:
+                    if low < -1e-7:
+                        raise RuntimeError("spectrum ledger driven negative")
+                    np.maximum(window, 0.0, out=window)  # drop rounding dust
                 if kind == "baseline" and plan.feasible:
                     # every slot receives at least the playable share and
                     # at most one slot of video, so the fold would leave

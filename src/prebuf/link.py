@@ -349,7 +349,14 @@ def _stream_states(seeds: list, num_bs: int) -> list:
     the hash constants INIT_A * MULT_A**(n + j), j <= p.  Seeds are
     grouped by pool size, and each step acts on a (pool word, stream)
     uint32 array; generate_state(4, uint64) follows, and then PCG64's
-    seeding step over Python ints.
+    seeding step.
+    The seeds of an admission block share their entropy and the length of
+    their spawn keys, so INIT_A * MULT_A**n is computed once per distinct
+    n of a group, not once per seed.  PCG64's seeding step runs on object
+    arrays of Python ints, one row per 64-bit word, so each stream costs
+    no tuple unpack and no interpreted shift: object arrays apply
+    Python's own int operators element by element, which are exact, so
+    every state keeps its bits.
     """
     groups = {}
     for k, ss in enumerate(seeds):
@@ -359,8 +366,9 @@ def _stream_states(seeds: list, num_bs: int) -> list:
         # n of each seed, and the hash constant after its n hashes
         hashes = [p * (p + max(len(_words(seeds[k].entropy)) - p, 0)
                        + len(_words(seeds[k].spawn_key))) for k in ks]
-        first = np.array([_INIT_A * pow(_MULT_A, n, 2 ** 32) & _MASK32
-                          for n in hashes], dtype=np.uint32)
+        const = {n: _INIT_A * pow(_MULT_A, n, 2 ** 32) & _MASK32
+                 for n in set(hashes)}
+        first = np.array([const[n] for n in hashes], dtype=np.uint32)
         powers = np.array([pow(_MULT_A, j, 2 ** 32) for j in range(p + 1)],
                           dtype=np.uint32)[:, None]
         consts = np.repeat(powers * first, num_bs, axis=1)
@@ -376,12 +384,13 @@ def _stream_states(seeds: list, num_bs: int) -> list:
         state = pool[[j % p for j in range(8)]] ^ _HASH_B[:8]
         state *= _HASH_B[1:]
         state ^= state >> 16
+        s_hi, s_lo, i_hi, i_lo = state.T.astype("<u4", order="C").view(
+            "<u8").T.astype(object)
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        pcg = ((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _MASK128
         index = (k * num_bs + i for k in ks for i in range(num_bs))
-        for k, (s_hi, s_lo, i_hi, i_lo) in zip(
-                index, state.T.astype("<u4", order="C").view("<u8").tolist()):
-            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-            states[k] = (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc
-                         & _MASK128, inc)
+        for k, pair in zip(index, zip(pcg.tolist(), inc.tolist())):
+            states[k] = pair
     return states
 
 
@@ -399,6 +408,16 @@ def _shadowing_streams(seeds: list, num_bs: int, rho: tuple,
     generator set to its state; and the recursion runs once per position
     over all streams, multiplying and then adding as _ar1_path does, so
     every value has the same bits.
+    Two per-stream and per-position costs are trimmed without moving a
+    bit.  The generator is set through one state dict whose two PCG64
+    words are rewritten per stream, not through two new dicts; the
+    setter copies the words out, so rewriting them for the next stream
+    leaves the state it set as it was.
+    The recursion walks a list of the rows' views made once per block,
+    and np.add writes into the row in place, so a position costs two
+    ufunc calls and no item lookup or assignment on the 2-D array; each
+    element still takes one rounded product and one rounded sum, in that
+    order.
     """
     SeedSequence = np.random.SeedSequence
     count, positions = len(seeds) * num_bs, len(rho)
@@ -415,19 +434,21 @@ def _shadowing_streams(seeds: list, num_bs: int, rho: tuple,
     rng = np.random.Generator(np.random.PCG64(0))
     bit_generator = rng.bit_generator
     z = np.empty((count, positions))
-    for row, (state, inc) in zip(z, _stream_states(seeds, num_bs)):
-        bit_generator.state = {"bit_generator": "PCG64",
-                               "state": {"state": state, "inc": inc},
-                               "has_uint32": 0, "uinteger": 0}
+    pcg = {}
+    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0,
+             "uinteger": 0}
+    for row, (pcg["state"], pcg["inc"]) in zip(
+            z, _stream_states(seeds, num_bs)):
+        bit_generator.state = state
         rng.standard_normal(out=row)
     # Row 0 is the field before the first position; row k + 1 starts as
     # scale_k * z_k and gains rho_k * (row k).
     values = np.zeros((positions + 1, count))
     np.multiply(z.T, np.array(scale)[:, None], out=values[1:])
-    step = np.empty(count)
-    for k, rho_k in enumerate(rho):
-        np.multiply(values[k], rho_k, out=step)
-        values[k + 1] += step
+    step, rows = np.empty(count), list(values)
+    for prev, row, rho_k in zip(rows, rows[1:], rho):
+        np.multiply(prev, rho_k, out=step)
+        np.add(row, step, out=row)
     return values[1:].T
 
 

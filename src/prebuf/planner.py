@@ -49,9 +49,11 @@ def _supply_bits(spec: VideoSpec, trace: ChannelTrace,
     # Both factors are finite and >= 0, so no slot's product overflows if
     # the product of the maxima, in Python floats, is finite; otherwise
     # a product is inf only where it overflowed, which is reported here
-    # rather than warned by numpy.
+    # rather than warned by numpy.  The maxima are the ufunc reductions
+    # that c.max() wraps, as in all_finite.
     c = trace.bits_per_prb
-    if float(c.max()) * float(residual.max()) < inf:
+    if float(np.maximum.reduce(c, axis=None)) \
+            * float(np.maximum.reduce(residual, axis=None)) < inf:
         return c * residual
     with np.errstate(over="ignore"):
         supply = c * residual
@@ -139,8 +141,11 @@ def plan_anticipatory(spec: VideoSpec, trace: ChannelTrace,
                         while window and cs[window[-1]] <= cs[s]:
                             window.pop()
                         window.append(s)
-    received = np.array(received)
-    return AllocationPlan(received, np.array(carry), received / c, True)
+    # the same float64 values np.array(received) holds, without its
+    # inference of type and shape
+    received = np.fromiter(received, float, T)
+    return AllocationPlan(received, np.fromiter(carry, float, T - 1),
+                          received / c, True)
 
 
 def plan_baseline(spec: VideoSpec, trace: ChannelTrace,
@@ -156,6 +161,7 @@ def plan_baseline(spec: VideoSpec, trace: ChannelTrace,
     """
     cap_bits = _supply_bits(spec, trace, residual_prbs)
     r = np.minimum(spec.bits_per_slot, cap_bits)
-    short = r.min() < spec.bits_per_slot * PLAYABLE_SHARE
+    short = np.minimum.reduce(r, axis=None) \
+        < spec.bits_per_slot * PLAYABLE_SHARE
     return AllocationPlan(r, np.zeros(spec.num_slots - 1),
                           r / trace.bits_per_prb, not bool(short))

@@ -11,11 +11,14 @@ from hypothesis import given, settings
 import prebuf.admission
 from prebuf import (AdmissionConfig, AllocationPlan, ChannelTrace,
                     LinkBudget, ScenarioConfig, ShadowingConfig, VideoSpec,
-                    build_traces, plan_anticipatory, run_admission,
-                    service_curve, simulate_playback, summarize_curve)
+                    build_traces, plan_anticipatory, plan_baseline,
+                    run_admission, service_curve, simulate_playback,
+                    summarize_curve)
 from prebuf.admission import MAX_COUNT, MAX_LEDGER_SLOTS, PLANNER_KINDS
 from prebuf.cli import main
+from prebuf.playout import PLAYABLE_SHARE
 
+from oracles import step_buffer
 from test_link import (CONTRACT_SLOTS, LINK_EXTREMES, extreme_calls,
                        with_extreme)
 from test_planner import V, lp_in_video_slots
@@ -400,6 +403,65 @@ class TestDecisionsAgainstHighs:
                 ledger[a:a + T] = np.maximum(window - plan.prbs, 0.0)
             assert np.array_equal(ledger, log.residual_prbs_timeline)
         assert decisions == 400 and 0 < admits < 400
+
+
+class TestBaselineDecisions:
+    """Every baseline decision of the same 10 seeds of 40 requests on 15
+    PRBs, restated slot by slot in Python floats: the first-slot rule, the
+    ledger each admit leaves and each admit's outage count."""
+
+    def test_decisions_ledger_and_outages(self, shadowed_scenario,
+                                          monkeypatch):
+        video = shadowed_scenario.video
+        T, v = video.num_slots, video.bits_per_slot
+        traces, windows = [], []
+
+        def recording_traces(seeds):
+            block = shadowed_scenario.make_traces(seeds)
+            traces.extend(block)
+            return block
+
+        def recording_planner(spec, trace, window):
+            windows.append(window.copy())
+            return plan_baseline(spec, trace, window)
+
+        monkeypatch.setattr(prebuf.admission, "plan_baseline",
+                            recording_planner)
+        admits = dusty = stalled = 0
+        for seed in range(10):
+            traces.clear()
+            windows.clear()
+            cfg = AdmissionConfig(total_requests=40, available_prbs=15.0,
+                                  seed=seed)
+            log = run_admission(cfg, video, recording_traces, "baseline")
+            assert len(traces) == len(log.records) == 40
+            ledger = [15.0] * log.residual_prbs_timeline.size
+            planned = iter(windows)
+            for rec, trace in zip(log.records, traces):
+                a = rec.arrival_slot
+                c, w = trace.bits_per_prb.tolist(), ledger[a:a + T]
+                admitted = c[0] * w[0] >= v * PLAYABLE_SHARE
+                assert rec.admitted == admitted, (seed, a)
+                if not admitted:
+                    assert rec.outage_count == 0
+                    continue
+                admits += 1
+                assert next(planned).tolist() == w
+                received = [min(v, c_t * w_t) for c_t, w_t in zip(c, w)]
+                debited = [w_t - r_t / c_t
+                           for w_t, r_t, c_t in zip(w, received, c)]
+                dusty += min(debited) < 0.0
+                ledger[a:a + T] = [max(x, 0.0) for x in debited]
+                z, outages = 0.0, 0
+                for r_t in received:
+                    z, _, outage = step_buffer(z, r_t, v)
+                    outages += outage
+                assert rec.outage_count == outages, (seed, a)
+                stalled += outages > 0
+            assert next(planned, None) is None
+            assert log.residual_prbs_timeline.tolist() == ledger
+        # the clamp and the fold both act on this experiment
+        assert 0 < dusty < admits and 0 < stalled < admits < 400
 
 
 class TestTraceFactory:

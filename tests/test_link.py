@@ -728,6 +728,18 @@ class TestStreamSeeding:
         want = [numpy_stream_state(ss, i) for ss in seeds for i in range(2)]
         assert link._stream_states(seeds, 2) == want
 
+    def test_admission_block_matches_numpy(self):
+        # the block admission seeds: 40 user seeds from one spawn, keys
+        # 1..40 after the arrival child's 0, one stream per BS of two
+        ss = np.random.SeedSequence(0)
+        ss.spawn(1)
+        seeds = ss.spawn(40)
+        assert [seed.spawn_key for seed in seeds] \
+            == [(k,) for k in range(1, 41)]
+        want = [numpy_stream_state(seed, i) for seed in seeds
+                for i in range(2)]
+        assert link._stream_states(seeds, 2) == want
+
     @settings(max_examples=60, deadline=None)
     @given(entropy=st.one_of(
                st.integers(0, 2 ** 140),

@@ -77,11 +77,13 @@ MUTANTS = [
            "max(carry) >= limit"),
     Mutant("carry-cap-final", "playout.py", "or z > limit",
            "or z >= limit"),
-    Mutant("ledger-guard", "admission.py", "if window.min() < -1e-7:",
-           "if window.min() < -1e-3:"),
+    Mutant("ledger-guard", "admission.py", "if low < -1e-7:",
+           "if low < -1e-3:"),
+    Mutant("ledger-dust-condition", "admission.py", "if low < 0.0:",
+           "if low < -1e-8:"),
     Mutant("baseline-feasible-slack", "planner.py",
-           "short = r.min() < spec.bits_per_slot * PLAYABLE_SHARE",
-           "short = r.min() < spec.bits_per_slot"),
+           "< spec.bits_per_slot * PLAYABLE_SHARE\n",
+           "< spec.bits_per_slot\n"),
     Mutant("serving-tie", "link.py",
            "better = bs_gain[:, i] > gain",
            "better = bs_gain[:, i] >= gain",
