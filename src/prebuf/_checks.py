@@ -134,25 +134,42 @@ def check_array(values, name: str, size: int | None = None,
     (plans, trace columns, positions) through it, so each is checked
     where it enters and nothing downstream checks it again.
     """
+    return check_array_max(values, name, size, lo)[0]
+
+
+def check_array_max(values, name: str, size: int | None = None,
+                    lo: float = -_MAX) -> tuple:
+    """(check_array(values, name, size, lo), its largest entry as a Python
+    float): check_array for a caller that needs the max too, which the
+    check has already reduced."""
     array = check_shape(real_array(values, name), name, size)
-    if not all_finite(array, lo):
+    top = finite_max(array, lo)
+    if top == math.inf:
         bound = {-_MAX: "", 0.0: " and non-negative",
                  POSITIVE: " and positive"}.get(lo, f" and >= {lo:.6g}")
         raise ValueError(f"{name} must be finite{bound}")
-    return array
+    return array, top
 
 
 def all_finite(x: np.ndarray, lo: float = -sys.float_info.max) -> bool:
-    """True iff every element of the non-empty array x is finite and >= lo.
+    """True iff every element of the non-empty array x is finite and >= lo
+    (lo finite): finite_max's test as a bool."""
+    return finite_max(x, lo) < math.inf
+
+
+def finite_max(x: np.ndarray, lo: float = -sys.float_info.max) -> float:
+    """The largest element of the non-empty array x as a Python float if
+    every element is finite and >= lo, and inf otherwise.
 
     lo must be finite: the min test is what rejects -inf.  Two reductions
-    and no temporary array.  A NaN anywhere fails, because numpy's min and
-    max propagate it and every comparison with NaN is False; Python's
-    min() over a list would skip one that is not first.
+    and no temporary array.  A NaN anywhere gives inf, because numpy's
+    min and max propagate it and every comparison with NaN is False;
+    Python's min() over a list would skip one that is not first.
     The reductions are np.minimum.reduce and np.maximum.reduce over the
     whole array, which x.min() and x.max() call after a Python wrapper in
     numpy's _methods module: the same reduction, so the same value, at a
     call's cost less per array checked.
     """
-    return bool(np.minimum.reduce(x, axis=None) >= lo
-                and np.maximum.reduce(x, axis=None) < math.inf)
+    top = float(np.maximum.reduce(x, axis=None))
+    return top if np.minimum.reduce(x, axis=None) >= lo and top < math.inf \
+        else math.inf

@@ -320,19 +320,17 @@ _HASH_B = np.array([0x8B51F9DD * pow(0x58F38DED, j, 2 ** 32) & _MASK32
                     for j in range(9)], dtype=np.uint32)[:, None]
 
 
-def _words(x) -> list:
-    """The uint32 words numpy's SeedSequence makes of an entropy or a
-    spawn key it has accepted: an int little-endian (0 is one word), a
-    string as its int, a sequence word by word."""
+def _num_words(x) -> int:
+    """How many uint32 words numpy's SeedSequence makes of an entropy or a
+    spawn key it has accepted: an int one per started 32 bits (0 is one
+    word), a string as its int, a sequence the sum over its items."""
     if type(x) is int and 0 <= x <= _MASK32:   # the usual case, one word
-        return [x]
+        return 1
     if isinstance(x, str):
         x = int(x, 16) if x.startswith("0x") else int(x)
     if isinstance(x, (int, np.integer)):
-        x = int(x)
-        return [x >> shift & _MASK32
-                for shift in range(0, max(x.bit_length(), 1), 32)]
-    return [word for item in x for word in _words(item)]
+        return (max(int(x).bit_length(), 1) + 31) // 32
+    return sum(map(_num_words, x))
 
 
 def _stream_states(seeds: list, num_bs: int) -> list:
@@ -364,8 +362,8 @@ def _stream_states(seeds: list, num_bs: int) -> list:
     states = [None] * (len(seeds) * num_bs)
     for p, ks in groups.items():
         # n of each seed, and the hash constant after its n hashes
-        hashes = [p * (p + max(len(_words(seeds[k].entropy)) - p, 0)
-                       + len(_words(seeds[k].spawn_key))) for k in ks]
+        hashes = [p * (p + max(_num_words(seeds[k].entropy) - p, 0)
+                       + _num_words(seeds[k].spawn_key)) for k in ks]
         const = {n: _INIT_A * pow(_MULT_A, n, 2 ** 32) & _MASK32
                  for n in set(hashes)}
         first = np.array([const[n] for n in hashes], dtype=np.uint32)

@@ -18,7 +18,7 @@ from math import inf
 
 import numpy as np
 
-from ._checks import check_array
+from ._checks import check_array_max
 from .link import ChannelTrace
 from .playout import PLAYABLE_SHARE, VideoSpec
 
@@ -44,16 +44,16 @@ def _supply_bits(spec: VideoSpec, trace: ChannelTrace,
         raise ValueError(
             f"trace covers {trace.num_slots} slots, video needs "
             f"{spec.num_slots}")
-    residual = check_array(residual_prbs, "residual_prbs", spec.num_slots,
-                           0.0)
+    residual, top = check_array_max(residual_prbs, "residual_prbs",
+                                    spec.num_slots, 0.0)
     # Both factors are finite and >= 0, so no slot's product overflows if
     # the product of the maxima, in Python floats, is finite; otherwise
     # a product is inf only where it overflowed, which is reported here
-    # rather than warned by numpy.  The maxima are the ufunc reductions
-    # that c.max() wraps, as in all_finite.
+    # rather than warned by numpy.  The residual's max is the one its
+    # check reduced; the capacities' is the ufunc reduction that c.max()
+    # wraps, as in finite_max.
     c = trace.bits_per_prb
-    if float(np.maximum.reduce(c, axis=None)) \
-            * float(np.maximum.reduce(residual, axis=None)) < inf:
+    if float(np.maximum.reduce(c, axis=None)) * top < inf:
         return c * residual
     with np.errstate(over="ignore"):
         supply = c * residual
@@ -85,11 +85,19 @@ def plan_anticipatory(spec: VideoSpec, trace: ChannelTrace,
     slot can supply bits iff its supply > tol, so the best slot is the
     front of a queue of live slots with strictly falling c; a new slot
     pops the back while c[back] <= c[new], so the latest tie wins.  Float
-    subtraction rounds monotonically, so z_max - max(carry[best:t]) is
-    exactly the least headroom on the path, and z_max - (top + amount)
-    <= tol exactly tells that the update saturated an arc.  Only the
-    front's supply changes, so only the front can run out; the queue is
-    then rebuilt from the window's live slots.  amount, supply, carry and
+    subtraction rounds monotonically, so z_max - top, with top the peak
+    max(carry[best:t]), is exactly the least headroom on the path.
+    The peak is carried forward, not rescanned, when a path starts at
+    `last`, the front of the last path that moved carry: `last_top` is
+    that path's peak after its update, the float sum of its peak and
+    amount.  That is its arcs' new maximum exactly, since rounding is
+    monotone: max_k fl(carry_k + a) = fl(max_k carry_k + a).  An arc
+    that joins the range later still carries 0 <= last_top, a
+    self-served slot moves no carry, and any other path replaces the
+    pair, so top is always max(carry[best:t]), and z_max - last_top <= tol
+    exactly tells that the update saturated an arc.  Only the front's
+    supply changes, so only the front can run out; the queue is then
+    rebuilt from the window's live slots.  amount, supply, carry and
     received take the float operations of plan_anticipatory_numpy in
     tests/oracles.py in the same order, so plans are byte-identical to it.
     """
@@ -103,6 +111,8 @@ def plan_anticipatory(spec: VideoSpec, trace: ChannelTrace,
     tol = 1e-12 * V       # rounding only, far inside playback's 1e-9 V
     window = deque()      # live slots after the edge, c strictly falling
     edge = -1             # latest saturated carry-over arc
+    last, last_top = -1, 0.0   # front of the last path that moved carry,
+                               # and that path's peak carry after it
     for t in range(T):
         if z_max <= tol:               # every arc is saturated from the start
             window.clear()
@@ -117,7 +127,7 @@ def plan_anticipatory(spec: VideoSpec, trace: ChannelTrace,
                 return _infeasible_plan(T)
             best = window[0]
             if best < t:
-                top = max(carry[best:t])
+                top = last_top if best == last else max(carry[best:t])
                 h = z_max - top
                 avail = supply[best] if supply[best] < h else h
             else:
@@ -128,12 +138,14 @@ def plan_anticipatory(spec: VideoSpec, trace: ChannelTrace,
                 carry[k] += amount
             received[best] += amount
             need -= amount
-            if best < t and z_max - (top + amount) <= tol:
-                edge = t - 1
-                while z_max - carry[edge] > tol:
-                    edge -= 1
-                while window and window[0] <= edge:
-                    window.popleft()
+            if best < t:
+                last, last_top = best, top + amount
+                if z_max - last_top <= tol:
+                    edge = t - 1
+                    while z_max - carry[edge] > tol:
+                        edge -= 1
+                    while window and window[0] <= edge:
+                        window.popleft()
             if supply[best] <= tol:    # the front ran out: rebuild
                 window.clear()
                 for s in range(edge + 1, t + 1):

@@ -2,10 +2,13 @@
 mutant's original text occurs exactly once in its module, and the mutated
 module still parses, so a mutant is killed by a test, not by a syntax
 error.  The harness itself runs tier-1 once per mutant and is not part
-of tier-1."""
+of tier-1; its runner is tested here on one-line commands."""
 
 import ast
 import importlib.util
+import os
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -31,3 +34,20 @@ def test_mutant_applies_once_and_parses(mutant):
     assert mutated != source
     ast.parse(mutated)
 
+
+
+@pytest.mark.parametrize("code, outcome", [
+    ("pass", "passed"), ("raise SystemExit(1)", "failed"),
+    ("import time; time.sleep(60)", "timeout")])
+def test_run_outcome_and_timeout_kills_and_reaps(tmp_path, code, outcome):
+    # an endless mutant counts as killed, and its process is gone: not
+    # left running, nor a zombie, which os.kill(pid, 0) would still find
+    pid_file = tmp_path / "pid"
+    command = [sys.executable, "-c",
+               f"import os; open({str(pid_file)!r}, 'w').write("
+               f"str(os.getpid())); {code}"]
+    start = time.monotonic()
+    assert mutants.run_tier1(tmp_path, 3.0, command) == outcome
+    assert time.monotonic() - start < 30.0
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(pid_file.read_text()), 0)

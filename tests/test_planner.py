@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import prebuf.planner
 from prebuf import (ChannelTrace, LinkBudget, VideoSpec, build_trace,
                     plan_anticipatory, plan_baseline, simulate_playback)
 from prebuf.simplex import LpProblem, solve
@@ -369,11 +370,107 @@ def tied_instances(draw):
     return trace_from_capacity(caps), np.array(residual), make_spec(T, z_cap)
 
 
+@st.composite
+def falling_instances(draw):
+    """T in 1..16 with capacities that never rise, so that one front
+    feeds run after run of slots, residuals from none to ample, and Z in
+    {0, V, 3V, inf}."""
+    T = draw(st.integers(1, 16))
+    caps = draw(st.lists(st.one_of(st.sampled_from([1e5, 2e5, 4e5, 8e5]),
+                                   st.floats(5e4, 2e6)),
+                         min_size=T, max_size=T))
+    residual = draw(st.lists(
+        st.one_of(st.just(0.0), st.sampled_from([0.1, 0.3, 0.6, 1.0, 2.5]),
+                  st.floats(0.0, 40.0)), min_size=T, max_size=T))
+    z_cap = draw(st.sampled_from([0.0, V, 3 * V, np.inf]))
+    return (trace_from_capacity(sorted(caps, reverse=True)),
+            np.array(residual), make_spec(T, z_cap))
+
+
+@pytest.fixture
+def rescans(monkeypatch):
+    """The calls plan_anticipatory makes to max, each a rescan of a path's
+    peak carry, as a list that grows by one per call."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return max(*args)
+
+    monkeypatch.setattr(prebuf.planner, "max", counted, raising=False)
+    return calls
+
+
 class TestWindowSearchBytes:
     """Cases aimed at the window queue of `plan_anticipatory`, each against
     the numpy augmentation loop bit for bit."""
 
     assert_same_bytes = staticmethod(TestPlanBytes.assert_same_bytes)
+
+    @pytest.mark.parametrize("z_cap", [11 * V, 20 * V, np.inf])
+    def test_one_front_feeds_many_slots(self, z_cap, rescans):
+        # slot 0 serves itself and the eleven slots after it; only its
+        # first path scans its arcs, and each later one carries the peak
+        # forward (at 11V the last path fills the arc out of slot 0)
+        spec, trace = make_spec(12, z_cap), trace_from_capacity(
+            [8e5] + [1e5] * 11)
+        residual = [50.0] + [10.0] * 11
+        assert self.assert_same_bytes(spec, trace, residual)
+        assert len(rescans) == 1
+        plan = plan_anticipatory(spec, trace, residual)
+        assert plan.received_bits.tolist() == [12 * V] + [0.0] * 11
+        assert plan.carryover_bits.tolist() == [(11 - k) * V
+                                                for k in range(11)]
+
+    @pytest.mark.parametrize("z_cap", [1.5 * V, 2.5 * V])
+    def test_saturation_after_a_carried_peak(self, z_cap):
+        # slot 0 feeds slots 1, 2, ... from a carried peak until the peak
+        # plus the amount fills the arc out of slot 0; the rest comes
+        # from the latest of the tied slots
+        spec, trace = make_spec(5, z_cap), trace_from_capacity(
+            [8e5, 1e5, 1e5, 1e5, 1e5])
+        assert self.assert_same_bytes(spec, trace, [50.0] + [10.0] * 4)
+        received = plan_anticipatory(spec, trace, [50.0] + [10.0] * 4) \
+            .received_bits
+        assert received[0] == V + z_cap
+        assert received.sum() == 5 * V
+
+    @pytest.mark.parametrize("z_cap", [1.5 * V, 2 * V, np.inf])
+    def test_self_served_slots_between_paths_from_one_front(self, z_cap,
+                                                            rescans):
+        # slots 2 and 3 outrank slot 0, hold one slot of video each and
+        # serve themselves, moving no carry; once each runs out the queue
+        # is rebuilt with slot 0 in front, and slot 0's path to slot 4
+        # takes the peak its path to slot 1 left
+        spec, trace = make_spec(5, z_cap), trace_from_capacity(
+            [8e5, 1e5, 1e6, 1e6, 1e5])
+        residual = [50.0, 10.0, 0.25, 0.25, 10.0]
+        assert self.assert_same_bytes(spec, trace, residual)
+        assert len(rescans) == 1
+        received = plan_anticipatory(spec, trace, residual).received_bits
+        assert received[2] == received[3] == V
+        assert received[0] == V + min(z_cap, 2 * V)
+
+    @pytest.mark.parametrize("z_cap", [1.5 * V, 2 * V, np.inf])
+    def test_rebuild_returns_to_the_carried_front(self, z_cap, rescans):
+        # slot 0 feeds slot 1; slot 2 outranks it, serves itself and half
+        # of slot 3 and runs out.  Its path replaced the carried pair, so
+        # the rebuilt queue's front, slot 0, rescans before it serves the
+        # rest of slot 3, and then carries its new peak to slot 4
+        spec, trace = make_spec(5, z_cap), trace_from_capacity(
+            [8e5, 1e5, 1e6, 1e5, 1e5])
+        residual = [50.0, 10.0, 0.375, 10.0, 10.0]
+        assert self.assert_same_bytes(spec, trace, residual)
+        assert len(rescans) == 3       # slot 0 to 1, 2 to 3 and 0 to 3
+        received = plan_anticipatory(spec, trace, residual).received_bits
+        assert received[2] == 1.5 * V
+        assert received[0] == V + min(z_cap, 2.5 * V)
+
+    @settings(max_examples=300, deadline=None)
+    @given(falling_instances())
+    def test_falling_capacities_property(self, instance):
+        trace, residual, spec = instance
+        self.assert_same_bytes(spec, trace, residual)
 
     def test_front_slot_runs_out(self):
         # slot 1 outranks slot 0 but holds under one slot of video; once

@@ -8,23 +8,28 @@ mutant with that mutant alone applied.  Criterion 5 of
 tests/test_acceptance.py is deselected, since it fails on the unmutated
 code, and tests/test_mutants.py is left out, since it fails on every
 mutant (it finds the original text gone).  A mutant is killed if the
-run fails.
+run fails, or if it outlasts its timeout (a mutant may make a loop
+endless): TIMEOUT_FACTOR times the unmutated run's time plus
+TIMEOUT_MARGIN_S.  A run that times out is killed with its process
+group and reaped.
 
 Usage: python tools/mutants.py
 
-Prints "killed" or "survived" for each mutant of MUTANTS.  Exits 1 if a
-mutant not marked equivalent survives, 2 if the unmutated run fails,
-and 0 otherwise.  Each run takes about as long as tier-1.  Standard
-library only.
+Prints the timeout, then "killed", "killed (timeout)" or "survived" for
+each mutant of MUTANTS.  Exits 1 if a mutant not marked equivalent
+survives, 2 if the unmutated run fails, and 0 otherwise.  Each run takes
+about as long as tier-1.  Standard library only.
 """
 
 from __future__ import annotations
 
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 from typing import NamedTuple
 
@@ -34,6 +39,10 @@ PYTEST = [sys.executable, "-m", "pytest", "-q", "-x", "-p",
           "no:cacheprovider", "--ignore", "tests/test_mutants.py",
           "--deselect",
           "tests/test_acceptance.py::test_criterion_5_buffer_sweep_trend"]
+# A mutant's run may take this many times the unmutated run, plus the
+# margin, before it counts as killed.
+TIMEOUT_FACTOR = 3.0
+TIMEOUT_MARGIN_S = 10.0
 
 
 class Mutant(NamedTuple):
@@ -63,6 +72,13 @@ MUTANTS = [
            "tol = 1e-6 * V"),
     Mutant("front-ran-out", "planner.py", "if supply[best] <= tol:",
            "if supply[best] <= 0.0:"),
+    # the carried peak: taken only at the last path's own front, and
+    # raised by each path's amount
+    Mutant("carried-peak-front", "planner.py",
+           "last_top if best == last else", "last_top if best >= last else"),
+    Mutant("carried-peak-update", "planner.py",
+           "last, last_top = best, top + amount",
+           "last, last_top = best, top"),
     Mutant("window-entry", "planner.py", "if supply[t] > tol:",
            "if supply[t] > 0.0:"),
     Mutant("outage-slack", "playout.py", "PLAYABLE_SHARE = 1.0 - 1e-9",
@@ -93,8 +109,7 @@ MUTANTS = [
            "distance and capacity are the same either way."),
     # one rule per input kind
     Mutant("residual-bound", "planner.py",
-           '"residual_prbs", spec.num_slots,\n                           0.0)',
-           '"residual_prbs", spec.num_slots)'),
+           "spec.num_slots, 0.0)", "spec.num_slots)"),
     Mutant("bool-arrays", "_checks.py",
            'if array.dtype.kind not in "bc":',
            'if array.dtype.kind not in "c":'),
@@ -114,14 +129,24 @@ def apply(mutant: Mutant, source: str) -> str:
     return source.replace(mutant.original, mutant.mutated)
 
 
-def tier1_passes(copy: Path) -> bool:
+def run_tier1(copy: Path, timeout: float | None = None,
+              command: list = PYTEST) -> str:
+    """"passed", "failed" or "timeout" of command (tier-1 by default) run
+    in copy; after `timeout` seconds its process group is killed and the
+    process reaped."""
     # No bytecode is cached: a mutant and its restored original have the
     # same size and may share an mtime second, and a stale .pyc of one
     # would run for the other.
-    run = subprocess.run(PYTEST, cwd=copy, stdout=subprocess.DEVNULL,
-                         stderr=subprocess.DEVNULL,
-                         env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
-    return run.returncode == 0
+    with subprocess.Popen(command, cwd=copy, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL, start_new_session=True,
+                          env={**os.environ,
+                               "PYTHONDONTWRITEBYTECODE": "1"}) as run:
+        try:
+            return "passed" if run.wait(timeout) == 0 else "failed"
+        except subprocess.TimeoutExpired:
+            os.killpg(run.pid, signal.SIGKILL)
+            run.wait()
+            return "timeout"
 
 
 def main() -> int:
@@ -134,17 +159,23 @@ def main() -> int:
                                 ignore_patterns("__pycache__"))
             else:
                 shutil.copy2(source, copy / name)
-        if not tier1_passes(copy):
+        start = time.monotonic()
+        if run_tier1(copy) != "passed":
             print("tier-1 fails on the unmutated copy", file=sys.stderr)
             return 2
+        timeout = (TIMEOUT_FACTOR * (time.monotonic() - start)
+                   + TIMEOUT_MARGIN_S)
+        print(f"timeout per mutant: {timeout:.1f} s", flush=True)
         survivors = []
         for mutant in MUTANTS:
             path = copy / "src" / "prebuf" / mutant.path
             source = path.read_text()
             path.write_text(apply(mutant, source))
-            killed = not tier1_passes(copy)
+            outcome = run_tier1(copy, timeout)
             path.write_text(source)
-            verdict = "killed" if killed else "survived"
+            killed = outcome != "passed"
+            verdict = {"passed": "survived", "failed": "killed",
+                       "timeout": "killed (timeout)"}[outcome]
             if not killed and mutant.equivalent:
                 verdict += " (equivalent)"
             elif not killed:
