@@ -151,12 +151,6 @@ def check_array_max(values, name: str, size: int | None = None,
     return array, top
 
 
-def all_finite(x: np.ndarray, lo: float = -sys.float_info.max) -> bool:
-    """True iff every element of the non-empty array x is finite and >= lo
-    (lo finite): finite_max's test as a bool."""
-    return finite_max(x, lo) < math.inf
-
-
 def finite_max(x: np.ndarray, lo: float = -sys.float_info.max) -> float:
     """The largest element of the non-empty array x as a Python float if
     every element is finite and >= lo, and inf otherwise.

@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ._checks import (POSITIVE, all_finite, check_fields, check_int,
-                      check_items, check_real)
+from ._checks import (POSITIVE, check_fields, check_int, check_items,
+                      check_real, finite_max)
 from .admission import AdmissionConfig, service_curve, summarize_curve
 from .link import (ChannelTrace, LinkBudget, ShadowingConfig, build_trace,
                    build_traces)
@@ -66,7 +66,7 @@ class ScenarioConfig:
         with np.errstate(over="ignore"):
             t = np.arange(self.video.num_slots) * self.video.slot_duration_s
             trajectory = self.user_start_m + self.user_speed_mps * t
-        if not all_finite(trajectory):
+        if finite_max(trajectory) == math.inf:
             raise ValueError(
                 "trajectory positions overflow: user_start_m + "
                 "user_speed_mps * slot_duration_s * slot must be finite "

@@ -634,13 +634,13 @@ class TestBlockCheck:
         budget = LinkBudget()
         build_traces(self.TRAJ, self.BSS, budget, SLOT_S, seeds=[0])
         shapes = []
-        check = link.all_finite
+        check = link.finite_max
 
         def counted(x, *args):
             shapes.append(x.shape)
             return check(x, *args)
 
-        monkeypatch.setattr(link, "all_finite", counted)
+        monkeypatch.setattr(link, "finite_max", counted)
         traces = build_traces(self.TRAJ, self.BSS, budget, SLOT_S,
                               seeds=range(40))
         assert shapes == [(40, self.TRAJ.size)]

@@ -59,8 +59,8 @@ def test_one_command_per_seed_under_the_default_profile():
         assert "derandomized" not in " ".join(line)
 
 
-def test_default_range_is_one_to_thirty(monkeypatch):
-    # main's defaults, read from the lines it would run: no process starts
+def test_sweeps_seeds_one_to_thirty(monkeypatch):
+    # the seeds main runs, read from the lines it would run: no process starts
     ran = []
 
     def fake_run(command, **kwargs):
@@ -69,5 +69,7 @@ def test_default_range_is_one_to_thirty(monkeypatch):
                                 "stderr": ""})()
 
     monkeypatch.setattr(seed_sweep.subprocess, "run", fake_run)
-    assert seed_sweep.main([]) == 0
-    assert ran == seed_sweep.commands(range(1, 31), seed_sweep.given_tests())
+    assert seed_sweep.main() == 0
+    assert seed_sweep.SEEDS == range(1, 31)
+    assert ran == seed_sweep.commands(seed_sweep.SEEDS,
+                                      seed_sweep.given_tests())

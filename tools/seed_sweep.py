@@ -6,26 +6,26 @@ says.  This sweep runs each @given test of tests/ under
 
     python -m pytest --hypothesis-profile default --hypothesis-seed N
 
-for N in FIRST..LAST (1..30 by default), one pytest process per seed,
+for N in SEEDS (1..30), one pytest process per seed,
 in order, and prints one "seed N: passed|failed" line each.  A failed
 run's output follows its line; Hypothesis prints the falsifying example
 there, which belongs in its test as an @example.  Exits 1 if a seed
 fails, and 0 otherwise.
 
-Usage: python tools/seed_sweep.py [--first 1] [--last 30]
+Usage: python tools/seed_sweep.py
 
 Each run takes a few seconds.  Standard library only.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEEDS = range(1, 31)
 
 
 def _is_given(decorator: ast.expr) -> bool:
@@ -60,14 +60,9 @@ def commands(seeds, tests: list) -> list:
              str(seed), *tests] for seed in seeds]
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--first", type=int, default=1)
-    parser.add_argument("--last", type=int, default=30)
-    args = parser.parse_args(argv)
-    seeds = range(args.first, args.last + 1)
+def main() -> int:
     failed = []
-    for seed, command in zip(seeds, commands(seeds, given_tests())):
+    for seed, command in zip(SEEDS, commands(SEEDS, given_tests())):
         run = subprocess.run(command, cwd=ROOT, capture_output=True,
                              text=True)
         verdict = "passed" if run.returncode == 0 else "failed"
@@ -75,7 +70,7 @@ def main(argv=None) -> int:
         if run.returncode:
             failed.append(seed)
             print(run.stdout + run.stderr, flush=True)
-    print(f"{len(seeds)} seeds, {len(failed)} failed"
+    print(f"{len(SEEDS)} seeds, {len(failed)} failed"
           + (f": {failed}" if failed else ""))
     return 1 if failed else 0
 
