@@ -220,10 +220,9 @@ def _capacities(gains_db, budget: LinkBudget,
     differs from math.pow at none, and at none of 2,000,000 uniform
     exponents in [-33, 33]; np.power differs at 15,986 gains and np.log2
     at 41.  tests/test_link.py pins the float_power half.
-    A gain whose linear value overflows makes every capacity inf, which
-    both callers refuse as a whole; an SINR or a capacity that overflows
-    is inf, and an inf slot bandwidth times a zero rate is NaN, both
-    without a numpy warning.
+    A linear gain, an SINR or a capacity that overflows is inf at its own
+    slot, and an inf slot bandwidth times a zero rate is NaN, both
+    without a numpy warning; both callers refuse either.
     """
     power_w = budget.per_prb_power_w
     denom = budget.snr_gap_linear * budget.noise_plus_interference_w
@@ -232,8 +231,6 @@ def _capacities(gains_db, budget: LinkBudget,
     n = tenths.size
     with np.errstate(over="ignore", invalid="ignore"):
         linear = np.float_power(10.0, tenths)
-        if linear.max() == math.inf:
-            return np.full(n, math.inf)
         sinr = power_w * linear / denom
         return slot_hz * np.fromiter(map(math.log2, (1.0 + sinr).tolist()),
                                      float, n)

@@ -3,17 +3,11 @@ sides, refuses runs whose outputs differ or whose checks fail, and
 summarizes each metric; here on canned result lines, with no process
 started."""
 
-import importlib.util
 import json
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
-_spec = importlib.util.spec_from_file_location(
-    "bench_pairs", ROOT / "tools" / "bench_pairs.py")
-bench_pairs = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(bench_pairs)
+import bench_pairs
 
 BETTER = {"wall_s": "lower", "setup_s": "lower", "peak_rss_mb": "lower"}
 

@@ -1,14 +1,7 @@
 """tools/code_lines.py counts the lines that hold code: not blank, not
 only a comment, not part of a docstring."""
 
-import importlib.util
-from pathlib import Path
-
-ROOT = Path(__file__).resolve().parent.parent
-_spec = importlib.util.spec_from_file_location(
-    "code_lines", ROOT / "tools" / "code_lines.py")
-code_lines = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(code_lines)
+import code_lines
 
 FIXTURE = '''"""Module docstring
 over two lines."""

@@ -191,10 +191,10 @@ class TestPerPrbBits:
             per_prb_bits(gain_db, LinkBudget(), 1 / 6)
 
     def test_overflowing_linear_gain_is_inf(self):
-        # 10 ** (1e4 / 10) is past math.pow's range: every capacity of the
-        # call is inf, and per_prb_bits reports it by its usual message
+        # 10 ** (1e4 / 10) is past math.pow's range: that capacity alone
+        # is inf, and per_prb_bits reports it by its usual message
         bits = link._capacities(np.array([-90.0, 1e4]), LinkBudget(), 1 / 6)
-        assert np.array_equal(bits, [math.inf, math.inf])
+        assert 0.0 < bits[0] < math.inf and bits[1] == math.inf
         with pytest.raises(ValueError) as exc:
             per_prb_bits(1e4, LinkBudget(), 1 / 6)
         assert str(exc.value) == (
@@ -688,6 +688,20 @@ class TestBlockCheck:
         every = np.concatenate(gains)
         assert str(error.value) == CAPACITY_ERROR.format(every.min(),
                                                          every.max())
+
+    @pytest.mark.parametrize("seeds, low, high", [
+        ([3], -467.516, 5552.07), (range(12), -3991.81, 10154.8)],
+        ids=["per-stream", "array"])
+    def test_overflowing_linear_gain_fails_the_block(self, seeds, low, high):
+        # At sigma 2500 dB some gains pass 10 ** (gain / 10)'s range
+        # (about 3082.5 dB) and others do not; one seed runs the
+        # per-stream path, twelve the array path.
+        cfg = ScenarioConfig(shadowing=ShadowingConfig(sigma_db=2500.0))
+        streams = len(seeds) * len(cfg.bs_positions_m)
+        assert (streams >= link._ARRAY_STREAMS) == (len(seeds) > 1)
+        with pytest.raises(ValueError) as error:
+            cfg.make_traces(seeds)
+        assert str(error.value) == CAPACITY_ERROR.format(low, high)
 
 
 def numpy_stream_state(ss, i):

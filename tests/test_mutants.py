@@ -5,18 +5,12 @@ error.  The harness itself runs tier-1 once per mutant and is not part
 of tier-1; its runner is tested here on one-line commands."""
 
 import ast
-import importlib.util
 import os
 import time
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
-_spec = importlib.util.spec_from_file_location(
-    "mutants", ROOT / "tools" / "mutants.py")
-mutants = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(mutants)
+import mutants
 
 
 def test_mutant_names_unique():
@@ -27,7 +21,7 @@ def test_mutant_names_unique():
 @pytest.mark.parametrize("mutant", mutants.MUTANTS,
                          ids=[m.name for m in mutants.MUTANTS])
 def test_mutant_applies_once_and_parses(mutant):
-    source = (ROOT / "src" / "prebuf" / mutant.path).read_text()
+    source = (mutants.ROOT / "src" / "prebuf" / mutant.path).read_text()
     assert source.count(mutant.original) == 1
     mutated = mutants.apply(mutant, source)
     assert mutated != source
