@@ -34,6 +34,14 @@ class VideoSpec:
                      num_slots=(check_int, 1, MAX_COUNT),
                      max_carryover_bits=(check_real, 0, math.inf))
 
+    def _with_cap(self, cap: float) -> "VideoSpec":
+        """This spec with max_carryover_bits = cap, a Python float the
+        caller has checked as __post_init__ checks it, made without
+        __post_init__."""
+        spec = object.__new__(type(self))
+        spec.__dict__.update(vars(self), max_carryover_bits=cap)
+        return spec
+
 
 @dataclass(frozen=True)
 class BufferTimeline:

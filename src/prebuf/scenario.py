@@ -181,18 +181,21 @@ def _write_csv(out_dir, name, header, rows):
 
 
 def _plan_caps(config: ScenarioConfig, z_values):
-    """The trace of `config` and, for each checked buffer cap in
-    `z_values` in order, its plan on all num_system_prbs PRBs and its
-    total PRB-slots (inf if the cap has no zero-outage plan).
+    """The trace of `config` and, for each buffer cap in `z_values` in
+    order, its plan on all num_system_prbs PRBs and its total PRB-slots
+    (inf if the cap has no zero-outage plan).
 
-    plan_anticipatory is looked up at each call, so a wrapper set on this
-    module's attribute sees every plan.
+    Each cap must be a Python float checked as VideoSpec checks
+    max_carryover_bits, so each cap's spec is a copy of config.video
+    with the cap replaced, not checked again.  plan_anticipatory is
+    looked up at each call, so a wrapper set on this module's attribute
+    sees every plan.
     """
     trace = config.make_trace()
     video = config.video
     residual = np.full(video.num_slots, float(config.link.num_system_prbs))
-    plans = [plan_anticipatory(replace(video, max_carryover_bits=z), trace,
-                               residual) for z in z_values]
+    plans = [plan_anticipatory(video._with_cap(z), trace, residual)
+             for z in z_values]
     totals = [plan.total_prb_slots if plan.feasible else math.inf
               for plan in plans]
     return trace, plans, totals

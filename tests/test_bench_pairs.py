@@ -1,6 +1,6 @@
 """tools/bench_pairs.py reads bench/run.py's result lines, alternates the
 sides, refuses runs whose outputs differ or whose checks fail, and
-summarizes each metric; here on canned result lines, with no process
+summarizes each metric with its verdict; here on canned result lines, with no process
 started."""
 
 import json
@@ -9,7 +9,9 @@ import pytest
 
 import bench_pairs
 
-BETTER = {"wall_s": "lower", "setup_s": "lower", "peak_rss_mb": "lower"}
+# direction and bound of each end-to-end metric, as in BENCHMARK.json
+METRICS = {"wall_s": ("lower", 0.25), "setup_s": ("lower", 0.25),
+           "peak_rss_mb": ("lower", 0.1)}
 
 
 def result_lines(wall_s, sha="ab12", failed=0, problems=(), passes=40,
@@ -74,7 +76,7 @@ def test_summary_medians_quartiles_wins_and_iqr():
     parent = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
     change = [0.95, 0.96, 0.94, 0.97, 0.95, 1.04, 0.93, 0.96, 0.95, 0.94]
     run, _ = canned({"parent": parent, "change": change})
-    lines = bench_pairs.summarize(bench_pairs.run_pairs(run, 10), BETTER)
+    lines = bench_pairs.summarize(bench_pairs.run_pairs(run, 10), METRICS)
     assert lines[0] == ("10 pairs, output_sha256 ab12 on every run, 0 "
                         "failed checks")
     assert lines[1] == "planner calls per pass: parent [1039.0], " \
@@ -86,6 +88,38 @@ def test_summary_medians_quartiles_wins_and_iqr():
     # the change wins every pair but the sixth
     assert rows["wall_s"] == ["wall_s", "1 [0.9825, 1.018]",
                               "0.95 [0.9425, 0.96]", "-5.0%", "9/10",
-                              "0.035", "yes"]
+                              "0.035", "yes", "gain"]
     # equal values: no pair is won, and nothing moves past a zero IQR
-    assert rows["setup_s"][3:] == ["+0.0%", "0/10", "0", "no"]
+    assert rows["setup_s"][3:] == ["+0.0%", "0/10", "0", "no",
+                                   "within bound"]
+
+
+PARENT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
+
+
+@pytest.mark.parametrize("change, better, verdict", [
+    # 9/10 wins and past the IQR of 0.035: a gain, either direction
+    ([0.95, 0.96, 0.94, 0.97, 0.95, 1.04, 0.93, 0.96, 0.95, 0.94],
+     "lower", "gain"),
+    ([1.05, 1.06, 1.04, 1.07, 1.05, 0.96, 1.03, 1.06, 1.05, 1.04],
+     "higher", "gain"),
+    # past the IQR in the better direction but 8/10 wins: no gain
+    ([0.95, 0.96, 0.94, 0.97, 0.95, 1.04, 0.93, 0.96, 0.95, 1.04],
+     "lower", "within bound"),
+    # every pair won, but the median moves less than the IQR: no gain
+    ([0.99, 1.01, 0.97, 1.00, 0.98, 1.02, 0.96, 0.99, 1.01, 0.97],
+     "lower", "within bound"),
+    # worse by 24% and by 26% of the parent's median against a 0.25 bound
+    ([1.24] * 10, "lower", "within bound"),
+    ([1.26] * 10, "lower", "regression"),
+    ([0.76] * 10, "higher", "within bound"),
+    ([0.74] * 10, "higher", "regression"),
+], ids=["gain-lower", "gain-higher", "8-of-10", "inside-iqr",
+        "worse-inside-bound", "worse-past-bound", "higher-inside-bound",
+        "higher-past-bound"])
+def test_verdict_column_applies_the_claim_rule(change, better, verdict):
+    run, _ = canned({"parent": PARENT, "change": change})
+    lines = bench_pairs.summarize(bench_pairs.run_pairs(run, 10),
+                                  {"wall_s": (better, 0.25)})
+    assert lines[3].endswith("| beyond IQR | verdict |")
+    assert lines[5].strip("| ").split(" | ")[-1] == verdict

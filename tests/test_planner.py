@@ -1,5 +1,6 @@
 import inspect
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -472,6 +473,21 @@ class TestWindowSearchBytes:
         trace, residual, spec = instance
         self.assert_same_bytes(spec, trace, residual)
 
+    @pytest.mark.parametrize("z_cap", [V, 2 * V, np.inf])
+    def test_self_served_front_runs_out(self, z_cap, rescans):
+        # slot 1 outranks slot 0 and serves itself, keeping 1e-13 V, which
+        # is within the tolerance: it has run out after a self-served
+        # augmentation, so the queue is rebuilt with slot 0 in front, and
+        # slot 0 serves slot 2 across both arcs in one rescanned path
+        spec, trace = make_spec(3, z_cap), trace_from_capacity(
+            [4e5, 8e5, 2e5])
+        residual = [10.0, V * (1.0 + 1e-13) / 8e5, 10.0]
+        assert 0.0 < 8e5 * residual[1] - V <= 1e-12 * V
+        assert self.assert_same_bytes(spec, trace, residual)
+        assert len(rescans) == 1
+        assert plan_anticipatory(spec, trace, residual).received_bits \
+            .tolist() == [2 * V, V, 0.0]
+
     def test_front_slot_runs_out(self):
         # slot 1 outranks slot 0 but holds under one slot of video; once
         # it is spent, slot 0 (popped when slot 1 arrived) must serve
@@ -479,13 +495,22 @@ class TestWindowSearchBytes:
             make_spec(3, 3 * V), trace_from_capacity([2e5, 8e5, 4e5]),
             [10.0, 0.2, 10.0])
 
-    @pytest.mark.parametrize("z_cap", [1e-13 * V, 1e-12 * V])
-    def test_cap_within_tolerance(self, z_cap):
-        # every carry-over arc is saturated from the start, so each slot
-        # is served from itself, not from the cheaper slot before it
+    @pytest.mark.parametrize("z_cap", [1e-13 * V, 1e-12 * V,
+                                       math.nextafter(1e-12 * V, math.inf)])
+    def test_cap_within_tolerance(self, z_cap, rescans):
+        # up to the 1e-12 V tolerance every carry-over arc is saturated
+        # from the start, so each slot is served from itself, not from
+        # the cheaper slot before it.  One ulp above it, slots 1 and 3
+        # each take the cap from the slot before, which saturates its arc.
         assert self.assert_same_bytes(
             make_spec(4, z_cap), trace_from_capacity([8e5, 4e5, 8e5, 2e5]),
             [10.0, 10.0, 10.0, 10.0])
+        assert len(rescans) == (0 if z_cap <= 1e-12 * V else 2)
+        received = plan_anticipatory(
+            make_spec(4, z_cap), trace_from_capacity([8e5, 4e5, 8e5, 2e5]),
+            [10.0, 10.0, 10.0, 10.0]).received_bits
+        assert received.tolist() == ([V] * 4 if z_cap <= 1e-12 * V else
+                                     [V + z_cap, V - z_cap] * 2)
 
     def test_saturation_moves_the_edge(self):
         # slot 0 serves slots 0 and 1 and half of slot 2, which fills the

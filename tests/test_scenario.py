@@ -1,6 +1,7 @@
 import csv
 import itertools
 import math
+import re
 from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
@@ -9,10 +10,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import prebuf.admission
 import prebuf.cli
+import prebuf.playout
 import prebuf.scenario
 from prebuf import (AdmissionConfig, ConfigError, ScenarioConfig,
-                    ShadowingConfig, default_video_spec, load_config,
-                    run_buffer_sweep, run_multiuser, run_single_user)
+                    ShadowingConfig, VideoSpec, default_video_spec,
+                    load_config, run_buffer_sweep, run_multiuser,
+                    run_single_user)
 from prebuf.admission import MAX_COUNT
 from prebuf.cli import main
 
@@ -282,18 +285,25 @@ class TestBufferSweep:
             run_buffer_sweep(ScenarioConfig(), [], tmp_path)
         assert type(exc.value) is ValueError
 
-    @pytest.mark.parametrize("z", [float("nan"), -V])
+    @pytest.mark.parametrize(
+        "z", [float("nan"), -V, -math.inf, True, np.bool_(True), "1", None],
+        ids=repr)
     def test_bad_z_value_rejected_before_output(self, tmp_path, monkeypatch,
                                                 z):
+        # the entry check is a sweep cap's only check, since each cap's
+        # spec is copied, not built: it refuses all VideoSpec refuses
         def unreachable(*args, **kwargs):
             raise AssertionError("trace built before the z values checked")
 
         monkeypatch.setattr(ScenarioConfig, "make_trace", unreachable)
         out = tmp_path / "out"
-        with pytest.raises(ValueError, match="z_values") as exc:
+        with pytest.raises(ValueError,
+                           match=re.escape("z_values_bits[1]")) as exc:
             run_buffer_sweep(ScenarioConfig(), [0.0, z], out)
         assert type(exc.value) is ValueError
         assert not out.exists()
+        with pytest.raises(ValueError, match="max_carryover_bits"):
+            replace(ScenarioConfig().video, max_carryover_bits=z)
 
 
     def test_infeasible_cap_costs_inf(self, tmp_path):
@@ -314,25 +324,43 @@ class TestBufferSweep:
         assert float(rows[1]["total_prb_slots"]) == pytest.approx(totals[1])
 
 
+SWEEP_CAPS = [2 * V, 0.0, V, 250_000, np.float64(1.5 * V), -0.0, math.inf]
+
+
 @pytest.mark.parametrize("run, caps", [
     (run_single_user, [5 * V, 0.0]),
-    (lambda cfg, out: run_buffer_sweep(cfg, [2 * V, 0.0, V], out),
-     [2 * V, 0.0, V]),
+    (lambda cfg, out: run_buffer_sweep(cfg, SWEEP_CAPS, out), SWEEP_CAPS),
 ], ids=["single-user", "buffer-sweep"])
 def test_one_full_spectrum_plan_per_cap(tmp_path, monkeypatch, run, caps):
     # both drivers plan through this module's plan_anticipatory, which a
     # wrapper set after import sees: once per cap, in cap order, on all
-    # 50 PRBs of every slot of one trace
+    # 50 PRBs of every slot of one trace.  Each cap's spec is the one
+    # replace() would build from the cap as given, without checking the
+    # checked cap again.
     plan_anticipatory = prebuf.scenario.plan_anticipatory
-    seen = []
+    check_fields = prebuf.playout.check_fields
+    seen, checks = [], []
 
     def recording(spec, trace, residual):
-        seen.append((spec.max_carryover_bits, trace, residual.tolist()))
+        seen.append((spec, trace, residual.tolist()))
         return plan_anticipatory(spec, trace, residual)
 
+    def counted(*args, **kwargs):
+        checks.append(args)
+        return check_fields(*args, **kwargs)
+
+    config = ScenarioConfig()
     monkeypatch.setattr(prebuf.scenario, "plan_anticipatory", recording)
-    run(ScenarioConfig(), tmp_path)
-    assert [z for z, _, _ in seen] == caps
+    monkeypatch.setattr(prebuf.playout, "check_fields", counted)
+    run(config, tmp_path)
+    assert checks == []
+    assert len(seen) == len(caps)
+    for (spec, _, _), cap in zip(seen, caps):
+        expect = replace(config.video, max_carryover_bits=cap)
+        assert type(spec) is VideoSpec
+        assert spec == expect and hash(spec) == hash(expect)
+        assert [repr(getattr(spec, f.name)) for f in fields(spec)] \
+            == [repr(getattr(expect, f.name)) for f in fields(expect)]
     assert all(trace is seen[0][1] for _, trace, _ in seen)
     assert all(residual == [50.0] * 96 for _, _, residual in seen)
 

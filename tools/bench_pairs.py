@@ -17,11 +17,12 @@ only where both sides produce the same output.
 For every end-to-end metric of BENCHMARK.json it prints each side's
 median and quartiles (the inclusive method of `statistics.quantiles`),
 the change's relative difference of the medians, the pairs the change
-wins (ties count for neither side), the parent's IQR, and whether the
-medians differ by more than that IQR.  It also prints the planner calls
+wins (ties count for neither side), the parent's IQR, whether the
+medians differ by more than that IQR, and a verdict by the claim rule
+(see `verdict`).  It also prints the planner calls
 per pass of each side's runs, and their median number of passes, since
 peak_rss_mb grows with the passes that fit in a run.  It edits nothing
-under bench/.  Standard library only.
+under bench/ and only reads BENCHMARK.json.  Standard library only.
 """
 
 from __future__ import annotations
@@ -88,10 +89,23 @@ def run_pairs(run, pairs: int) -> dict:
     return runs
 
 
-def summarize(runs: dict, better: dict) -> list[str]:
-    """The summary of run_pairs' result: two lines and a markdown table
-    with one row per metric; better maps each metric to "lower" or
-    "higher"."""
+def verdict(m0: float, m1: float, iqr: float, wins: int, pairs: int,
+            better: str, bound: float) -> str:
+    """The claim rule on one metric, given the parent's and the change's
+    medians m0 and m1: "gain" when the change wins at least 9 of 10
+    pairs and m1 moves past the parent's IQR in the better direction,
+    "regression" when m1 is worse than m0 by more than bound * m0, and
+    "within bound" otherwise."""
+    worse_by = m1 - m0 if better == "lower" else m0 - m1
+    if 10 * wins >= 9 * pairs and -worse_by > iqr:
+        return "gain"
+    return "regression" if worse_by > bound * m0 else "within bound"
+
+
+def summarize(runs: dict, metrics: dict) -> list[str]:
+    """The summary of run_pairs' result: three lines and a markdown table
+    with one row per metric; metrics maps each metric to its direction,
+    "lower" or "higher", and its bound, as BENCHMARK.json gives them."""
     parent, change = runs["parent"], runs["change"]
     calls = {side: sorted({r["calls_per_pass"] for r in runs[side]})
              for side in SIDES}
@@ -104,9 +118,9 @@ def summarize(runs: dict, better: dict) -> list[str]:
              "median passes per run: " + ", ".join(
                  f"{side} {passes[side]:g}" for side in SIDES),
              "| metric | parent median [Q1, Q3] | change median [Q1, Q3] "
-             "| change | wins | parent IQR | beyond IQR |",
-             "| --- | --- | --- | --- | --- | --- | --- |"]
-    for name, direction in better.items():
+             "| change | wins | parent IQR | beyond IQR | verdict |",
+             "| --- | --- | --- | --- | --- | --- | --- | --- |"]
+    for name, (direction, bound) in metrics.items():
         old = [r["metrics"][name] for r in parent]
         new = [r["metrics"][name] for r in change]
         sign = 1 if direction == "lower" else -1
@@ -118,7 +132,9 @@ def summarize(runs: dict, better: dict) -> list[str]:
             f"| {name} | {m0:.4g} [{q1:.4g}, {q3:.4g}] "
             f"| {m1:.4g} [{r1:.4g}, {r3:.4g}] | {(m1 - m0) / m0:+.1%} "
             f"| {wins}/{len(old)} | {q3 - q1:.4g} "
-            f"| {'yes' if abs(m1 - m0) > q3 - q1 else 'no'} |")
+            f"| {'yes' if abs(m1 - m0) > q3 - q1 else 'no'} "
+            f"| {verdict(m0, m1, q3 - q1, wins, len(old), direction, bound)} "
+            "|")
     return lines
 
 
@@ -148,8 +164,8 @@ def main(argv=None) -> int:
     if args.pairs < 2:
         parser.error("--pairs must be at least 2 for quartiles")
     with open(ROOT / "BENCHMARK.json") as fh:
-        better = {m["name"]: m["better"]
-                  for m in json.load(fh)["end_to_end"]}
+        metrics = {m["name"]: (m["better"], m["bound"])
+                   for m in json.load(fh)["end_to_end"]}
     dirs = {"parent": args.parent_dir, "change": args.change_dir}
     try:
         runs = run_pairs(_runner(dirs, args), args.pairs)
@@ -158,7 +174,7 @@ def main(argv=None) -> int:
         return 1
     print(f"workload {args.workload}, seed {args.seed}, "
           f"--seconds {args.seconds}")
-    print("\n".join(summarize(runs, better)))
+    print("\n".join(summarize(runs, metrics)))
     return 0
 
 

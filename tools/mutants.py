@@ -72,6 +72,8 @@ MUTANTS = [
            "tol = 1e-6 * V"),
     Mutant("front-ran-out", "planner.py", "if supply[best] <= tol:",
            "if supply[best] <= 0.0:"),
+    Mutant("zero-cap", "planner.py", "if z_max <= tol:",
+           "if z_max < tol:"),
     # the carried peak: taken only at the last path's own front, and
     # raised by each path's amount
     Mutant("carried-peak-front", "planner.py",
@@ -107,6 +109,10 @@ MUTANTS = [
            "unshadowed, where path loss takes one value for both, and with "
            "probability ~0 when shadowed, so the serving BS's gain, "
            "distance and capacity are the same either way."),
+    # a sweep's cap specs: copies of the checked video with the cap set
+    Mutant("cap-copy", "playout.py",
+           "spec.__dict__.update(vars(self), max_carryover_bits=cap)",
+           "spec.__dict__.update(vars(self))"),
     # one rule per input kind
     Mutant("residual-bound", "planner.py",
            "spec.num_slots, 0.0)", "spec.num_slots)"),
