@@ -294,16 +294,18 @@ class ChannelTrace:
 
 
 # Blocks with at least this many shadowing streams, one per (seed, BS),
-# seed, draw and recur them as arrays; smaller ones go stream by stream.
-# The array path pays a few numpy calls per position whatever the stream
-# count.  Measured in process at the default 96 positions, in alternating
-# rounds over 2 to 32 streams, a stream costs about 30 us on its own, and
-# the array path about 230 us per block plus 7 us per stream; they break
-# even at 10 streams.  Both sides are in use: a single default trace has
-# 2 streams (buffer-sweep and the buffer_sweep benchmark workload), and a
-# default admission block has 40 users and 80 streams (multi-user's
-# largest default kv, and the service_curve and baseline_admission
-# workloads).
+# whose seeds share one pool size and _hash_count, seed, draw and recur
+# them as arrays; other blocks go stream by stream.  The array path pays
+# a few numpy calls per position whatever the stream count.  Measured in
+# process at the default 96 positions, in alternating rounds over such
+# blocks of 2 to 32 streams, a stream costs about 29 us on its own, and
+# the array path about 190 us per block plus 5.5 us per stream; they
+# break even at 8 to 9 streams, so only blocks of 8 or 9 streams, which
+# no driver builds, would gain from a lower threshold, by a few tens of
+# us.  Both sides are in use: a single default trace has 2 streams
+# (buffer-sweep and the buffer_sweep benchmark workload), and a default
+# admission block has 40 users and 80 streams (multi-user's largest
+# default kv, and the service_curve and baseline_admission workloads).
 _ARRAY_STREAMS = 10
 
 # numpy's SeedSequence hash constants, and PCG64's 128-bit multiplier.
@@ -330,63 +332,54 @@ def _num_words(x) -> int:
     return sum(map(_num_words, x))
 
 
+def _hash_count(ss) -> int:
+    """n = p * (p + max(E - p, 0) + K): how many hashes numpy's
+    SeedSequence runs to mix E entropy and K spawn-key words into a pool
+    of p words."""
+    p = ss.pool_size
+    return p * (p + max(_num_words(ss.entropy) - p, 0)
+                + _num_words(ss.spawn_key))
+
+
 def _stream_states(seeds: list, num_bs: int) -> list:
     """PCG64 (state, inc) of child i < num_bs of a first spawn of each
     seed, seed-major: those of PCG64(SeedSequence(ss.entropy,
-    spawn_key=ss.spawn_key + (i,), pool_size=ss.pool_size)).
+    spawn_key=ss.spawn_key + (i,), pool_size=ss.pool_size)), for seeds
+    that share one pool size p and one _hash_count n.
 
-    A child's entropy words are its seed's, zero-padded to the pool size
-    p, and then i (one word, since num_bs < 2**32).  numpy fills a short
-    entropy with the same hashes of 0 that zero padding gives, so once
-    the seed's words are mixed the child's pool is the seed's own `pool`,
-    after n = p * (p + max(E - p, 0) + K) hashes for E entropy and K
-    spawn-key words.  The child then mixes i into each pool word with
-    the hash constants INIT_A * MULT_A**(n + j), j <= p.  Seeds are
-    grouped by pool size, and each step acts on a (pool word, stream)
+    A child's entropy words are its seed's, zero-padded to p, and then i
+    (one word, since num_bs < 2**32).  numpy fills a short entropy with
+    the same hashes of 0 that zero padding gives, so once the seed's
+    words are mixed the child's pool is the seed's own `pool`, after n
+    hashes.  The child then mixes i into each pool word with the hash
+    constants INIT_A * MULT_A**(n + j), j <= p, which are the same for
+    every stream of the block.  Each step acts on a (pool word, stream)
     uint32 array; generate_state(4, uint64) follows, and then PCG64's
     seeding step.
-    The seeds of an admission block share their entropy and the length of
-    their spawn keys, so INIT_A * MULT_A**n is computed once per distinct
-    n of a group, not once per seed.  PCG64's seeding step runs on object
-    arrays of Python ints, one row per 64-bit word, so each stream costs
-    no tuple unpack and no interpreted shift: object arrays apply
-    Python's own int operators element by element, which are exact, so
-    every state keeps its bits.
+    PCG64's seeding step runs on object arrays of Python ints, one row
+    per 64-bit word, so each stream costs no tuple unpack and no
+    interpreted shift: object arrays apply Python's own int operators
+    element by element, which are exact, so every state keeps its bits.
     """
-    groups = {}
-    for k, ss in enumerate(seeds):
-        groups.setdefault(ss.pool_size, []).append(k)
-    states = [None] * (len(seeds) * num_bs)
-    for p, ks in groups.items():
-        # n of each seed, and the hash constant after its n hashes
-        hashes = [p * (p + max(_num_words(seeds[k].entropy) - p, 0)
-                       + _num_words(seeds[k].spawn_key)) for k in ks]
-        const = {n: _INIT_A * pow(_MULT_A, n, 2 ** 32) & _MASK32
-                 for n in set(hashes)}
-        first = np.array([const[n] for n in hashes], dtype=np.uint32)
-        powers = np.array([pow(_MULT_A, j, 2 ** 32) for j in range(p + 1)],
-                          dtype=np.uint32)[:, None]
-        consts = np.repeat(powers * first, num_bs, axis=1)
-        pool = np.repeat(np.array([seeds[k].pool for k in ks]).T, num_bs,
-                         axis=1)
-        # pool word j = mix(pool word j, hashmix(i)), hashmix(i) taking
-        # constants j and j + 1
-        hashed = (np.tile(np.arange(num_bs, dtype=np.uint32), len(ks))
-                  ^ consts[:-1]) * consts[1:]
-        hashed ^= hashed >> 16
-        pool = _MIX_L * pool - _MIX_R * hashed
-        pool ^= pool >> 16
-        state = pool[[j % p for j in range(8)]] ^ _HASH_B[:8]
-        state *= _HASH_B[1:]
-        state ^= state >> 16
-        s_hi, s_lo, i_hi, i_lo = state.T.astype("<u4", order="C").view(
-            "<u8").T.astype(object)
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        pcg = ((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _MASK128
-        index = (k * num_bs + i for k in ks for i in range(num_bs))
-        for k, pair in zip(index, zip(pcg.tolist(), inc.tolist())):
-            states[k] = pair
-    return states
+    p, n = seeds[0].pool_size, _hash_count(seeds[0])
+    consts = np.array([_INIT_A * pow(_MULT_A, n + j, 2 ** 32) & _MASK32
+                       for j in range(p + 1)], dtype=np.uint32)[:, None]
+    pool = np.repeat(np.array([ss.pool for ss in seeds]).T, num_bs, axis=1)
+    # pool word j = mix(pool word j, hashmix(i)), hashmix(i) taking
+    # constants j and j + 1
+    hashed = (np.tile(np.arange(num_bs, dtype=np.uint32), len(seeds))
+              ^ consts[:-1]) * consts[1:]
+    hashed ^= hashed >> 16
+    pool = _MIX_L * pool - _MIX_R * hashed
+    pool ^= pool >> 16
+    state = pool[[j % p for j in range(8)]] ^ _HASH_B[:8]
+    state *= _HASH_B[1:]
+    state ^= state >> 16
+    s_hi, s_lo, i_hi, i_lo = state.T.astype("<u4", order="C").view(
+        "<u8").T.astype(object)
+    inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+    pcg = ((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _MASK128
+    return list(zip(pcg.tolist(), inc.tolist()))
 
 
 def _shadowing_streams(seeds: list, num_bs: int, rho: tuple,
@@ -396,13 +389,14 @@ def _shadowing_streams(seeds: list, num_bs: int, rho: tuple,
 
     Stream (seed, i) draws from the generator np.random.default_rng(child)
     builds for child i of a first spawn of the seed, without spawning
-    from it.  Below _ARRAY_STREAMS streams each stream is seeded, drawn
-    and recurred on its own (_ar1_path).  Otherwise the streams' PCG64
-    states are derived as arrays from their seeds' pools
-    (_stream_states); each stream's standard_normal is drawn from one
-    generator set to its state; and the recursion runs once per position
-    over all streams, multiplying and then adding as _ar1_path does, so
-    every value has the same bits.
+    from it.  Below _ARRAY_STREAMS streams, or when the seeds differ in
+    pool size or _hash_count, each stream is seeded through numpy,
+    drawn and recurred on its own (_ar1_path).  Otherwise, as for every
+    block admission spawns, the streams' PCG64 states are derived as
+    arrays from their seeds' pools (_stream_states); each stream's
+    standard_normal is drawn from one generator set to its state; and
+    the recursion runs once per position over all streams, multiplying
+    and then adding as _ar1_path does, so every value has the same bits.
     Two per-stream and per-position costs are trimmed without moving a
     bit.  The generator is set through one state dict whose two PCG64
     words are rewritten per stream, not through two new dicts; the
@@ -416,7 +410,8 @@ def _shadowing_streams(seeds: list, num_bs: int, rho: tuple,
     """
     SeedSequence = np.random.SeedSequence
     count, positions = len(seeds) * num_bs, len(rho)
-    if count < _ARRAY_STREAMS:
+    if count < _ARRAY_STREAMS or len(
+            {(ss.pool_size, _hash_count(ss)) for ss in seeds}) > 1:
         # the generator np.random.default_rng(child) builds, without its
         # checks
         draws = [_ar1_path(rho, scale, np.random.Generator(np.random.PCG64(

@@ -63,11 +63,6 @@ def _supply_bits(spec: VideoSpec, trace: ChannelTrace,
     return supply
 
 
-def _infeasible_plan(T: int) -> AllocationPlan:
-    z = np.zeros(T)
-    return AllocationPlan(z, np.zeros(max(T - 1, 0)), z.copy(), False)
-
-
 def plan_anticipatory(spec: VideoSpec, trace: ChannelTrace,
                       residual_prbs) -> AllocationPlan:
     """Minimum-spectrum plan given predicted per-slot capacities.
@@ -124,7 +119,8 @@ def plan_anticipatory(spec: VideoSpec, trace: ChannelTrace,
         need = V
         while need > tol:
             if not window:
-                return _infeasible_plan(T)
+                z = np.zeros(T)
+                return AllocationPlan(z, np.zeros(T - 1), z.copy(), False)
             best = window[0]
             if best < t:
                 top = last_top if best == last else max(carry[best:t])

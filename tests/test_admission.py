@@ -19,8 +19,8 @@ from prebuf.cli import main
 from prebuf.playout import PLAYABLE_SHARE
 
 from oracles import step_buffer
-from test_link import (CONTRACT_SLOTS, LINK_EXTREMES, extreme_calls,
-                       with_extreme)
+from test_link import (CONTRACT_SLOTS, LINK_EXTREMES, counted_draws,
+                       extreme_calls, with_extreme)
 from test_planner import V, lp_in_video_slots
 
 # sha256 of `prebuf multi-user` with every default: service_curve.csv and
@@ -740,6 +740,25 @@ class TestServiceCurve:
             == DEFAULT_CURVE_CSV_SHA256
         assert hashlib.sha256(stdout).hexdigest() \
             == DEFAULT_CURVE_STDOUT_SHA256
+
+    def test_default_blocks_seeded_as_arrays(self, shadowed_scenario,
+                                             monkeypatch):
+        # Each seed's one block, 40 users from one spawn on two BSs, has
+        # one pool size and hash count, so its 80 streams are seeded as
+        # arrays and none is drawn on its own.
+        blocks = []
+        derive = prebuf.link._stream_states
+
+        def counted(seeds, num_bs):
+            blocks.append((len(seeds), num_bs))
+            return derive(seeds, num_bs)
+
+        monkeypatch.setattr(prebuf.link, "_stream_states", counted)
+        per_stream = counted_draws(monkeypatch)
+        service_curve([5, 10, 20, 30, 40], shadowed_scenario.video,
+                      shadowed_scenario.make_traces,
+                      AdmissionConfig(total_requests=40, seed=0))
+        assert blocks == [(40, 2)] * 10 and per_stream == []
 
     @pytest.mark.parametrize("command, csv_name, csv_sha256, stdout_sha256", [
         ("single-user", "trace.csv", DEFAULT_SINGLE_USER_CSV_SHA256,

@@ -704,6 +704,20 @@ class TestBlockCheck:
         assert str(error.value) == CAPACITY_ERROR.format(low, high)
 
 
+def counted_draws(monkeypatch):
+    """The positions of each per-stream draw (each _ar1_path call) made
+    from now on, in call order."""
+    per_stream = []
+    draw = link._ar1_path
+
+    def counted(rho, scale, rng):
+        per_stream.append(len(rho))
+        return draw(rho, scale, rng)
+
+    monkeypatch.setattr(link, "_ar1_path", counted)
+    return per_stream
+
+
 def numpy_stream_state(ss, i):
     """PCG64 (state, inc) of child i of a first spawn of ss, by numpy."""
     child = np.random.SeedSequence(ss.entropy, spawn_key=ss.spawn_key + (i,),
@@ -733,14 +747,35 @@ class TestStreamSeeding:
         assert link._stream_states([ss], 3) \
             == [numpy_stream_state(ss, i) for i in range(3)]
 
-    def test_mixed_block_matches_numpy(self):
-        # pool sizes and entropy lengths differ within the block
+    def test_mixed_block_matches_numpy(self, monkeypatch):
+        # Pool sizes and entropy lengths differ within the block.  Each
+        # group of one pool size p and one hash count n = p * (p +
+        # max(E - p, 0) + K) is seeded as arrays; the whole block goes
+        # stream by stream through numpy.
         seeds = [np.random.SeedSequence(e, spawn_key=key, pool_size=pool)
                  for e in (0, 2 ** 33, [5, 6, 7, 8, 9])
                  for key in ((), (1,), (2 ** 40, 2))
                  for pool in (4, 8)]
-        want = [numpy_stream_state(ss, i) for ss in seeds for i in range(2)]
-        assert link._stream_states(seeds, 2) == want
+        groups = {}
+        for ss in seeds:
+            groups.setdefault((ss.pool_size, link._hash_count(ss)),
+                              []).append(ss)
+        assert {shape: len(group) for shape, group in groups.items()} == {
+            (4, 16): 2, (4, 20): 3, (4, 24): 1, (4, 28): 2, (4, 32): 1,
+            (8, 64): 3, (8, 72): 3, (8, 88): 3}
+        for group in groups.values():
+            assert link._stream_states(group, 2) \
+                == [numpy_stream_state(ss, i) for ss in group
+                    for i in range(2)]
+        per_stream = counted_draws(monkeypatch)
+        traj, bss, budget = TestBuildTraces.TRAJ, [0.0, 550.0], LinkBudget()
+        traces = build_traces(traj, bss, budget, SLOT_S, seeds=seeds)
+        assert len(per_stream) == 2 * len(seeds)
+        for trace, ss in zip(traces, seeds, strict=True):
+            want = build_trace_loop(traj, bss, budget, SLOT_S, seed=ss)
+            for name, a, b in zip(TRACE_FIELDS, trace_fields(trace), want):
+                assert a.dtype == b.dtype, name
+                assert a.tobytes() == b.tobytes(), name
 
     def test_admission_block_matches_numpy(self):
         # the block admission seeds: 40 user seeds from one spawn, keys
@@ -784,7 +819,8 @@ def varied_seeds(n):
 
 class TestArrayCrossover:
     """Blocks on either side of _ARRAY_STREAMS give, per seed, the trace
-    of the slot-by-slot loop and of a block of one."""
+    of the slot-by-slot loop and of a block of one; a block whose seeds
+    differ in shape goes stream by stream at any size."""
 
     TRAJ = TestBuildTraces.TRAJ
 
@@ -798,19 +834,18 @@ class TestArrayCrossover:
                                            bss, offset):
         n = -(-link._ARRAY_STREAMS // len(bss)) + offset
         budget = LinkBudget()
-        per_stream = []
-        draw = link._ar1_path
-
-        def counted(rho, scale, rng):
-            per_stream.append(len(rho))
-            return draw(rho, scale, rng)
-
-        monkeypatch.setattr(link, "_ar1_path", counted)
-        traces = build_traces(self.TRAJ, bss, budget, SLOT_S,
-                              seeds=make_seeds(n))
+        per_stream = counted_draws(monkeypatch)
+        seeds = make_seeds(n)
+        traces = build_traces(self.TRAJ, bss, budget, SLOT_S, seeds=seeds)
         streams = n * len(bss)
-        assert len(per_stream) \
-            == (streams if streams < link._ARRAY_STREAMS else 0)
+        shapes = {(ss.pool_size, link._hash_count(ss)) for ss in (
+            link._seed_sequence(seed, "seed") for seed in seeds)}
+        if make_seeds is varied_seeds:  # several shapes: never as arrays
+            assert len(shapes) > 1 and len(per_stream) == streams
+        else:                           # one shape: pool 4, 16 hashes
+            assert shapes == {(4, 16)}
+            assert len(per_stream) \
+                == (streams if streams < link._ARRAY_STREAMS else 0)
         for trace, seed, again in zip(traces, make_seeds(n), make_seeds(n),
                                       strict=True):
             assert_matches_loop(trace, self.TRAJ, bss, budget, seed=seed)

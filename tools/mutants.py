@@ -119,6 +119,14 @@ MUTANTS = [
     Mutant("bool-arrays", "_checks.py",
            'if array.dtype.kind not in "bc":',
            'if array.dtype.kind not in "c":'),
+    # array seeding: only single-shape blocks, one hash count per block
+    Mutant("array-shape-clause", "link.py",
+           "if count < _ARRAY_STREAMS or len(\n            "
+           "{(ss.pool_size, _hash_count(ss)) for ss in seeds}) > 1:",
+           "if count < _ARRAY_STREAMS:"),
+    Mutant("block-hash-count", "link.py",
+           "p, n = seeds[0].pool_size, _hash_count(seeds[0])",
+           "p, n = seeds[0].pool_size, seeds[0].pool_size ** 2"),
     Mutant("seed-check-int", "link.py",
            "np.random.SeedSequence(check_int(seed, name, 0))",
            "np.random.SeedSequence(seed)"),
